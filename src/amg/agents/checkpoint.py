@@ -99,12 +99,17 @@ def load_agent(path: str | Path, seed: int = 0):
         raise CheckpointError(f"truncated or corrupt checkpoint body: {e}") from None
     if offset != len(blob):
         raise CheckpointError("trailing bytes after the last checkpoint array")
-    agent = make_agent(
-        header["kind"],
-        int(header["obs_dim"]),
-        int(header["n_actions"]),
-        AgentHyper.from_dict(header["hyper"]),
-        seed=seed,
-    )
-    agent.load_state_arrays(arrays)
+    try:
+        agent = make_agent(
+            header["kind"],
+            int(header["obs_dim"]),
+            int(header["n_actions"]),
+            AgentHyper.from_dict(header["hyper"]),
+            seed=seed,
+        )
+        agent.load_state_arrays(arrays)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"checkpoint header and arrays do not fit: {e!r}") from None
     return agent

@@ -45,6 +45,7 @@ from .harness import (
 )
 from .pe_model import PeError, parse as parse_pe, serialize as serialize_pe
 from .pe_mods import (
+    ACTION_COUNT,
     ACTION_NAMES,
     ActionId,
     Outcome,
@@ -52,6 +53,7 @@ from .pe_mods import (
     apply_action,
     build_pool,
 )
+from .rl import N_OBSERVATION
 from .validity import StructuralBackend, run_validity_suite
 
 _SPLITS = ("train", "val", "test")
@@ -211,6 +213,11 @@ def _eval_from_args(args, collect_pairs: bool = False):
     pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
     det = Detector.load(args.detector)
     agent = load_agent(args.agent, seed=args.seed)
+    if (agent.obs_dim, agent.n_actions) != (N_OBSERVATION, ACTION_COUNT):
+        raise CheckpointError(
+            f"checkpoint is for {agent.obs_dim} observations and {agent.n_actions} actions; "
+            f"the environment has {N_OBSERVATION} and {ACTION_COUNT}"
+        )
     result = evaluate_policy(
         agent,
         files,

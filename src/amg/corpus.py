@@ -521,7 +521,7 @@ def _self_check(name: str, data: bytes, planted: dict) -> None:
         img = pe_model.parse(data)
     except pe_model.PeError as exc:
         raise CorpusError(f"{name}: generated file does not parse: {exc}") from exc
-    diags = [d for d in img.diagnostics]
+    diags = pe_model.check_invariants(img)
     if diags:
         raise CorpusError(f"{name}: generated file has diagnostics: {[str(d) for d in diags]}")
     if img.header_slack != planted["slack"]:

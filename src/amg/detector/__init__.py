@@ -142,7 +142,12 @@ class Detector:
                 f"detector payload is {len(blob)} bytes, expected {expect}"
             )
         off = head_size
-        feature = np.frombuffer(blob, dtype="<u4", count=n_rounds, offset=off).astype(np.int32)
+        feature = np.frombuffer(blob, dtype="<u4", count=n_rounds, offset=off)
+        if n_rounds and feature.max() >= n_features:
+            raise DetectorFormatError(
+                f"stump feature index {feature.max()} out of range for {n_features} features"
+            )
+        feature = feature.astype(np.int32)
         off += 4 * n_rounds
         threshold = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
         off += 8 * n_rounds

@@ -106,14 +106,13 @@ def prepare_world(
 # training and evaluation loops
 
 
-def _select(agent, obs, greedy: bool):
-    """Evaluation keeps a little stochasticity so a policy cannot pin itself
-    to one useless action: value learners act 5%-random, policy learners
-    sample from their distribution."""
+def _select(agent, obs):
+    """Training and evaluation both keep a little stochasticity so a policy
+    cannot pin itself to one useless action: DQN acts at a fixed
+    epsilon = DQN_EVAL_EPSILON (0.05) in training as well, so its own epsilon
+    schedule never acts; policy learners sample from their distribution."""
     if agent.kind == "dqn":
-        return agent.select_action(obs, epsilon=0.0 if greedy else DQN_EVAL_EPSILON)
-    if agent.kind in ("pg", "ppo"):
-        return agent.select_action(obs, greedy=greedy)
+        return agent.select_action(obs, epsilon=DQN_EVAL_EPSILON)
     return agent.select_action(obs)
 
 
@@ -139,7 +138,7 @@ def train_agent(
         except AlreadyBenign:
             continue
         while not env.done:
-            action = _select(agent, obs, greedy=False)
+            action = _select(agent, obs)
             transition = env.step(action)
             agent.record(transition)
             obs = transition.next_observation
@@ -187,7 +186,7 @@ def evaluate_policy(
         eligible += 1
         hit = False
         while not env.done:
-            action = _select(agent, obs, greedy=False)
+            action = _select(agent, obs)
             transition = env.step(action)
             obs = transition.next_observation
             hit = transition.info["evaded"]

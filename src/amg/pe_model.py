@@ -8,14 +8,14 @@ declared ``PeError`` subclasses, never anything else.
 
 Hard problems (bad magic, offsets outside the file, overlapping raw ranges)
 raise.  Soft problems (unsorted sections, misrounded ``size_of_image`` and
-friends) come back as ``Diagnostic`` entries from :func:`check_invariants`
-and are attached to the image at parse time.
+friends) come back as ``Diagnostic`` entries from :func:`check_invariants`,
+which callers run on demand; parsing does not.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = b"PE\x00\x00"
@@ -237,7 +237,6 @@ class PeImage:
     padding_spans: list[tuple[int, bytes]]
     overlay: bytes
     source_len: int
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     # -- derived layout ----------------------------------------------------
     @property
@@ -283,58 +282,15 @@ class PeImage:
         return None
 
     def copy(self) -> PeImage:
-        dos = DosHeader(self.dos_header.e_magic, self.dos_header.reserved, self.dos_header.e_lfanew)
-        coff = CoffHeader(
-            self.coff.machine,
-            self.coff.number_of_sections,
-            self.coff.time_date_stamp,
-            self.coff.pointer_to_symbol_table,
-            self.coff.number_of_symbols,
-            self.coff.size_of_optional_header,
-            self.coff.characteristics,
-        )
+        """Copy the headers, directories and sections; payload ``bytes`` are shared."""
         opt = self.optional
-        optional = OptionalHeader(
-            opt.magic,
-            opt.run_a,
-            opt.size_of_code,
-            opt.run_b,
-            opt.address_of_entry_point,
-            opt.run_c,
-            opt.section_alignment,
-            opt.file_alignment,
-            opt.run_d,
-            opt.size_of_image,
-            opt.size_of_headers,
-            opt.checksum,
-            opt.run_e,
-            opt.number_of_rva_and_sizes,
-            [DataDirectory(d.rva, d.size) for d in opt.data_directories],
-            opt.trailing,
-        )
-        sections = [
-            Section(
-                s.name,
-                s.virtual_size,
-                s.virtual_address,
-                s.size_of_raw_data,
-                s.pointer_to_raw_data,
-                s.reserved,
-                s.characteristics,
-                s.data,
-            )
-            for s in self.sections
-        ]
-        return PeImage(
-            dos_header=dos,
-            dos_stub=self.dos_stub,
-            coff=coff,
-            optional=optional,
-            sections=sections,
+        return replace(
+            self,
+            dos_header=replace(self.dos_header),
+            coff=replace(self.coff),
+            optional=replace(opt, data_directories=[replace(d) for d in opt.data_directories]),
+            sections=[replace(s) for s in self.sections],
             padding_spans=list(self.padding_spans),
-            overlay=self.overlay,
-            source_len=self.source_len,
-            diagnostics=list(self.diagnostics),
         )
 
 
@@ -459,7 +415,7 @@ def parse(raw: bytes) -> PeImage:
         cursor = end
     overlay = bytes(raw[last_raw_end:])
 
-    img = PeImage(
+    return PeImage(
         dos_header=dos,
         dos_stub=dos_stub,
         coff=coff,
@@ -469,8 +425,6 @@ def parse(raw: bytes) -> PeImage:
         overlay=overlay,
         source_len=len(raw),
     )
-    img.diagnostics = check_invariants(img)
-    return img
 
 
 # ---------------------------------------------------------------------------
@@ -489,59 +443,69 @@ def _serialize_headers(img: PeImage) -> bytes:
     return b"".join(parts)
 
 
-def _serialize_gate(img: PeImage) -> None:
-    """Raise :class:`InvariantViolation` on rules that make byte layout ambiguous.
+def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
+    """Errors for the rules that decide which bytes :func:`serialize` writes where.
 
-    Everything a parse can represent serializes back losslessly; the gate
-    only guards in-memory edits that leave the model unable to decide what
-    bytes to write (length mismatches, overlapping raw ranges). Value-level
-    breakage such as misalignment stays serializable and is reported by
-    :func:`check_invariants` instead.
+    Every image a parse returns satisfies them; only in-memory edits can
+    break one (length mismatches, overlapping raw ranges or padding), and
+    then the writer cannot lay the file out. :func:`serialize` refuses
+    exactly these, and :func:`check_invariants` reports them first.
     """
-    if img.dos_header.e_magic != MZ_MAGIC:
-        raise InvariantViolation("dos_header.e_magic is not MZ")
-    if len(img.dos_header.reserved) != DOS_HEADER_SIZE - 6:
-        raise InvariantViolation("dos_header.reserved must be 58 bytes")
-    if img.dos_header.e_lfanew != DOS_HEADER_SIZE + len(img.dos_stub):
-        raise InvariantViolation("e_lfanew does not match the DOS stub length")
+    out: list[Diagnostic] = []
+
+    def err(path: str, rule: str) -> None:
+        out.append(Diagnostic("error", path, rule))
+
+    dos, opt = img.dos_header, img.optional
+    if dos.e_magic != MZ_MAGIC:
+        err("dos_header.e_magic", "must equal 0x5A4D")
+    if len(dos.reserved) != DOS_HEADER_SIZE - 6:
+        err("dos_header.reserved", "must be 58 bytes")
+    if dos.e_lfanew != DOS_HEADER_SIZE + len(img.dos_stub):
+        err("dos_header.e_lfanew", "must equal 64 plus the DOS stub length")
     if img.coff.number_of_sections != len(img.sections):
-        raise InvariantViolation("coff.number_of_sections does not match the section list")
-    opt_len = len(img.optional.pack())
-    if img.coff.size_of_optional_header != opt_len:
-        raise InvariantViolation("coff.size_of_optional_header does not match the optional header")
-    if img.optional.number_of_rva_and_sizes != len(img.optional.data_directories):
-        raise InvariantViolation("number_of_rva_and_sizes does not match the directory list")
+        err("coff.number_of_sections", "must match the section list length")
+    if img.coff.size_of_optional_header != len(opt.pack()):
+        err("coff.size_of_optional_header", "must match the optional header length")
+    if opt.number_of_rva_and_sizes != len(opt.data_directories):
+        err("optional.number_of_rva_and_sizes", "must match the data directory count")
+
     headers_end = img.headers_end
     intervals = []
     for i, s in enumerate(img.sections):
-        if len(s.name) != 8 or len(s.reserved) != 12:
-            raise InvariantViolation(f"sections[{i}] header field widths are wrong")
+        path = f"sections[{i}]"
+        if len(s.name) != 8:
+            err(f"{path}.name", "must be 8 bytes")
+        if len(s.reserved) != 12:
+            err(f"{path}.reserved", "must be 12 bytes")
         if not s.has_raw():
             continue
         if len(s.data) != s.size_of_raw_data:
-            raise InvariantViolation(f"sections[{i}] data length != size_of_raw_data")
+            err(f"{path}.data", "length must equal size_of_raw_data")
         if s.pointer_to_raw_data < headers_end:
-            raise InvariantViolation(f"sections[{i}] raw data overlaps the headers")
+            err(f"{path}.pointer_to_raw_data", "raw data must not overlap the headers")
         intervals.append((s.pointer_to_raw_data, s.pointer_to_raw_data + s.size_of_raw_data, i))
     intervals.sort()
     for (a1, b1, i1), (a2, b2, i2) in zip(intervals, intervals[1:]):
         if a2 < b1:
-            raise InvariantViolation(f"sections[{i1}] and sections[{i2}] raw ranges overlap")
+            err(f"sections[{i2}].pointer_to_raw_data", f"raw range overlaps sections[{i1}]")
+
     spans = sorted((off, off + len(blob)) for off, blob in img.padding_spans)
     for (_, b1), (a2, _) in zip(spans, spans[1:]):
         if a2 < b1:
-            raise InvariantViolation("padding spans overlap each other")
+            err("padding_spans", f"span at {a2} overlaps the span before it")
     for a2, b2 in spans:
         for a1, b1, i1 in intervals:
             if a2 < b1 and a1 < b2:
-                raise InvariantViolation(
-                    f"padding span at {a2} overlaps sections[{i1}] raw data"
-                )
+                err("padding_spans", f"span at {a2} overlaps sections[{i1}] raw data")
+    return out
 
 
 def serialize(img: PeImage) -> bytes:
     """Write the image back to bytes; inverse of :func:`parse` for clean files."""
-    _serialize_gate(img)
+    broken = _layout_diagnostics(img)
+    if broken:
+        raise InvariantViolation("; ".join(str(d) for d in broken))
     headers = _serialize_headers(img)
     if len(headers) != img.headers_end:
         raise InvariantViolation("serialized header length disagrees with the model")
@@ -570,11 +534,11 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
 
     Severity "error" marks hard structural breakage (a loader would reject
     the file outright); "warning" marks softer loader-facing soundness
-    rules. Errors do not necessarily block :func:`serialize` — the writer
-    refuses only layout ambiguity, so broken-but-representable states still
-    round-trip and stay visible here.
+    rules. The layout errors are the ones :func:`serialize` refuses; the
+    value and import-table rules below do not block it, so
+    broken-but-representable states still round-trip and stay visible here.
     """
-    out: list[Diagnostic] = []
+    out = _layout_diagnostics(img)
 
     def err(path: str, rule: str) -> None:
         out.append(Diagnostic("error", path, rule))
@@ -582,21 +546,9 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
     def warn(path: str, rule: str) -> None:
         out.append(Diagnostic("warning", path, rule))
 
-    if img.dos_header.e_magic != MZ_MAGIC:
-        err("dos_header.e_magic", "must equal 0x5A4D")
-    if len(img.dos_header.reserved) != DOS_HEADER_SIZE - 6:
-        err("dos_header.reserved", "must be 58 bytes")
-    if img.dos_header.e_lfanew != DOS_HEADER_SIZE + len(img.dos_stub):
-        err("dos_header.e_lfanew", "must equal 64 plus the DOS stub length")
-    if img.coff.number_of_sections != len(img.sections):
-        err("coff.number_of_sections", "must match the section list length")
     opt = img.optional
     if opt.magic not in (PE32_MAGIC, PE32PLUS_MAGIC):
         err("optional.magic", "must be PE32 (0x10B) or PE32+ (0x20B)")
-    if img.coff.size_of_optional_header != len(opt.pack()):
-        err("coff.size_of_optional_header", "must match the optional header length")
-    if opt.number_of_rva_and_sizes != len(opt.data_directories):
-        err("optional.number_of_rva_and_sizes", "must match the data directory count")
 
     sa, fa = opt.section_alignment, opt.file_alignment
     sa_ok = sa > 0 and not (sa & (sa - 1))
@@ -610,9 +562,7 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
         if d.rva == 0 and d.size != 0:
             warn(f"optional.data_directories[{i}]", "zero rva requires zero size")
 
-    headers_end = img.headers_end
     prev_va = -1
-    intervals = []
     image_end = 0
     for i, s in enumerate(img.sections):
         path = f"sections[{i}]"
@@ -622,26 +572,17 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
         if sa_ok and s.virtual_address % sa:
             warn(f"{path}.virtual_address", "must be a multiple of section_alignment")
         image_end = max(image_end, s.virtual_address + s.virtual_size)
-        if s.has_raw():
-            if len(s.data) != s.size_of_raw_data:
-                err(f"{path}.data", "length must equal size_of_raw_data")
-            if fa_ok and s.size_of_raw_data % fa:
+        if fa_ok and s.has_raw():
+            if s.size_of_raw_data % fa:
                 err(f"{path}.size_of_raw_data", "must be a multiple of file_alignment")
-            if fa_ok and s.pointer_to_raw_data % fa:
+            if s.pointer_to_raw_data % fa:
                 err(f"{path}.pointer_to_raw_data", "must be a multiple of file_alignment")
-            if s.pointer_to_raw_data < headers_end:
-                err(f"{path}.pointer_to_raw_data", "raw data must not overlap the headers")
-            intervals.append((s.pointer_to_raw_data, s.pointer_to_raw_data + s.size_of_raw_data, i))
-    intervals.sort()
-    for (a1, b1, i1), (a2, b2, i2) in zip(intervals, intervals[1:]):
-        if a2 < b1:
-            err(f"sections[{i2}].pointer_to_raw_data", f"raw range overlaps sections[{i1}]")
 
     if sa_ok and img.sections and opt.size_of_image != align_up(image_end, sa):
         warn("optional.size_of_image", "must be the image end rounded up to section_alignment")
     if fa_ok and opt.size_of_headers % fa:
         warn("optional.size_of_headers", "must be a multiple of file_alignment")
-    if opt.size_of_headers < headers_end:
+    if opt.size_of_headers < img.headers_end:
         warn("optional.size_of_headers", "must cover all headers")
 
     out.extend(_import_table_diagnostics(img))

@@ -102,12 +102,6 @@ class ModResult:
 
 
 @dataclass
-class ModificationAction:
-    id: ActionId
-    rng_seed: int = 0
-
-
-@dataclass
 class BenignContentPool:
     """Byte blobs, section names and import names drawn from benign files."""
 
@@ -469,15 +463,9 @@ ACTION_COUNT = len(ACTIONS)
 
 def apply_action(
     img: PeImage,
-    action: ActionId | ModificationAction | int,
+    action: ActionId | int,
     pool: BenignContentPool,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ModResult:
-    """Apply one action by id; the seed defaults to the action's own."""
-    if isinstance(action, ModificationAction):
-        action_id, rng_seed = action.id, action.rng_seed
-    else:
-        action_id, rng_seed = ActionId(action), 0
-    if seed is not None:
-        rng_seed = seed
-    return ACTIONS[action_id](img, pool, rng_seed)
+    """Apply one action by id with the given seed."""
+    return ACTIONS[ActionId(action)](img, pool, seed)

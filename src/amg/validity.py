@@ -144,10 +144,11 @@ class StructuralBackend:
             img = pe_model.parse(data)
         except pe_model.PeError:
             return BehaviorReport(failed=True)
-        if any(d.severity == "error" for d in img.diagnostics):
+        diags = pe_model.check_invariants(img)
+        if any(d.severity == "error" for d in diags):
             return BehaviorReport(failed=True)
 
-        sigs = {f"diag:{d.severity}:{d.path}" for d in img.diagnostics}
+        sigs = {f"diag:{d.severity}:{d.path}" for d in diags}
         for i, count in enumerate(signals.count_motif_hits(data)):
             if count:
                 sigs.add(f"motif:{i:02d}")

@@ -10,7 +10,9 @@ fresh detectors, fresh agents — and compare every number bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ TRAIN_SEEDS = (0, 1, 2)
 MAX_STEPS = 10
 EPISODES = 1000
 SLACK_ACTIONS = (ActionId.ADD_NEW_SECTION, ActionId.APPEND_NEW_IMPORT)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +270,16 @@ def test_criterion_10_bit_identical_reruns(rewrite_first, headline_first):
     fresh_world = _build_world()
     for seed in TRAIN_SEEDS:
         assert _headline_numbers(fresh_world, seed) == headline_numbers[seed], seed
+
+
+def test_rewrite_matrix_and_headline_match_goldens(rewrite_first, headline_first):
+    """Pin the numbers themselves, not only their rerun: the rewrite matrix and
+    the headline numbers for every training seed (``rewrites_sha256`` included)
+    must equal the JSON that ``_rewrite_matrix`` and ``_headline_numbers``
+    wrote to ``tests/golden/``. A change that moves them re-captures the files
+    and says why."""
+    rewrite_numbers, _ = rewrite_first
+    headline_numbers, _ = headline_first
+    assert rewrite_numbers == json.loads((GOLDEN_DIR / "rewrite_matrix.json").read_text())
+    golden = json.loads((GOLDEN_DIR / "headline.json").read_text())
+    assert {str(seed): run for seed, run in headline_numbers.items()} == golden

@@ -4,6 +4,9 @@ persistence."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,34 @@ def test_checkpoint_rejects_truncation(tmp_path):
     save_agent(path, agent)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(CheckpointError):
+        load_agent(path)
+
+
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a saved checkpoint's JSON header in place."""
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("obs_dim"),
+        lambda h: h.update(obs_dim=5),
+        lambda h: h.update(n_actions="three"),
+        lambda h: h.update(hyper=[1, 2]),
+    ],
+    ids=["missing-obs-dim", "mis-sized-array", "non-integer-dim", "bad-hyper"],
+)
+def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
+    path = tmp_path / "ppo.agent"
+    save_agent(path, make_agent("ppo", 4, 2, seed=0))
+    rewrite_header(path, edit)
     with pytest.raises(CheckpointError):
         load_agent(path)
 

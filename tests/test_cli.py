@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 
 import pytest
 
+from test_agents import rewrite_header
+
+from amg.agents import make_agent, save_agent
 from amg.cli import main
 from amg.corpus import CorpusSpec, generate
+from amg.pe_mods import ACTION_COUNT
 
 MAL, BEN, SEED = 42, 28, 5
 
@@ -157,6 +162,35 @@ def test_garbage_model_exits_two(ws, tmp_path, capsys):
     bogus.write_bytes(b"not a model at all")
     src = next((ws["corpus"] / "files").glob("mal_*"))
     assert main(["detector", "classify", "--model", str(bogus), str(src)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_stump_index_exits_two(ws, tmp_path, capsys):
+    blob = bytearray(ws["det_a"].read_bytes())
+    head_size = struct.calcsize("<8sBII d d")
+    blob[head_size : head_size + 4] = struct.pack("<I", 10_000)
+    bad = tmp_path / "bad-index.det"
+    bad.write_bytes(bytes(blob))
+    src = next((ws["corpus"] / "files").glob("mal_*"))
+    assert main(["detector", "classify", "--model", str(bad), str(src)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+@pytest.mark.parametrize("unfit", ["no-obs-dim", "obs-dim-100"])
+def test_unfit_checkpoint_exits_two(ws, tmp_path, capsys, command, unfit):
+    """A checkpoint without ``obs_dim`` is unreadable; one built for another
+    observation size loads but cannot drive this environment."""
+    bad = tmp_path / "unfit.ckpt"
+    if unfit == "obs-dim-100":
+        save_agent(bad, make_agent("ppo", 100, ACTION_COUNT))
+    else:
+        bad.write_bytes(ws["agent"].read_bytes())
+        rewrite_header(bad, lambda header: header.pop("obs_dim"))
+    detectors = (["--detector", str(ws["det_a"])] if command == "evaluate" else
+                 ["--detector-a", str(ws["det_a"]), "--detector-b", str(ws["det_b"])])
+    assert main([command, "--corpus", str(ws["corpus"]), *detectors,
+                 "--agent", str(bad), "--split", "val", "--max-steps", "2"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

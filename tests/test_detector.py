@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -223,3 +224,15 @@ def test_load_rejects_foreign_and_truncated_files(world, tmp_path):
     bad.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(DetectorFormatError):
         Detector.load(bad)
+
+
+def test_load_rejects_out_of_range_stump_index(world, tmp_path):
+    good = tmp_path / "good.det"
+    world.detector_a.save(good)
+    blob = good.read_bytes()
+    head_size = struct.calcsize("<8sBII d d")
+    for index in (world.detector_a.n_features, 0xFFFF_FFFF):
+        bad = tmp_path / f"index-{index}.det"
+        bad.write_bytes(blob[:head_size] + struct.pack("<I", index) + blob[head_size + 4 :])
+        with pytest.raises(DetectorFormatError, match="out of range"):
+            Detector.load(bad)

@@ -42,9 +42,7 @@ def test_parse_populates_headers_and_sections(corpus_files):
 
 def test_fresh_corpus_files_have_no_diagnostics(corpus_files):
     for f in corpus_files[:40]:
-        img = parse(f.data)
-        assert img.diagnostics == []
-        assert check_invariants(img) == []
+        assert check_invariants(parse(f.data)) == []
 
 
 def test_parse_rejects_garbage():
@@ -71,26 +69,30 @@ def test_bad_optional_magic_serializes_but_does_not_reparse(mal_bytes):
     assert any(d.path == "optional.magic" for d in check_invariants(img))
 
 
+def _assert_refused_and_reported(img) -> None:
+    """The writer refuses the image and the checker names the same breakage."""
+    with pytest.raises(InvariantViolation):
+        serialize(img)
+    assert any(d.severity == "error" for d in check_invariants(img))
+
+
 def test_serialize_gate_rejects_section_count_mismatch(mal_bytes):
     img = parse(mal_bytes[0])
     img.coff.number_of_sections += 1
-    with pytest.raises(InvariantViolation):
-        serialize(img)
+    _assert_refused_and_reported(img)
 
 
 def test_serialize_gate_rejects_overlapping_raw_ranges(mal_bytes):
     img = parse(mal_bytes[0])
     assert len(img.sections) >= 2
     img.sections[1].pointer_to_raw_data = img.sections[0].pointer_to_raw_data
-    with pytest.raises(InvariantViolation):
-        serialize(img)
+    _assert_refused_and_reported(img)
 
 
 def test_serialize_gate_rejects_length_mismatch(mal_bytes):
     img = parse(mal_bytes[0])
     img.sections[0].size_of_raw_data += 1
-    with pytest.raises(InvariantViolation):
-        serialize(img)
+    _assert_refused_and_reported(img)
 
 
 def test_serialize_gate_rejects_growth_into_padding_or_neighbors(mal_bytes):
@@ -98,8 +100,14 @@ def test_serialize_gate_rejects_growth_into_padding_or_neighbors(mal_bytes):
     sec = img.sections[0]
     sec.data = sec.data + b"\x00" * 0x200
     sec.size_of_raw_data += 0x200
-    with pytest.raises(InvariantViolation):
-        serialize(img)
+    _assert_refused_and_reported(img)
+
+
+def test_serialize_gate_rejects_section_name_width(mal_bytes):
+    img = parse(mal_bytes[0])
+    img.sections[0].name = b".text"
+    _assert_refused_and_reported(img)
+    assert any(d.path == "sections[0].name" for d in check_invariants(img))
 
 
 def test_misalignment_serializes_but_reports_error_diagnostic(mal_bytes):
@@ -145,6 +153,10 @@ def test_copy_is_deep_enough_for_rewrites(mal_bytes):
     dup = img.copy()
     dup.coff.time_date_stamp += 1
     dup.sections[0].data = b"\x00" * len(dup.sections[0].data)
+    dup.optional.data_directories[DIR_SECURITY].rva += 0x10
+    dup.padding_spans.append((0, b"\xff"))
+    dup.optional.checksum ^= 0xFFFF
+    dup.sections[0].characteristics ^= 0x1
     assert parse(mal_bytes[0]).coff.time_date_stamp == img.coff.time_date_stamp
     assert serialize(img) == mal_bytes[0]
 

@@ -33,15 +33,18 @@ class CheckpointError(ValueError):
     """Raised for unreadable or mismatched checkpoint files."""
 
 
-def make_agent(kind: str, obs_dim: int, n_actions: int,
-               hyper: AgentHyper | None = None, seed: int = 0):
+def _agent_class(kind: str):
     try:
-        cls = AGENT_KINDS[kind]
+        return AGENT_KINDS[kind]
     except KeyError:
         raise CheckpointError(
             f"unknown agent kind {kind!r}; expected one of {sorted(AGENT_KINDS)}"
         ) from None
-    return cls(obs_dim, n_actions, hyper or AgentHyper(), seed=seed)
+
+
+def make_agent(kind: str, obs_dim: int, n_actions: int,
+               hyper: AgentHyper | None = None, seed: int = 0):
+    return _agent_class(kind)(obs_dim, n_actions, hyper or AgentHyper(), seed=seed)
 
 
 def save_agent(path: str | Path, agent) -> None:
@@ -100,13 +103,16 @@ def load_agent(path: str | Path, seed: int = 0):
     if offset != len(blob):
         raise CheckpointError("trailing bytes after the last checkpoint array")
     try:
-        agent = make_agent(
-            header["kind"],
-            int(header["obs_dim"]),
-            int(header["n_actions"]),
-            AgentHyper.from_dict(header["hyper"]),
-            seed=seed,
-        )
+        kind = header["kind"]
+        obs_dim, n_actions = int(header["obs_dim"]), int(header["n_actions"])
+        hyper = AgentHyper.from_dict(header["hyper"])
+        # Check the header against the body before building anything: the
+        # networks' size follows the header, the body's follows the file size.
+        need = _agent_class(kind).state_sizes(obs_dim, n_actions, hyper)
+        have = {name: arr.size for name, arr in arrays.items()}
+        if need != have:
+            raise CheckpointError(f"arrays {have} do not fit the header, which needs {need}")
+        agent = make_agent(kind, obs_dim, n_actions, hyper, seed=seed)
         agent.load_state_arrays(arrays)
     except CheckpointError:
         raise

@@ -75,6 +75,11 @@ class DqnAgent:
 
     # -- checkpoint hooks -----------------------------------------------------
 
+    @staticmethod
+    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
+        n = QNet.size(obs_dim, n_actions, hyper.hidden)
+        return {"net": n, "target": n, "counters": 1}
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
             "net": self.net.get_flat(),

@@ -32,6 +32,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
 
 
+def _mlp_size(sizes: list[int]) -> int:
+    """Weights plus biases of dense layers ``sizes[0] -> sizes[1] -> ...``."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
 class _FlatParams:
     """Mixin: view/update all parameter arrays through one flat vector."""
 
@@ -67,6 +72,11 @@ class QNet(_FlatParams):
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             w, b = _init_layer(rng, fan_in, fan_out)
             self.params += [w, b]
+
+    @staticmethod
+    def size(obs_dim: int, n_actions: int, hidden) -> int:
+        """Parameter count of a net with these dimensions, without building it."""
+        return _mlp_size([obs_dim, *hidden, n_actions])
 
     def forward(self, X: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -119,6 +129,12 @@ class PolicyValueNet(_FlatParams):
         wp, bp = _init_layer(rng, sizes[-1], n_actions)
         wv, bv = _init_layer(rng, sizes[-1], 1)
         self.params += [wp, bp, wv, bv]
+
+    @staticmethod
+    def size(obs_dim: int, n_actions: int, hidden) -> int:
+        """Parameter count of a net with these dimensions, without building it."""
+        trunk = [obs_dim, *hidden]
+        return _mlp_size(trunk) + _mlp_size([trunk[-1], n_actions]) + _mlp_size([trunk[-1], 1])
 
     def forward(self, X: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

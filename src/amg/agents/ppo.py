@@ -91,6 +91,10 @@ class PpoAgent:
 
     # -- checkpoint hooks -----------------------------------------------------
 
+    @staticmethod
+    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
+        return {"net": PolicyValueNet.size(obs_dim, n_actions, hyper.hidden)}
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"net": self.net.get_flat()}
 

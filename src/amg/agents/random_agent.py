@@ -26,6 +26,10 @@ class RandomAgent:
     def end_episode(self) -> None:
         pass
 
+    @staticmethod
+    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
+        return {}
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {}
 

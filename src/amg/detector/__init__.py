@@ -85,19 +85,13 @@ class Detector:
             else N_FEATURES_BIGRAM
         )
 
-    def features(self, raw: bytes) -> np.ndarray:
-        """Extract this kind's feature vector; structural extraction can raise PeError."""
-        if self.kind is DetectorKind.STRUCTURAL:
-            return extract_features_structural(pe_model.parse(raw), raw)
-        return extract_features_bigram(raw)
-
     def score(self, raw: bytes) -> float:
         """Additive margin; +inf when the file cannot be parsed."""
         try:
-            pe_model.parse(raw)
+            x = _features(self.kind, raw, pe_model.parse(raw))
         except pe_model.PeError:
             return math.inf
-        return self.model.margin_one(self.features(raw))
+        return self.model.margin_one(x)
 
     def classify(self, raw: bytes) -> Verdict:
         return Verdict.MALICIOUS if self.score(raw) > 0 else Verdict.BENIGN
@@ -171,14 +165,15 @@ class Detector:
         return det
 
 
+def _features(kind: DetectorKind, raw: bytes, img: pe_model.PeImage | None = None) -> np.ndarray:
+    """``kind``'s feature vector for ``raw``; the structural kind parses it unless given ``img``."""
+    if kind is DetectorKind.STRUCTURAL:
+        return extract_features_structural(pe_model.parse(raw) if img is None else img, raw)
+    return extract_features_bigram(raw)
+
+
 def extract_matrix(kind: DetectorKind, files: Iterable[bytes]) -> np.ndarray:
-    rows = []
-    for raw in files:
-        if kind is DetectorKind.STRUCTURAL:
-            rows.append(extract_features_structural(pe_model.parse(raw), raw))
-        else:
-            rows.append(extract_features_bigram(raw))
-    return np.vstack(rows)
+    return np.vstack([_features(kind, raw) for raw in files])
 
 
 def train_detector(

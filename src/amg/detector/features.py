@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .. import pe_model, signals
+from ..bytestats import byte_counts, shannon_entropy
 from ..pe_model import PeImage
 
 N_FEATURES_STRUCTURAL = 128
@@ -27,19 +28,6 @@ BIGRAM_WINDOW = 65_536
 # release window from implausibly old or not-yet-reached dates.
 TS_OLD_BOUNDARY = 1_120_000_000  # mid-2005
 TS_NEW_BOUNDARY = 1_751_000_000  # mid-2025
-
-
-def shannon_entropy(data: bytes) -> float:
-    """Byte-level Shannon entropy in bits (0..8)."""
-    if not data:
-        return 0.0
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    p = counts[counts > 0] / len(data)
-    return float(-(p * np.log2(p)).sum())
-
-
-def _byte_counts(raw: bytes) -> np.ndarray:
-    return np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=256).astype(np.float64)
 
 
 def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
@@ -73,7 +61,8 @@ def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
     x[12] = sum(hits) / (size / 4096.0)
     x[13] = sum(1 for h in hits if h) / len(hits)
 
-    entropies = [shannon_entropy(s.data) for s in img.sections if s.data]
+    section_entropies = [shannon_entropy(s.data) for s in img.sections]
+    entropies = [e for e, s in zip(section_entropies, img.sections) if s.data]
     if entropies:
         x[14] = (sum(entropies) / len(entropies)) / 8.0
         x[15] = max(entropies) / 8.0
@@ -101,7 +90,7 @@ def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
     for i, h in enumerate(hits):
         x[68 + i] = 1.0 if h else 0.0
 
-    counts = _byte_counts(raw)
+    counts = byte_counts(raw)
     coarse = counts.reshape(16, 16).sum(axis=1) / size
     x[100:116] = coarse
     x[116] = counts[0x20:0x7F].sum() / size
@@ -110,7 +99,7 @@ def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
 
     entry = img.entry_section_index()
     if entry is not None:
-        x[119] = shannon_entropy(img.sections[entry].data) / 8.0
+        x[119] = section_entropies[entry] / 8.0
         x[120] = opt.address_of_entry_point / max(opt.size_of_image, 1)
     x[121] = (
         sum(1 for s in img.sections if not s.has_raw()) / len(img.sections)

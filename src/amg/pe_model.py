@@ -593,32 +593,36 @@ def _import_table_diagnostics(img: PeImage) -> list[Diagnostic]:
     d = img.directory(DIR_IMPORT)
     if d.rva == 0:
         return []
-    out: list[Diagnostic] = []
+    smap = section_map(img)
     entry_size = 8 if img.optional.magic == PE32PLUS_MAGIC else 4
-    terminated = False
-    for i in range(_MAX_IMPORT_DESCRIPTORS):
-        blob = read_virtual(img, d.rva + i * 20, 20)
-        if blob is None:
-            out.append(Diagnostic("warning", "imports", "descriptor table is not mappable"))
-            return out
-        if blob == b"\x00" * 20:
-            terminated = True
-            break
-        ilt_rva = _u32(blob, 0)
-        iat_rva = _u32(blob, 16)
-        ilt = _read_thunks_raw(img, ilt_rva, entry_size)
-        iat = _read_thunks_raw(img, iat_rva, entry_size)
+    descriptors, stop = read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
+    out: list[Diagnostic] = []
+    for i, blob in enumerate(descriptors):
+        ilt_rva, _, _, _, iat_rva = struct.unpack("<5I", blob)
+        ilt = _read_thunks(smap, ilt_rva, entry_size)
+        iat = _read_thunks(smap, iat_rva, entry_size)
         if ilt is None or iat is None:
             out.append(Diagnostic("warning", f"imports[{i}]", "thunk tables are not mappable"))
         elif ilt != iat:
             out.append(Diagnostic("warning", f"imports[{i}]", "ILT and IAT differ on disk"))
-    if not terminated:
+    if stop == "unmapped":
+        out.append(Diagnostic("warning", "imports", "descriptor table is not mappable"))
+    elif stop == "cap":
         out.append(Diagnostic("warning", "imports", "descriptor table lacks a zero terminator"))
     return out
 
 
 # ---------------------------------------------------------------------------
 # virtual address helpers
+#
+# Every read by RVA follows one rule: the first section in table order whose
+# mapped span [virtual_address, virtual_address + span) holds the RVA serves
+# it, where span is max(virtual_size, size_of_raw_data) for a section with raw
+# data and virtual_size otherwise.  Bytes past the section's data read as
+# zeros, and a read that runs past the span is unmappable.
+
+#: (virtual address, mapped span, data) per section, in table order.
+SectionMap = list[tuple[int, int, bytes]]
 
 
 def rva_to_offset(img: PeImage, rva: int) -> int | None:
@@ -633,55 +637,122 @@ def rva_to_offset(img: PeImage, rva: int) -> int | None:
     return None
 
 
-def read_virtual(img: PeImage, rva: int, n: int) -> bytes | None:
-    """Read ``n`` bytes at ``rva`` from section data, zero-extended to virtual size."""
-    if n < 0:
-        return None
-    for s in img.sections:
-        span = max(s.virtual_size, s.size_of_raw_data if s.has_raw() else 0)
-        if s.virtual_address <= rva < s.virtual_address + span:
-            local = rva - s.virtual_address
-            if local + n > span:
-                return None
-            chunk = s.data[local : local + n]
-            if len(chunk) < n:
-                chunk += b"\x00" * (n - len(chunk))
-            return bytes(chunk)
+def section_map(img: PeImage) -> SectionMap:
+    """The sections as the mapping rule sees them; build it once per walk.
+
+    An edit to a section's data needs a new map.
+    """
+    return [
+        (s.virtual_address, max(s.virtual_size, s.size_of_raw_data if s.has_raw() else 0), s.data)
+        for s in img.sections
+    ]
+
+
+def _owner(smap: SectionMap, rva: int) -> int | None:
+    """Index of the section that serves ``rva``, or None."""
+    for i, (va, span, _) in enumerate(smap):
+        if va <= rva < va + span:
+            return i
     return None
 
 
-def _read_c_string(img: PeImage, rva: int, limit: int = 256) -> str | None:
-    blob = read_virtual(img, rva, limit)
-    if blob is None:
-        # Retry with whatever fits before the section end.
-        for probe in (128, 64, 16):
-            blob = read_virtual(img, rva, probe)
-            if blob is not None:
-                break
-        if blob is None:
-            return None
+def read_mapped(smap: SectionMap, rva: int, n: int) -> bytes | None:
+    """Read ``n`` bytes at ``rva`` through a :func:`section_map`, or None if unmappable."""
+    i = _owner(smap, rva)
+    if i is None or n < 0:
+        return None
+    va, span, data = smap[i]
+    local = rva - va
+    if local + n > span:
+        return None
+    chunk = data[local : local + n]
+    return chunk if len(chunk) == n else chunk + bytes(n - len(chunk))
+
+
+def read_virtual(img: PeImage, rva: int, n: int) -> bytes | None:
+    """Read ``n`` bytes at ``rva`` from section data, zero-extended to virtual size."""
+    return read_mapped(section_map(img), rva, n)
+
+
+def read_table(smap: SectionMap, rva: int, entry_size: int, cap: int) -> tuple[list[bytes], str]:
+    """Read ``entry_size``-byte entries from ``rva`` up to the first all-zero one.
+
+    Returns the entries before the stop and why the walk stopped: ``"zero"``
+    at an all-zero entry, ``"cap"`` after ``cap`` entries, ``"unmapped"`` at
+    an entry :func:`read_mapped` cannot read.  Each entry maps as it would on
+    its own, so a table may run on into another section.  The data is sliced
+    in runs that double in length, so the cost follows the table's length,
+    never the section's.
+    """
+    zero = bytes(entry_size)
+    out: list[bytes] = []
+    while len(out) < cap:
+        at = rva + len(out) * entry_size
+        i = _owner(smap, at)
+        if i is None:
+            return out, "unmapped"
+        va, span, data = smap[i]
+        end = va + span
+        run_end = end
+        for v, s, _ in smap[:i]:
+            if at < v < run_end and s > 0:
+                run_end = v  # an earlier section serves the RVAs from v on
+        whole = (end - at) // entry_size  # entries that end inside the span
+        starts = -(-(run_end - at) // entry_size)  # entries that start before run_end
+        take = min(whole, starts, cap - len(out))
+        lo = at - va
+        batch = 16
+        while take > 0:
+            k = min(batch, take)
+            blob = data[lo : lo + k * entry_size]
+            if len(blob) < k * entry_size:
+                blob += bytes(k * entry_size - len(blob))
+            for off in range(0, len(blob), entry_size):
+                entry = blob[off : off + entry_size]
+                if entry == zero:
+                    return out, "zero"
+                out.append(entry)
+            lo += k * entry_size
+            take -= k
+            batch *= 2
+        if whole < starts and len(out) < cap:
+            return out, "unmapped"  # the next entry runs past the end of the span
+    return out, "cap"
+
+
+def _read_c_string(smap: SectionMap, rva: int) -> str | None:
+    """The NUL-terminated string at ``rva``, looked for in its first 256 bytes.
+
+    Where fewer than 256 bytes are mapped it looks in 128, 64 or 16 instead,
+    and gives up when not even 16 are.
+    """
+    i = _owner(smap, rva)
+    if i is None:
+        return None
+    va, span, data = smap[i]
+    room = va + span - rva
+    for limit in (256, 128, 64, 16):
+        if limit <= room:
+            break
+    else:
+        return None
+    lo = rva - va
+    blob = data[lo : lo + limit]  # the zeros past the data would end the string there
     end = blob.find(b"\x00")
-    if end < 0:
-        end = len(blob)
+    if end >= 0:
+        blob = blob[:end]
     try:
-        return blob[:end].decode("ascii")
+        return blob.decode("ascii")
     except UnicodeDecodeError:
-        return blob[:end].decode("latin-1")
+        return blob.decode("latin-1")
 
 
-def _read_thunks_raw(img: PeImage, rva: int, entry_size: int) -> list[int] | None:
+def _read_thunks(smap: SectionMap, rva: int, entry_size: int) -> list[bytes] | None:
+    """The thunk table at ``rva``, or None when ``rva`` is zero or the table is unmappable."""
     if rva == 0:
         return None
-    out: list[int] = []
-    for i in range(_MAX_IMPORT_THUNKS):
-        blob = read_virtual(img, rva + i * entry_size, entry_size)
-        if blob is None:
-            return None
-        value = int.from_bytes(blob, "little")
-        if value == 0:
-            return out
-        out.append(value)
-    return out
+    thunks, stop = read_table(smap, rva, entry_size, _MAX_IMPORT_THUNKS)
+    return None if stop == "unmapped" else thunks
 
 
 def parse_imports(img: PeImage) -> list[ImportDescriptor]:
@@ -689,25 +760,22 @@ def parse_imports(img: PeImage) -> list[ImportDescriptor]:
     d = img.directory(DIR_IMPORT)
     if d.rva == 0:
         return []
+    smap = section_map(img)
     is_plus = img.optional.magic == PE32PLUS_MAGIC
     entry_size = 8 if is_plus else 4
     ordinal_flag = ORDINAL_FLAG_64 if is_plus else ORDINAL_FLAG_32
+    descriptors, _ = read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
     out: list[ImportDescriptor] = []
-    for i in range(_MAX_IMPORT_DESCRIPTORS):
-        blob = read_virtual(img, d.rva + i * 20, 20)
-        if blob is None or blob == b"\x00" * 20:
-            break
-        oft = _u32(blob, 0)
-        name_rva = _u32(blob, 12)
-        iat_rva = _u32(blob, 16)
-        dll = _read_c_string(img, name_rva) or f"rva:{name_rva:#x}"
-        thunks = _read_thunks_raw(img, oft or iat_rva, entry_size) or []
+    for blob in descriptors:
+        oft, _, _, name_rva, iat_rva = struct.unpack("<5I", blob)
+        dll = _read_c_string(smap, name_rva) or f"rva:{name_rva:#x}"
         names: list[str] = []
-        for value in thunks:
+        for thunk in _read_thunks(smap, oft or iat_rva, entry_size) or []:
+            value = int.from_bytes(thunk, "little")
             if value & ordinal_flag:
                 names.append(f"ordinal:{value & 0xFFFF}")
                 continue
-            name = _read_c_string(img, (value & 0x7FFF_FFFF) + 2)
+            name = _read_c_string(smap, (value & 0x7FFF_FFFF) + 2)
             names.append(name if name is not None else f"rva:{value:#x}")
         out.append(ImportDescriptor(dll, oft, iat_rva, names))
     return out

@@ -253,14 +253,16 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModRes
     out = img.copy()
     detail = []
     entry_count = d.size // 28
+    smap = pe_model.section_map(out)
     for i in range(entry_count):
-        blob = pe_model.read_virtual(out, d.rva + i * 28, 28)
+        blob = pe_model.read_mapped(smap, d.rva + i * 28, 28)
         if blob is None:
             detail.append(f"entry {i} not mappable")
             continue
         size_of_data, _, pointer = struct.unpack_from("<III", blob, 16)
-        if pointer and size_of_data:
-            pe_model.zero_file_range(out, pointer, size_of_data)
+        if pointer and size_of_data and pe_model.zero_file_range(out, pointer, size_of_data):
+            # The zeroed range may hold later entries; read them as they now are.
+            smap = pe_model.section_map(out)
     table_off = pe_model.rva_to_offset(out, d.rva)
     if table_off is not None:
         pe_model.zero_file_range(out, table_off, d.size)
@@ -404,14 +406,11 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     dll, funcs = pool.pick_dll(rng)
     out = img.copy()
 
-    old_raw = bytearray()
+    old_raw = b""
     d = out.directory(DIR_IMPORT)
     if d.rva:
-        for i in range(512):
-            blob = pe_model.read_virtual(out, d.rva + i * 20, 20)
-            if blob is None or blob == b"\x00" * 20:
-                break
-            old_raw += blob
+        descriptors, _ = pe_model.read_table(pe_model.section_map(out), d.rva, 20, 512)
+        old_raw = b"".join(descriptors)
 
     base = home[0]
     entry_size = 8 if out.optional.magic == PE32PLUS_MAGIC else 4
@@ -437,7 +436,7 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     thunks = b"".join(struct.pack(thunk_fmt, rva) for rva in hint_rvas)
     thunks += struct.pack(thunk_fmt, 0)
     descriptor = struct.pack("<IIIII", base + ilt_off, 0, 0, name_rva, base + iat_off)
-    content = bytes(old_raw) + descriptor + b"\x00" * 20 + thunks + thunks + bytes(hints) + names_blob
+    content = old_raw + descriptor + b"\x00" * 20 + thunks + thunks + bytes(hints) + names_blob
 
     delta = _append_section(out, b".idata", content, len(content), 0xC0000040)
     out.directory(DIR_IMPORT).rva = base

@@ -9,7 +9,7 @@ from .env import (
     REWARD_EVASION,
     REWARD_STEP,
 )
-from .observation import N_OBSERVATION, byte_histogram, observe, section_entropy
+from .observation import N_OBSERVATION, byte_histogram, observe
 
 __all__ = [
     "AlreadyBenign",
@@ -22,5 +22,4 @@ __all__ = [
     "N_OBSERVATION",
     "byte_histogram",
     "observe",
-    "section_entropy",
 ]

@@ -111,7 +111,10 @@ class RewriteEnv:
         evaded = self._classify(self._bytes) is not Verdict.MALICIOUS
         reward = self.config.reward_evasion if evaded else self.config.reward_step
         self._done = evaded or self._steps >= self.config.max_steps
-        next_obs = observe(self._img, self._bytes)
+        if result.outcome is Outcome.APPLIED:
+            next_obs = observe(self._img, self._bytes)
+        else:
+            next_obs = self._obs.copy()  # same image, same bytes: observe would repeat itself
         transition = Transition(
             observation=self._obs,
             action=action,

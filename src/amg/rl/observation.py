@@ -1,9 +1,10 @@
 """State encoding for the rewrite environment.
 
 The encoding is deliberately independent from the classifier features: this
-module computes its own byte histogram and entropy and imports nothing from
-the detector side, so an agent only ever sees generic file statistics, never
-the quantities the classifiers score.  Layout (272 values):
+module computes its own byte histogram and entropy (with the neutral
+:mod:`amg.bytestats`) and imports nothing from the detector side, so an agent
+only ever sees generic file statistics, never the quantities the classifiers
+score.  Layout (272 values):
 
 * ``[0:256]``   whole-file byte histogram, normalized to sum to one
 * ``[256:272]`` sixteen scalars, each scaled into roughly [0, 1]:
@@ -20,6 +21,7 @@ import math
 import numpy as np
 
 from .. import pe_model
+from ..bytestats import byte_counts, shannon_entropy
 from ..pe_model import PeImage
 
 N_OBSERVATION = 272
@@ -28,20 +30,9 @@ _N_HISTOGRAM = 256
 
 def byte_histogram(raw: bytes) -> np.ndarray:
     """Normalized 256-bin byte histogram (sums to one for nonempty input)."""
-    out = np.zeros(_N_HISTOGRAM, dtype=np.float64)
-    if raw:
-        counts = np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=_N_HISTOGRAM)
-        out[:] = counts / len(raw)
-    return out
-
-
-def section_entropy(data: bytes) -> float:
-    """Shannon entropy of a byte string, in bits."""
-    if not data:
-        return 0.0
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=_N_HISTOGRAM)
-    p = counts[counts > 0] / len(data)
-    return float(-(p * np.log2(p)).sum())
+    if not raw:
+        return np.zeros(_N_HISTOGRAM, dtype=np.float64)
+    return byte_counts(raw) / len(raw)
 
 
 def observe(img: PeImage, raw: bytes) -> np.ndarray:
@@ -54,7 +45,7 @@ def observe(img: PeImage, raw: bytes) -> np.ndarray:
     x[257] = len(img.overlay) / size
     x[258] = len(pe_model.parse_imports(img)) / 16.0
     x[259] = img.header_slack / 4096.0
-    entropies = [section_entropy(s.data) for s in img.sections if s.data]
+    entropies = [shannon_entropy(s.data) for s in img.sections if s.data]
     x[260] = (sum(entropies) / len(entropies)) / 8.0 if entropies else 0.0
     x[261] = 1.0 if img.optional.checksum == 0 else 0.0
     x[262] = img.coff.time_date_stamp / 2.0**32

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 
 def _motif(i: int) -> bytes:
     return hashlib.sha256(f"amg-motif-{i:02d}".encode()).digest()[:16]
@@ -68,6 +70,30 @@ COMMON_SECTION_NAMES: tuple[bytes, ...] = (
 SECTION_NAME_VOCAB: tuple[bytes, ...] = COMMON_SECTION_NAMES + SUSPICIOUS_SECTION_NAMES
 
 
+_MOTIF_LEN = 16
+_MOTIF_INDEX = {m: i for i, m in enumerate(MOTIFS)}
+# Indexed by a position's first two bytes (big-endian); the 32 motifs have 32
+# distinct 2-byte prefixes, so only a few positions per file need a full check.
+_PREFIXES = np.zeros(65_536, dtype=bool)
+_PREFIXES[[m[0] << 8 | m[1] for m in MOTIFS]] = True
+
+
 def count_motif_hits(data: bytes) -> list[int]:
-    """Occurrence count of every motif in ``data`` (non-overlapping)."""
-    return [data.count(m) for m in MOTIFS]
+    """Occurrence count of every motif in ``data``.
+
+    Equal to ``[data.count(m) for m in MOTIFS]``: occurrences of one motif do
+    not overlap and are counted greedily from the left.
+    """
+    hits = [0] * len(MOTIFS)
+    starts = len(data) - _MOTIF_LEN + 1
+    if starts <= 0:
+        return hits
+    b = np.frombuffer(data, dtype=np.uint8, count=starts + 1)
+    keys = (b[:-1].astype(np.uint16) << 8) | b[1:]
+    free = [0] * len(MOTIFS)  # where each motif's next occurrence may start
+    for p in np.flatnonzero(_PREFIXES.take(keys)).tolist():
+        i = _MOTIF_INDEX.get(data[p : p + _MOTIF_LEN])
+        if i is not None and p >= free[i]:
+            hits[i] += 1
+            free[i] = p + _MOTIF_LEN
+    return hits

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,15 +216,23 @@ def rewrite_header(path, edit) -> None:
         lambda h: h.update(obs_dim=5),
         lambda h: h.update(n_actions="three"),
         lambda h: h.update(hyper=[1, 2]),
+        lambda h: h.update(obs_dim=100_000),
     ],
-    ids=["missing-obs-dim", "mis-sized-array", "non-integer-dim", "bad-hyper"],
+    ids=["missing-obs-dim", "mis-sized-array", "non-integer-dim", "bad-hyper", "oversized-obs-dim"],
 )
 def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
     path = tmp_path / "ppo.agent"
     save_agent(path, make_agent("ppo", 4, 2, seed=0))
     rewrite_header(path, edit)
-    with pytest.raises(CheckpointError):
-        load_agent(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            load_agent(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Rejecting a header costs memory in proportion to the file, not to what the header claims.
+    assert peak < 10 * path.stat().st_size
 
 
 def test_make_agent_rejects_unknown_kind():

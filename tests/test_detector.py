@@ -28,6 +28,7 @@ from amg.detector.features import (
     extract_features_structural,
     shannon_entropy,
 )
+from amg.signals import MOTIFS, count_motif_hits
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,25 @@ def test_shannon_entropy_extremes():
     assert shannon_entropy(b"") == 0.0
     assert shannon_entropy(b"\x00" * 4096) == 0.0
     assert shannon_entropy(bytes(range(256)) * 16) == pytest.approx(8.0)
+
+
+def _motif_inputs(corpus_files):
+    yield from (f.data for f in corpus_files)
+    m = MOTIFS
+    yield from (b"", m[3][:15], m[3][1:], m[3], b"\x01" + m[3], b"\x01" * 100 + m[31])
+    yield m[5] * 4 + m[5][:8] + m[5] * 2  # back-to-back, then a broken copy
+    yield b"".join(m)  # every motif once, back to back
+    # Motif 2 ends with the byte motif 27 starts with, and 6 with 15's first.
+    for a, b in ((2, 27), (6, 15)):
+        yield m[a][:-1] + m[b]  # sharing the boundary byte: only the second is whole
+        yield m[a] + m[b][1:]  # only the first is whole
+        yield m[a] + m[b]
+        yield b"\x00" * 7 + (m[a][:-1] + m[b]) * 3 + m[a]
+
+
+def test_motif_scan_matches_bytes_count(corpus_files):
+    for data in _motif_inputs(corpus_files):
+        assert count_motif_hits(data) == [data.count(m) for m in MOTIFS]
 
 
 # ---------------------------------------------------------------------------

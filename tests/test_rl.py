@@ -90,8 +90,14 @@ def _imported_modules(path: Path) -> set[str]:
 
 def test_observation_module_is_classifier_independent():
     mods = _imported_modules(RL_DIR / "observation.py")
-    allowed = {"__future__", "math", "numpy", "amg.pe_model"}
+    allowed = {"__future__", "math", "numpy", "amg.bytestats", "amg.pe_model"}
     assert mods <= allowed, mods
+
+
+def test_bytestats_module_imports_only_numpy_and_math():
+    # observation imports amg.bytestats, so the seal holds only while it stays a leaf
+    mods = _imported_modules(RL_DIR.parent / "bytestats.py")
+    assert mods <= {"__future__", "math", "numpy"}, mods
 
 
 def test_env_module_never_touches_score_attributes():
@@ -168,6 +174,9 @@ def test_noop_and_failed_actions_still_cost_a_step(corpus_files, pool):
     assert t.info["outcome"] == "failed"
     assert env.steps == 1
     assert env.current_bytes == tight
+    expected = observe(pe_model.parse(env.current_bytes), env.current_bytes)
+    assert np.array_equal(t.next_observation, expected)
+    assert t.next_observation is not t.observation
 
 
 def test_episode_bytes_are_seed_deterministic(mal_bytes, pool):

@@ -174,10 +174,6 @@ class PolicyValueNet(_FlatParams):
                 delta = delta @ self.params[2 * i].T
         return grads
 
-    def policy(self, X: np.ndarray) -> np.ndarray:
-        logits, _, _ = self.forward(X)
-        return softmax(logits)
-
     def clone(self) -> "PolicyValueNet":
         twin = PolicyValueNet(self.obs_dim, self.n_actions, self.hidden, seed=0)
         twin.set_flat(self.get_flat())

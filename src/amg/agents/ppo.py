@@ -60,8 +60,11 @@ class PpoAgent:
         self._episodes_buffered += 1
         if self._episodes_buffered >= self.hyper.episodes_per_update:
             self._update()
+            self._batch = []
+            self._episodes_buffered = 0
 
     def _update(self) -> None:
+        """One learning step on the buffered batch of (obs, action, return, logp)."""
         h = self.hyper
         obs = np.stack([b[0] for b in self._batch])
         actions = np.array([b[1] for b in self._batch])
@@ -86,8 +89,6 @@ class PpoAgent:
                     entropy_coef=h.entropy_coef,
                 )
                 self.optim.step(self.net.params, grads)
-        self._batch = []
-        self._episodes_buffered = 0
 
     # -- checkpoint hooks -----------------------------------------------------
 

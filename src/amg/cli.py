@@ -383,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
             CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory where a file belongs, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -116,6 +116,16 @@ def _select(agent, obs):
     return agent.select_action(obs)
 
 
+def _play(agent, env: RewriteEnv):
+    """Drive one episode: reset ``env``, then yield each transition until it
+    is done. ``reset`` raises ``AlreadyBenign`` for an undetected original."""
+    obs = env.reset()
+    while not env.done:
+        transition = env.step(_select(agent, obs))
+        yield transition
+        obs = transition.next_observation
+
+
 def train_agent(
     kind: str,
     files: list[bytes],
@@ -132,27 +142,23 @@ def train_agent(
     config = EnvConfig(max_steps=max_steps, seed=seed)
     for _ in range(episodes):
         raw = files[int(rng.integers(len(files)))]
-        env = RewriteEnv(raw, classify, pool, config)
         try:
-            obs = env.reset()
+            for transition in _play(agent, RewriteEnv(raw, classify, pool, config)):
+                agent.record(transition)
         except AlreadyBenign:
             continue
-        while not env.done:
-            action = _select(agent, obs)
-            transition = env.step(action)
-            agent.record(transition)
-            obs = transition.next_observation
         agent.end_episode()
     return agent
 
 
 @dataclass
-class EvalResult:
-    evaded: int
-    eligible: int
-    excluded: int
-    pairs: list[tuple[bytes, bytes]] = field(default_factory=list)
-    queries: int = 0
+class Tally:
+    """Evasions over the files (or pairs) a classifier detected at the start;
+    ``excluded`` counts the ones it did not, which never enter the rate."""
+
+    evaded: int = 0
+    eligible: int = 0
+    excluded: int = 0
 
     @property
     def rate(self) -> float:
@@ -161,6 +167,23 @@ class EvalResult:
     @property
     def percent(self) -> float:
         return truncated_percent(self.evaded, self.eligible)
+
+    def to_dict(self) -> dict:
+        return {
+            "evaded": self.evaded,
+            "eligible": self.eligible,
+            "excluded": self.excluded,
+            "percent": self.percent,
+        }
+
+
+@dataclass
+class EvalResult(Tally):
+    """One evaluation: the tally, the evaded (original, rewrite) pairs when
+    collected, and the queries of the eligible files' episodes."""
+
+    pairs: list[tuple[bytes, bytes]] = field(default_factory=list)
+    queries: int = 0
 
 
 def evaluate_policy(
@@ -174,60 +197,39 @@ def evaluate_policy(
 ) -> EvalResult:
     """Run one episode per file; undetected originals never enter the count."""
     config = EnvConfig(max_steps=max_steps, seed=seed)
-    evaded = eligible = excluded = queries = 0
-    pairs: list[tuple[bytes, bytes]] = []
+    result = EvalResult()
     for raw in files:
         env = RewriteEnv(raw, classify, pool, config)
         try:
-            obs = env.reset()
+            # an evading step is the episode's last, so stopping at it plays no less
+            hit = any(transition.info["evaded"] for transition in _play(agent, env))
         except AlreadyBenign:
-            excluded += 1
+            result.excluded += 1
             continue
-        eligible += 1
-        hit = False
-        while not env.done:
-            action = _select(agent, obs)
-            transition = env.step(action)
-            obs = transition.next_observation
-            hit = transition.info["evaded"]
+        result.eligible += 1
+        result.queries += env.queries
         if hit:
-            evaded += 1
+            result.evaded += 1
             if collect_pairs:
-                pairs.append((raw, env.current_bytes))
-        queries += env.queries
-    return EvalResult(evaded, eligible, excluded, pairs, queries)
+                result.pairs.append((raw, env.current_bytes))
+    return result
 
 
-@dataclass
-class TransferResult:
-    evaded: int
-    eligible: int
-    excluded: int
-
-    @property
-    def rate(self) -> float:
-        return evasion_rate(self.evaded, self.eligible)
-
-    @property
-    def percent(self) -> float:
-        return truncated_percent(self.evaded, self.eligible)
-
-
-def transferability(pairs: list[tuple[bytes, bytes]], classify_b) -> TransferResult:
+def transferability(pairs: list[tuple[bytes, bytes]], classify_b) -> Tally:
     """Submit finished rewrites to a second classifier.
 
     Only pairs whose original the second classifier detects count toward the
     denominator; the rewrite succeeds if it comes back non-malicious.
     """
-    evaded = eligible = excluded = 0
+    tally = Tally()
     for original, rewrite in pairs:
         if classify_b(original) is not Verdict.MALICIOUS:
-            excluded += 1
+            tally.excluded += 1
             continue
-        eligible += 1
+        tally.eligible += 1
         if classify_b(rewrite) is not Verdict.MALICIOUS:
-            evaded += 1
-    return TransferResult(evaded, eligible, excluded)
+            tally.evaded += 1
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +301,12 @@ class ConfigResult:
     max_steps: int
     alpha: float
     gamma: float
-    evaded: int
-    eligible: int
+    validation: Tally
     stage: str
-
-    @property
-    def rate(self) -> float:
-        return evasion_rate(self.evaded, self.eligible)
 
     def sort_key(self):
         # best first: high rate, then small budget, small alpha, small gamma
-        return (-self.rate, self.max_steps, self.alpha, self.gamma, self.agent_kind)
+        return (-self.validation.rate, self.max_steps, self.alpha, self.gamma, self.agent_kind)
 
     def to_dict(self) -> dict:
         return {
@@ -317,46 +314,51 @@ class ConfigResult:
             "max_steps": self.max_steps,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "evaded": self.evaded,
-            "eligible": self.eligible,
-            "percent": truncated_percent(self.evaded, self.eligible),
+            "evaded": self.validation.evaded,
+            "eligible": self.validation.eligible,
+            "percent": self.validation.percent,
             "stage": self.stage,
         }
 
 
-def _train_and_validate(
+def _run_stage(
     world: World,
-    kind: str,
-    max_steps: int,
-    alpha: float,
-    gamma: float,
+    jobs: list[tuple[str, int, float, float]],
     episodes: int,
     seed: int,
     stage: str,
-) -> tuple[ConfigResult, object]:
-    hyper = AgentHyper(alpha=alpha, gamma=gamma)
-    agent = train_agent(
-        kind,
-        world.mal_train,
-        world.detector_a.classify,
-        world.pool,
-        max_steps=max_steps,
-        episodes=episodes,
-        hyper=hyper,
-        seed=seed,
-    )
-    result = evaluate_policy(
-        agent,
-        world.mal_val,
-        world.detector_a.classify,
-        world.pool,
-        max_steps=max_steps,
-        seed=seed + 10_000,
-    )
-    return (
-        ConfigResult(kind, max_steps, alpha, gamma, result.evaded, result.eligible, stage),
-        agent,
-    )
+) -> tuple[list[ConfigResult], object]:
+    """Train each (kind, max_steps, alpha, gamma) job against detector A and
+    validate it; return the rows best first and the best row's agent. Jobs
+    share nothing. Other agents are dropped once rated: a DQN agent with a
+    full replay buffer holds about 47 MB."""
+    rows: list[ConfigResult] = []
+    best = None
+    for kind, max_steps, alpha, gamma in jobs:
+        agent = train_agent(
+            kind,
+            world.mal_train,
+            world.detector_a.classify,
+            world.pool,
+            max_steps=max_steps,
+            episodes=episodes,
+            hyper=AgentHyper(alpha=alpha, gamma=gamma),
+            seed=seed,
+        )
+        result = evaluate_policy(
+            agent,
+            world.mal_val,
+            world.detector_a.classify,
+            world.pool,
+            max_steps=max_steps,
+            seed=seed + 10_000,
+        )
+        row = ConfigResult(kind, max_steps, alpha, gamma, result, stage)
+        if best is None or row.sort_key() < best[0].sort_key():
+            best = (row, agent)
+        rows.append(row)
+    rows.sort(key=ConfigResult.sort_key)
+    return rows, best[1]
 
 
 def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None = None) -> dict:
@@ -365,56 +367,42 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     seed = plan.seed
     report: dict = {"plan": plan.to_dict(), "stages": {}}
 
-    # Stage 1: step-budget sweep per agent kind at default alpha/gamma.
-    default_alpha, default_gamma = 0.001, 0.9
-    sweep_rows: list[ConfigResult] = []
+    # Stage 1: step-budget sweep per agent kind at default alpha/gamma; rows
+    # are grouped by kind in plan order, best first within each kind.
+    sweep, _ = _run_stage(
+        world,
+        [(kind, max_steps, 0.001, 0.9) for kind in plan.agents for max_steps in plan.max_steps_grid],
+        plan.sweep_iterations * plan.episodes_per_iteration, seed, "sweep",
+    )
+    sweep.sort(key=lambda row: plan.agents.index(row.agent_kind))
     best_steps: dict[str, int] = {}
-    episodes = plan.sweep_iterations * plan.episodes_per_iteration
-    for kind in plan.agents:
-        rows = []
-        for max_steps in plan.max_steps_grid:
-            row, _ = _train_and_validate(
-                world, kind, max_steps, default_alpha, default_gamma,
-                episodes, seed, "sweep",
-            )
-            rows.append(row)
-        rows.sort(key=ConfigResult.sort_key)
-        best_steps[kind] = rows[0].max_steps
-        sweep_rows.extend(rows)
-    report["stages"]["sweep"] = [r.to_dict() for r in sweep_rows]
-    report["best_max_steps"] = dict(best_steps)
+    for row in sweep:
+        best_steps.setdefault(row.agent_kind, row.max_steps)
+    report["stages"]["sweep"] = [row.to_dict() for row in sweep]
+    report["best_max_steps"] = best_steps
 
     # Stage 2: learning-rate x discount grid at each agent's chosen budget.
-    grid_rows: list[ConfigResult] = []
-    episodes = plan.grid_iterations * plan.episodes_per_iteration
-    for kind in plan.agents:
-        for alpha in plan.alpha_grid:
-            for gamma in plan.gamma_grid:
-                row, _ = _train_and_validate(
-                    world, kind, best_steps[kind], alpha, gamma,
-                    episodes, seed, "grid",
-                )
-                grid_rows.append(row)
-    grid_rows.sort(key=ConfigResult.sort_key)
-    report["stages"]["grid"] = [r.to_dict() for r in grid_rows]
+    grid, _ = _run_stage(
+        world,
+        [
+            (kind, best_steps[kind], alpha, gamma)
+            for kind in plan.agents
+            for alpha in plan.alpha_grid
+            for gamma in plan.gamma_grid
+        ],
+        plan.grid_iterations * plan.episodes_per_iteration, seed, "grid",
+    )
+    report["stages"]["grid"] = [row.to_dict() for row in grid]
 
     # Stage 3 and 4: extend training for the leading configurations and
     # re-validate.
-    finalists = grid_rows[: plan.top_k]
-    episodes = plan.extended_iterations * plan.episodes_per_iteration
-    extended_rows: list[ConfigResult] = []
-    extended_agents = {}
-    for fin in finalists:
-        row, agent = _train_and_validate(
-            world, fin.agent_kind, fin.max_steps, fin.alpha, fin.gamma,
-            episodes, seed, "extended",
-        )
-        extended_rows.append(row)
-        extended_agents[id(row)] = agent
-    extended_rows.sort(key=ConfigResult.sort_key)
-    report["stages"]["extended"] = [r.to_dict() for r in extended_rows]
-    winner = extended_rows[0]
-    winner_agent = extended_agents[id(winner)]
+    extended, winner_agent = _run_stage(
+        world,
+        [(row.agent_kind, row.max_steps, row.alpha, row.gamma) for row in grid[: plan.top_k]],
+        plan.extended_iterations * plan.episodes_per_iteration, seed, "extended",
+    )
+    report["stages"]["extended"] = [row.to_dict() for row in extended]
+    winner = extended[0]
     report["winner"] = winner.to_dict()
 
     # Stage 5: test evaluation, random baseline, and cross-classifier
@@ -439,24 +427,10 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     )
     transfer = transferability(test_result.pairs, world.detector_b.classify)
     report["test"] = {
-        "winner": {
-            "evaded": test_result.evaded,
-            "eligible": test_result.eligible,
-            "excluded": test_result.excluded,
-            "percent": test_result.percent,
-        },
-        "random_baseline": {
-            "evaded": baseline_result.evaded,
-            "eligible": baseline_result.eligible,
-            "excluded": baseline_result.excluded,
-            "percent": baseline_result.percent,
-        },
-        "transfer": {
-            "evaded": transfer.evaded,
-            "eligible": transfer.eligible,
-            "excluded": transfer.excluded,
-            "percent": transfer.percent if transfer.eligible else None,
-        },
+        "winner": test_result.to_dict(),
+        "random_baseline": baseline_result.to_dict(),
+        # nothing eligible is a result here, not an error
+        "transfer": transfer.to_dict() if transfer.eligible else {**asdict(transfer), "percent": None},
     }
     report["elapsed_seconds"] = round(time.time() - t0, 1)
 

@@ -590,12 +590,9 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
 
 
 def _import_table_diagnostics(img: PeImage) -> list[Diagnostic]:
-    d = img.directory(DIR_IMPORT)
-    if d.rva == 0:
-        return []
     smap = section_map(img)
     entry_size = 8 if img.optional.magic == PE32PLUS_MAGIC else 4
-    descriptors, stop = read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
+    descriptors, stop = import_descriptors(img, smap)
     out: list[Diagnostic] = []
     for i, blob in enumerate(descriptors):
         ilt_rva, _, _, _, iat_rva = struct.unpack("<5I", blob)
@@ -755,16 +752,23 @@ def _read_thunks(smap: SectionMap, rva: int, entry_size: int) -> list[bytes] | N
     return None if stop == "unmapped" else thunks
 
 
-def parse_imports(img: PeImage) -> list[ImportDescriptor]:
-    """Walk the import directory; tolerant of unmappable tables (returns what it can)."""
+def import_descriptors(img: PeImage, smap: SectionMap) -> tuple[list[bytes], str]:
+    """The import directory's raw 20-byte descriptors and why the walk stopped,
+    as :func:`read_table` reports it; an image without an import directory
+    has none, stopped at ``"zero"``."""
     d = img.directory(DIR_IMPORT)
     if d.rva == 0:
-        return []
+        return [], "zero"
+    return read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
+
+
+def parse_imports(img: PeImage) -> list[ImportDescriptor]:
+    """Walk the import directory; tolerant of unmappable tables (returns what it can)."""
     smap = section_map(img)
     is_plus = img.optional.magic == PE32PLUS_MAGIC
     entry_size = 8 if is_plus else 4
     ordinal_flag = ORDINAL_FLAG_64 if is_plus else ORDINAL_FLAG_32
-    descriptors, _ = read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
+    descriptors, _ = import_descriptors(img, smap)
     out: list[ImportDescriptor] = []
     for blob in descriptors:
         oft, _, _, name_rva, iat_rva = struct.unpack("<5I", blob)

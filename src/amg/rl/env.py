@@ -26,7 +26,7 @@ from ..pe_mods import (
     apply_action,
 )
 from ..seeds import fanout
-from .observation import N_OBSERVATION, observe
+from .observation import observe
 
 REWARD_EVASION = 10.0
 REWARD_STEP = -0.1
@@ -43,8 +43,6 @@ class EpisodeFinished(Exception):
 @dataclass
 class EnvConfig:
     max_steps: int
-    reward_evasion: float = REWARD_EVASION
-    reward_step: float = REWARD_STEP
     seed: int = 0
 
 
@@ -79,7 +77,6 @@ class RewriteEnv:
         self._obs = None
         self._steps = 0
         self._done = True
-        self.trace: list[dict] = []
 
     # -- episode control ----------------------------------------------------
 
@@ -92,7 +89,6 @@ class RewriteEnv:
             raise AlreadyBenign("starting file is not detected")
         self._steps = 0
         self._done = False
-        self.trace = []
         self._obs = observe(self._img, self._bytes)
         return self._obs
 
@@ -109,7 +105,7 @@ class RewriteEnv:
         self._steps += 1
         self.queries += 1
         evaded = self._classify(self._bytes) is not Verdict.MALICIOUS
-        reward = self.config.reward_evasion if evaded else self.config.reward_step
+        reward = REWARD_EVASION if evaded else REWARD_STEP
         self._done = evaded or self._steps >= self.config.max_steps
         if result.outcome is Outcome.APPLIED:
             next_obs = observe(self._img, self._bytes)
@@ -128,16 +124,6 @@ class RewriteEnv:
                 "delta_bytes": result.delta_bytes,
             },
         )
-        self.trace.append(
-            {
-                "step": self._steps,
-                "action": int(action),
-                "outcome": result.outcome.value,
-                "reward": reward,
-                "evaded": evaded,
-                "size": len(self._bytes),
-            }
-        )
         self._obs = next_obs
         return transition
 
@@ -154,7 +140,3 @@ class RewriteEnv:
     @property
     def current_bytes(self) -> bytes:
         return self._bytes
-
-    @property
-    def observation_size(self) -> int:
-        return N_OBSERVATION

@@ -43,7 +43,8 @@ def observe(img: PeImage, raw: bytes) -> np.ndarray:
     size = max(len(raw), 1)
     x[256] = len(img.sections) / 16.0
     x[257] = len(img.overlay) / size
-    x[258] = len(pe_model.parse_imports(img)) / 16.0
+    descriptors, _ = pe_model.import_descriptors(img, pe_model.section_map(img))
+    x[258] = len(descriptors) / 16.0
     x[259] = img.header_slack / 4096.0
     entropies = [shannon_entropy(s.data) for s in img.sections if s.data]
     x[260] = (sum(entropies) / len(entropies)) / 8.0 if entropies else 0.0

@@ -1,0 +1,81 @@
+"""The names the benchmark (``bench/``) wraps must stay where it looks.
+
+The benchmark's tracer replaces a method through its class's own
+``__dict__`` (an inherited method is not found there) and a function through
+every module attribute bound to it, so ``run_workflow`` must reach
+``train_agent`` and ``evaluate_policy`` through ``harness``'s globals. Its
+query accounting wraps ``harness.evaluate_policy`` the same way. No real
+training runs here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from amg import corpus, detector, harness, pe_mods, pe_model, signals, validity
+from amg.agents import DqnAgent, PpoAgent, RandomAgent, make_agent
+from amg.detector import boost, features
+from amg.pe_mods import ACTION_COUNT
+from amg.rl import N_OBSERVATION, RewriteEnv, observation
+
+WRAPPED_METHODS = [
+    (PpoAgent, ("select_action", "record", "end_episode")),
+    (DqnAgent, ("select_action", "record", "end_episode")),
+    (RandomAgent, ("select_action",)),
+    (RewriteEnv, ("reset", "step")),
+    (detector.Detector, ("classify",)),
+    (boost.BoostedStumps, ("margin_one",)),
+    (validity.StructuralBackend, ("reports_for",)),
+]
+
+WRAPPED_FUNCTIONS = [
+    (harness, ("train_agent", "evaluate_policy", "transferability", "run_workflow")),
+    (corpus, ("generate",)),
+    (detector, ("train_detector",)),
+    (pe_mods, ("build_pool", "apply_action")),
+    (pe_model, ("parse", "check_invariants", "parse_imports", "serialize", "read_virtual")),
+    (features, ("extract_features_structural", "extract_features_bigram")),
+    (signals, ("count_motif_hits",)),
+    (observation, ("observe",)),
+    (validity, ("evaluate_validity", "run_validity_suite")),
+]
+
+
+@pytest.mark.parametrize("cls,names", WRAPPED_METHODS, ids=[c.__name__ for c, _ in WRAPPED_METHODS])
+def test_wrapped_methods_live_in_their_own_class_body(cls, names):
+    for name in names:
+        assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+
+
+@pytest.mark.parametrize("module,names", WRAPPED_FUNCTIONS, ids=[m.__name__ for m, _ in WRAPPED_FUNCTIONS])
+def test_wrapped_functions_are_module_level(module, names):
+    for name in names:
+        assert callable(vars(module).get(name)), f"{module.__name__}.{name}"
+
+
+def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, monkeypatch):
+    trained, evaluated = [], []
+
+    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0):
+        trained.append(kind)
+        return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
+
+    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False):
+        evaluated.append(files)
+        return harness.EvalResult(evaded=0, eligible=1, excluded=0)
+
+    monkeypatch.setattr(harness, "train_agent", fake_train)
+    monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
+    plan = harness.micro_plan()
+    report = harness.run_workflow(world, plan)
+
+    sweep = len(plan.agents) * len(plan.max_steps_grid)
+    grid = len(plan.agents) * len(plan.alpha_grid) * len(plan.gamma_grid)
+    extended = min(plan.top_k, grid)
+    assert len(trained) == sweep + grid + extended
+    validations = [files for files in evaluated if files is world.mal_val]
+    tests = [files for files in evaluated if files is world.mal_test]
+    assert len(validations) == sweep + grid + extended
+    assert len(tests) == 2  # the winner and the random baseline
+    assert len(evaluated) == len(validations) + len(tests)
+    assert report["test"]["transfer"]["percent"] is None  # no pairs, nothing eligible

@@ -150,11 +150,20 @@ def test_workspace_env_var_sets_default_paths(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "space" / "corpus" / "meta.json").exists()
 
 
-def test_missing_file_exits_two(tmp_path, capsys):
-    code = main(["detector", "classify", "--model", str(tmp_path / "nope.det"),
-                 str(tmp_path / "alsonope.exe")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+def test_missing_file_exits_two(ws, tmp_path, capsys):
+    """A path that is missing, or a directory where a file belongs, exits 2
+    with a message instead of a traceback."""
+    src = next((ws["corpus"] / "files").glob("mal_*"))
+    for argv in (
+        ["detector", "classify", "--model", str(tmp_path / "nope.det"),
+         str(tmp_path / "alsonope.exe")],
+        ["detector", "classify", "--model", str(ws["det_a"]), str(tmp_path)],
+        ["detector", "classify", "--model", str(tmp_path), str(src)],
+        ["evaluate", "--corpus", str(ws["corpus"]), "--detector", str(ws["det_a"]),
+         "--agent", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_garbage_model_exits_two(ws, tmp_path, capsys):

@@ -3,7 +3,9 @@ evaluation, cross-classifier transfer, and the staged workflow."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from amg.harness import (
 from amg.agents import make_agent
 from amg.pe_mods import ACTION_COUNT
 from amg.rl import N_OBSERVATION
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # ---------------------------------------------------------------------------
 # rate arithmetic
@@ -216,3 +220,55 @@ def test_workflow_is_deterministic(world, micro_report):
         return r
 
     assert scrub(report) == scrub(again)
+
+
+# ---------------------------------------------------------------------------
+# goldens: every agent kind's training and evaluation, and the micro workflow
+
+
+def _agent_rollouts(world) -> dict:
+    """Per agent kind: train as in ``test_train_agent_is_seed_deterministic``,
+    then evaluate on the validation split with pairs collected. Weights and
+    rewrites enter by their SHA-256."""
+    out = {}
+    for kind in ("dqn", "pg", "ppo", "random"):
+        agent = train_agent(
+            kind,
+            world.mal_train[:6],
+            world.detector_a.classify,
+            world.pool,
+            max_steps=3,
+            episodes=16,
+            seed=7,
+        )
+        state = hashlib.sha256()
+        for name, array in sorted(agent.state_arrays().items()):
+            state.update(name.encode())
+            state.update(array.tobytes())
+        result = evaluate_policy(
+            agent, world.mal_val, world.detector_a.classify, world.pool,
+            max_steps=3, seed=7, collect_pairs=True,
+        )
+        out[kind] = {
+            "state_sha256": state.hexdigest(),
+            "counts": [result.evaded, result.eligible, result.excluded, result.queries],
+            "rewrites_sha256": hashlib.sha256(
+                b"".join(rewrite for _, rewrite in result.pairs)).hexdigest(),
+        }
+    return out
+
+
+def _scrubbed(report: dict) -> dict:
+    report = json.loads(json.dumps(report))
+    report.pop("elapsed_seconds", None)
+    return report
+
+
+def test_agent_rollouts_and_micro_workflow_match_goldens(world, micro_report):
+    """Pin what every agent kind learns and does, and the whole micro-plan
+    report, against JSON captured from the code before the rollout loop was
+    shared. A change that moves them re-captures the files and says why."""
+    assert _agent_rollouts(world) == json.loads((GOLDEN_DIR / "agents.json").read_text())
+    report, _ = micro_report
+    golden = json.loads((GOLDEN_DIR / "workflow_micro.json").read_text())
+    assert _scrubbed(report) == golden

@@ -3,7 +3,8 @@
 ``parse_imports`` and the import-table part of ``check_invariants`` must give
 exactly what :mod:`import_walk_reference` gives: on every corpus file, on
 corpus files with bytes flipped where the walk reads, and on hand-built
-images at the edges of the mapping rule.
+images at the edges of the mapping rule. ``import_descriptors``, which the
+observation counts with, must count one descriptor per parsed import.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ from amg.pe_model import (
     PeError,
     Section,
     check_invariants,
+    import_descriptors,
     parse,
     parse_imports,
     rva_to_offset,
+    section_map,
 )
 
 
 def assert_walks_agree(img) -> None:
     assert parse_imports(img) == ref.parse_imports(img)
+    assert len(import_descriptors(img, section_map(img))[0]) == len(parse_imports(img))
     got = check_invariants(img)
     others = [d for d in got if not d.path.startswith("imports")]
     assert got == others + ref.import_table_diagnostics(img)

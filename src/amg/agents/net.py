@@ -174,11 +174,6 @@ class PolicyValueNet(_FlatParams):
                 delta = delta @ self.params[2 * i].T
         return grads
 
-    def clone(self) -> "PolicyValueNet":
-        twin = PolicyValueNet(self.obs_dim, self.n_actions, self.hidden, seed=0)
-        twin.set_flat(self.get_flat())
-        return twin
-
 
 class Adam:
     """Standard Adam over a list of parameter arrays."""

@@ -5,14 +5,17 @@ format-derived features of a parsed image, the *bigram* kind scores 1024
 hashed byte-pair frequencies and never looks at structure.  Both expose the
 same surface: ``classify(raw)`` returns a verdict (files that fail to parse
 are rejected as malicious outright), ``score(raw)`` exposes the additive
-margin, positive meaning malicious.
+margin, positive meaning malicious.  Each detector scores a distinct content
+once: its margins are memoized by SHA-256 of the bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,6 +32,10 @@ from .features import (
 )
 
 MAGIC = b"AMGDET01"
+
+#: Margins each detector keeps, least recently used out first.  A full memo of
+#: 32-byte digests and floats takes about 0.7 MB (tracemalloc, CPython 3.11).
+MEMO_ENTRIES = 4096
 
 
 class DegenerateCorpus(ValueError):
@@ -76,6 +83,9 @@ def parse_kind(name: str) -> DetectorKind:
 class Detector:
     kind: DetectorKind
     model: BoostedStumps
+    _memo: OrderedDict[bytes, float] = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_features(self) -> int:
@@ -86,15 +96,33 @@ class Detector:
         )
 
     def score(self, raw: bytes) -> float:
-        """Additive margin; +inf when the file cannot be parsed."""
+        """Additive margin; +inf when the file cannot be parsed.
+
+        The margin is a pure function of the bytes, so a content scored before
+        is looked up by its SHA-256 instead of being parsed and scored again.
+        """
+        key = hashlib.sha256(raw).digest()
+        margin = self._memo.get(key)
+        if margin is not None:
+            self._memo.move_to_end(key)
+            return margin
         try:
             x = _features(self.kind, raw, pe_model.parse(raw))
         except pe_model.PeError:
-            return math.inf
-        return self.model.margin_one(x)
+            margin = math.inf
+        else:
+            margin = self.model.margin_one(x)
+        self._memo[key] = margin
+        if len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+        return margin
 
     def classify(self, raw: bytes) -> Verdict:
         return Verdict.MALICIOUS if self.score(raw) > 0 else Verdict.BENIGN
+
+    def fresh(self) -> "Detector":
+        """The same classifier with an empty memo, as ``load`` would give."""
+        return Detector(self.kind, self.model)
 
     # -- persistence ------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -362,8 +362,14 @@ def _run_stage(
 
 
 def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None = None) -> dict:
-    """Execute all five stages and return (and optionally write) the report."""
+    """Execute all five stages and return (and optionally write) the report.
+
+    The workflow queries copies of the world's detectors, so it starts with
+    empty margin memos, as a newly loaded detector does, and its memos go
+    when it returns.
+    """
     t0 = time.time()
+    world = replace(world, detector_a=world.detector_a.fresh(), detector_b=world.detector_b.fresh())
     seed = plan.seed
     report: dict = {"plan": plan.to_dict(), "stages": {}}
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from amg import pe_model
+from amg import detector, pe_model
 from amg.detector import (
     DegenerateCorpus,
     Detector,
@@ -28,6 +29,7 @@ from amg.detector.features import (
     extract_features_structural,
     shannon_entropy,
 )
+from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIFS, count_motif_hits
 
 
@@ -224,12 +226,71 @@ def test_zero_margin_reads_benign(ben_bytes):
 
 def test_save_load_round_trip(world, mal_bytes, tmp_path):
     for name, det in (("a", world.detector_a), ("b", world.detector_b)):
+        unqueried = det.fresh()
         path = tmp_path / f"{name}.det"
-        det.save(path)
+        unqueried.save(path)
+        blob = path.read_bytes()
         loaded = Detector.load(path)
         assert loaded.kind is det.kind
         for raw in mal_bytes[:10]:
-            assert loaded.score(raw) == det.score(raw)
+            assert loaded.score(raw) == unqueried.score(raw)
+        # the memo is never written: answering queries leaves the file as it was
+        unqueried.save(path)
+        assert path.read_bytes() == blob
+        assert not Detector.load(path)._memo
+
+
+# ---------------------------------------------------------------------------
+# the margin memo
+
+
+@pytest.mark.parametrize("name", ["detector_a", "detector_b"])
+def test_memoized_margins_equal_unmemoized(world, mal_bytes, pool, monkeypatch, name):
+    det = getattr(world, name)
+    img = pe_model.parse(mal_bytes[0])
+    rewrites = [
+        pe_model.serialize(apply_action(img.copy(), action, pool, seed=3).image)
+        for action in ActionId
+    ]
+    flipped = bytearray(mal_bytes[1])
+    flipped[len(flipped) // 2] ^= 0xFF
+    flipped = bytes(flipped)
+    appended = mal_bytes[1] + b"\x00"
+    inputs = mal_bytes[:8] + rewrites + [flipped, appended, b"MZ junk"]
+    expected = [det.fresh().score(raw) for raw in inputs]
+    assert expected[-1] == math.inf
+    assert all(math.isfinite(m) for m in expected[:-1])
+
+    extracted = []
+    features = detector._features
+
+    def counting(kind, raw, img=None):
+        extracted.append(raw)
+        return features(kind, raw, img)
+
+    monkeypatch.setattr(detector, "_features", counting)
+    memoized = det.fresh()
+    assert [memoized.score(raw) for raw in inputs] == expected
+    # one extraction per distinct parsable content; the one-byte changes are new contents
+    assert len(extracted) == len(set(inputs[:-1]))
+    assert flipped in extracted and appended in extracted
+    # repeats, unparsable bytes included, are answered without extracting again
+    assert [memoized.score(raw) for raw in reversed(inputs)] == expected[::-1]
+    assert len(extracted) == len(set(inputs[:-1]))
+
+
+def test_memo_is_bounded_least_recently_used_first(world, mal_bytes, monkeypatch):
+    monkeypatch.setattr(detector, "MEMO_ENTRIES", 8)
+    inputs = mal_bytes[:20]
+    assert len(set(inputs)) == 20
+    for det in (world.detector_a, world.detector_b):
+        memoized = det.fresh()
+        margins = [memoized.score(raw) for raw in inputs]
+        assert list(memoized._memo) == [hashlib.sha256(raw).digest() for raw in inputs[-8:]]
+        # an evicted content is scored again, to the same margin
+        assert memoized.score(inputs[0]) == margins[0]
+        assert len(memoized._memo) == 8
+        assert next(reversed(memoized._memo)) == hashlib.sha256(inputs[0]).digest()
 
 
 def test_load_rejects_foreign_and_truncated_files(world, tmp_path):

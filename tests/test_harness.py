@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from amg import harness
 from amg.detector import Verdict
 from amg.harness import (
     EmptyDenominator,
@@ -173,6 +174,40 @@ def micro_report(world, tmp_path_factory):
     out = tmp_path_factory.mktemp("workflow")
     report = run_workflow(world, micro_plan(seed=0), out_dir=out)
     return report, out
+
+
+def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch):
+    world.detector_a.classify(world.mal_train[0])
+    world.detector_b.classify(world.mal_train[0])
+    before = {name: list(getattr(world, name)._memo) for name in ("detector_a", "detector_b")}
+    used = []  # (detector, memo size) at each call
+
+    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0):
+        used.append((classify.__self__, len(classify.__self__._memo)))
+        classify(files[0])
+        return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
+
+    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False):
+        used.append((classify.__self__, len(classify.__self__._memo)))
+        return EvalResult(evaded=0, eligible=1, excluded=0)
+
+    def fake_transferability(pairs, classify_b):
+        used.append((classify_b.__self__, len(classify_b.__self__._memo)))
+        return harness.Tally(0, 0, 0)
+
+    monkeypatch.setattr(harness, "train_agent", fake_train)
+    monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
+    monkeypatch.setattr(harness, "transferability", fake_transferability)
+    run_workflow(world, micro_plan())
+
+    copy_a, size_a = used[0]
+    copy_b, size_b = used[-1]
+    assert copy_a.model is world.detector_a.model and copy_a is not world.detector_a
+    assert copy_b.model is world.detector_b.model and copy_b is not world.detector_b
+    assert size_a == size_b == 0  # each copy starts with an empty memo
+    assert {id(det) for det, _ in used[:-1]} == {id(copy_a)}  # one copy for the whole workflow
+    assert used[1][1] == 1  # and keeps what the workflow scored
+    assert {name: list(getattr(world, name)._memo) for name in before} == before
 
 
 def test_workflow_report_structure(micro_report):

@@ -16,9 +16,6 @@ class AgentHyper:
     gamma: float = 0.9            # discount factor
     hidden: tuple = (64, 64)
     # value-learner knobs
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_steps: int = 2000
     target_sync: int = 250
     replay_capacity: int = 10_000
     batch_size: int = 32

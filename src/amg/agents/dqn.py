@@ -20,22 +20,13 @@ class DqnAgent:
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
         self.net = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
-        self.target = self.net.clone()
-        self.optim = Adam(self.net.params, lr=hyper.alpha)
+        self.target = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
+        self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self.replay: deque = deque(maxlen=hyper.replay_capacity)
         self.total_steps = 0
 
-    @property
-    def epsilon(self) -> float:
-        h = self.hyper
-        if h.eps_decay_steps <= 0:
-            return h.eps_end
-        frac = min(self.total_steps / h.eps_decay_steps, 1.0)
-        return h.eps_start + frac * (h.eps_end - h.eps_start)
-
-    def select_action(self, obs: np.ndarray, epsilon: float | None = None) -> int:
-        eps = self.epsilon if epsilon is None else epsilon
-        if self.rng.random() < eps:
+    def select_action(self, obs: np.ndarray, epsilon: float) -> int:
+        if self.rng.random() < epsilon:
             return int(self.rng.integers(self.n_actions))
         q = self.net.q_values(obs)[0]
         return int(np.argmax(q))
@@ -54,7 +45,7 @@ class DqnAgent:
         if len(self.replay) >= max(self.hyper.learn_start, self.hyper.batch_size):
             self._learn()
         if self.total_steps % self.hyper.target_sync == 0:
-            self.target.set_flat(self.net.get_flat())
+            self.target.flat[:] = self.net.flat
 
     def _learn(self) -> None:
         h = self.hyper
@@ -68,7 +59,7 @@ class DqnAgent:
         next_q = self.target.q_values(next_obs).max(axis=1)
         targets = rewards + h.gamma * (1.0 - done) * next_q
         _, grads = td_loss_and_grads(self.net, obs, actions, targets)
-        self.optim.step(self.net.params, grads)
+        self.optim.step(grads)
 
     def end_episode(self) -> None:
         pass
@@ -82,12 +73,12 @@ class DqnAgent:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "net": self.net.get_flat(),
-            "target": self.target.get_flat(),
+            "net": self.net.flat.copy(),
+            "target": self.target.flat.copy(),
             "counters": np.array([self.total_steps], dtype=np.float64),
         }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net.set_flat(arrays["net"])
-        self.target.set_flat(arrays["target"])
+        self.net.flat[:] = arrays["net"]
+        self.target.flat[:] = arrays["target"]
         self.total_steps = int(arrays["counters"][0])

@@ -5,7 +5,9 @@ a shared-trunk policy/value net (state -> action logits and a scalar state
 value).  Gradients are derived analytically and verified against central
 finite differences in the test suite, so the math here is written for
 auditability: forward passes return their caches and every backward pass
-consumes exactly one.
+consumes exactly one.  Each net keeps its parameters in one flat vector
+whose layers are views, so the optimizer, target syncs and checkpoints act on
+one array.
 
 Tanh is used throughout because its gradient is smooth everywhere, which
 makes finite-difference verification exact to first order (piecewise-linear
@@ -14,13 +16,9 @@ activations fail such checks at their kinks).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-
-
-def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int):
-    w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-    b = np.zeros(fan_out)
-    return w, b
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -32,119 +30,109 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
 
 
-def _mlp_size(sizes: list[int]) -> int:
-    """Weights plus biases of dense layers ``sizes[0] -> sizes[1] -> ...``."""
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+def _dense_shapes(sizes: list[int]) -> list[tuple[int, ...]]:
+    """Weight and bias shapes of dense layers ``sizes[0] -> sizes[1] -> ...``."""
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return shapes
 
 
-class _FlatParams:
-    """Mixin: view/update all parameter arrays through one flat vector."""
+class _TanhNet:
+    """A tanh trunk ``obs -> *hidden`` under linear heads, all of whose
+    parameters live in one contiguous vector ``flat``.
 
-    params: list[np.ndarray]
+    ``params`` holds views into ``flat`` in ``layer_shapes`` order (w0, b0,
+    w1, b1, ..., then the heads' weights and biases), so writing ``flat``
+    moves every layer and a gradient in the same layout updates them all.
+    Subclasses give ``layer_shapes`` and the heads' forward/backward.
+    """
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params:
-            n = p.size
-            p[...] = flat[offset : offset + n].reshape(p.shape)
-            offset += n
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} values, nets needs {offset}")
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params)
-
-
-class QNet(_FlatParams):
-    """obs -> hidden tanh stack -> one value per action."""
+    @classmethod
+    def size(cls, obs_dim: int, n_actions: int, hidden) -> int:
+        """Parameter count of a net with these dimensions, without building it."""
+        return sum(math.prod(s) for s in cls.layer_shapes(obs_dim, n_actions, hidden))
 
     def __init__(self, obs_dim: int, n_actions: int, hidden=(64, 64), seed: int = 0):
-        rng = np.random.default_rng(seed)
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hidden = tuple(hidden)
-        sizes = [obs_dim, *hidden, n_actions]
-        self.params = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            w, b = _init_layer(rng, fan_in, fan_out)
-            self.params += [w, b]
+        self._shapes = self.layer_shapes(obs_dim, n_actions, self.hidden)
+        self.flat = np.empty(self.size(obs_dim, n_actions, self.hidden))
+        self.params = self._views(self.flat)
+        rng = np.random.default_rng(seed)
+        for w, b in zip(self.params[::2], self.params[1::2]):
+            w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+            b[...] = 0.0
 
-    @staticmethod
-    def size(obs_dim: int, n_actions: int, hidden) -> int:
-        """Parameter count of a net with these dimensions, without building it."""
-        return _mlp_size([obs_dim, *hidden, n_actions])
+    def _views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-layer views into a vector laid out like ``flat``."""
+        out, offset = [], 0
+        for shape in self._shapes:
+            n = math.prod(shape)
+            out.append(vec[offset : offset + n].reshape(shape))
+            offset += n
+        return out
 
-    def forward(self, X: np.ndarray):
+    def _trunk_forward(self, X: np.ndarray) -> list[np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         activations = [X]
         h = X
-        n_layers = len(self.params) // 2
-        for i in range(n_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            z = h @ w + b
-            h = z if i == n_layers - 1 else np.tanh(z)
+        for i in range(len(self.hidden)):
+            h = np.tanh(h @ self.params[2 * i] + self.params[2 * i + 1])
             activations.append(h)
-        return activations[-1], activations
+        return activations
 
-    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> list[np.ndarray]:
-        grads: list[np.ndarray] = [np.zeros_like(p) for p in self.params]
-        n_layers = len(self.params) // 2
-        delta = d_out
-        for i in reversed(range(n_layers)):
-            h_in = activations[i]
-            if i != n_layers - 1:
-                delta = delta * (1.0 - activations[i + 1] ** 2)
-            grads[2 * i] = h_in.T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+    def _trunk_backward(
+        self, activations: list[np.ndarray], delta: np.ndarray, grads: list[np.ndarray]
+    ) -> None:
+        """Write the trunk's gradients into ``grads`` given ``delta``, the
+        loss gradient with respect to the trunk's output."""
+        for i in reversed(range(len(self.hidden))):
+            delta = delta * (1.0 - activations[i + 1] ** 2)
+            np.matmul(activations[i].T, delta, out=grads[2 * i])
+            delta.sum(axis=0, out=grads[2 * i + 1])
             if i:
                 delta = delta @ self.params[2 * i].T
-        return grads
+
+
+class QNet(_TanhNet):
+    """obs -> hidden tanh stack -> one value per action."""
+
+    @staticmethod
+    def layer_shapes(obs_dim: int, n_actions: int, hidden) -> list[tuple[int, ...]]:
+        return _dense_shapes([obs_dim, *hidden, n_actions])
+
+    def forward(self, X: np.ndarray):
+        activations = self._trunk_forward(X)
+        w, b = self.params[-2:]
+        return activations[-1] @ w + b, activations
+
+    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> np.ndarray:
+        """Loss gradient over ``flat``, in its layout, for the cached batch."""
+        flat_grads = np.empty_like(self.flat)
+        grads = self._views(flat_grads)
+        np.matmul(activations[-1].T, d_out, out=grads[-2])
+        d_out.sum(axis=0, out=grads[-1])
+        self._trunk_backward(activations, d_out @ self.params[-2].T, grads)
+        return flat_grads
 
     def q_values(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
 
-    def clone(self) -> "QNet":
-        twin = QNet(self.obs_dim, self.n_actions, self.hidden, seed=0)
-        twin.set_flat(self.get_flat())
-        return twin
 
-
-class PolicyValueNet(_FlatParams):
+class PolicyValueNet(_TanhNet):
     """obs -> shared tanh trunk -> (action logits, state value)."""
 
-    def __init__(self, obs_dim: int, n_actions: int, hidden=(64, 64), seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
-        self.hidden = tuple(hidden)
-        sizes = [obs_dim, *hidden]
-        self.params = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            w, b = _init_layer(rng, fan_in, fan_out)
-            self.params += [w, b]
-        wp, bp = _init_layer(rng, sizes[-1], n_actions)
-        wv, bv = _init_layer(rng, sizes[-1], 1)
-        self.params += [wp, bp, wv, bv]
-
     @staticmethod
-    def size(obs_dim: int, n_actions: int, hidden) -> int:
-        """Parameter count of a net with these dimensions, without building it."""
-        trunk = [obs_dim, *hidden]
-        return _mlp_size(trunk) + _mlp_size([trunk[-1], n_actions]) + _mlp_size([trunk[-1], 1])
+    def layer_shapes(obs_dim: int, n_actions: int, hidden) -> list[tuple[int, ...]]:
+        top = [obs_dim, *hidden][-1]
+        return (_dense_shapes([obs_dim, *hidden]) + _dense_shapes([top, n_actions])
+                + _dense_shapes([top, 1]))
 
     def forward(self, X: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n_trunk = (len(self.params) - 4) // 2
-        activations = [X]
-        h = X
-        for i in range(n_trunk):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            h = np.tanh(h @ w + b)
-            activations.append(h)
+        activations = self._trunk_forward(X)
+        h = activations[-1]
         wp, bp, wv, bv = self.params[-4:]
         logits = h @ wp + bp
         values = (h @ wv + bv).ravel()
@@ -155,52 +143,48 @@ class PolicyValueNet(_FlatParams):
         activations: list[np.ndarray],
         d_logits: np.ndarray,
         d_values: np.ndarray,
-    ) -> list[np.ndarray]:
-        grads: list[np.ndarray] = [np.zeros_like(p) for p in self.params]
-        wp, bp, wv, bv = self.params[-4:]
+    ) -> np.ndarray:
+        """Loss gradient over ``flat``, in its layout, for the cached batch."""
+        flat_grads = np.empty_like(self.flat)
+        grads = self._views(flat_grads)
+        wp, wv = self.params[-4], self.params[-2]
         h_last = activations[-1]
         d_values = d_values.reshape(-1, 1)
-        grads[-4] = h_last.T @ d_logits
-        grads[-3] = d_logits.sum(axis=0)
-        grads[-2] = h_last.T @ d_values
-        grads[-1] = d_values.sum(axis=0)
-        delta = d_logits @ wp.T + d_values @ wv.T
-        n_trunk = (len(self.params) - 4) // 2
-        for i in reversed(range(n_trunk)):
-            delta = delta * (1.0 - activations[i + 1] ** 2)
-            grads[2 * i] = activations[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
-            if i:
-                delta = delta @ self.params[2 * i].T
-        return grads
+        np.matmul(h_last.T, d_logits, out=grads[-4])
+        d_logits.sum(axis=0, out=grads[-3])
+        np.matmul(h_last.T, d_values, out=grads[-2])
+        d_values.sum(axis=0, out=grads[-1])
+        self._trunk_backward(activations, d_logits @ wp.T + d_values @ wv.T, grads)
+        return flat_grads
 
 
 class Adam:
-    """Standard Adam over a list of parameter arrays."""
+    """Standard Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, flat: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.flat = flat
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grads * grads)
+        self.flat -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 # ---------------------------------------------------------------------------
-# objectives: each returns (scalar loss, per-parameter gradients)
+# objectives: each returns (scalar loss, flat gradient in the net's layout)
 
 
 def td_loss_and_grads(

@@ -20,4 +20,4 @@ class ReinforceAgent(PpoAgent):
         actions = np.array([b[1] for b in self._batch])
         weights = normalize(np.array([b[2] for b in self._batch]))
         _, grads = reinforce_loss_and_grads(self.net, obs, actions, weights)
-        self.optim.step(self.net.params, grads)
+        self.optim.step(grads)

@@ -22,7 +22,7 @@ class PpoAgent:
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
         self.net = PolicyValueNet(obs_dim, n_actions, hyper.hidden, seed=seed)
-        self.optim = Adam(self.net.params, lr=hyper.alpha)
+        self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self._last_logp = 0.0
         self._episode: list[tuple[np.ndarray, int, float, float]] = []
         self._batch: list[tuple[np.ndarray, int, float, float]] = []
@@ -88,7 +88,7 @@ class PpoAgent:
                     value_coef=h.value_coef,
                     entropy_coef=h.entropy_coef,
                 )
-                self.optim.step(self.net.params, grads)
+                self.optim.step(grads)
 
     # -- checkpoint hooks -----------------------------------------------------
 
@@ -97,7 +97,7 @@ class PpoAgent:
         return {"net": PolicyValueNet.size(obs_dim, n_actions, hyper.hidden)}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"net": self.net.get_flat()}
+        return {"net": self.net.flat.copy()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net.set_flat(arrays["net"])
+        self.net.flat[:] = arrays["net"]

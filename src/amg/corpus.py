@@ -84,7 +84,8 @@ BENIGN_DLLS = DLL_CATALOG
 
 
 class CorpusError(Exception):
-    """A generated file failed its own structural self-check."""
+    """A generated file failed its own structural self-check, or a corpus
+    manifest is not UTF-8 JSON lines of objects with the entry fields."""
 
 
 @dataclass
@@ -571,18 +572,27 @@ def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSp
 def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
     root = Path(corpus_dir)
     manifest = root / "manifest.jsonl"
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{manifest}: not UTF-8: {exc}") from None
     entries = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        row = json.loads(line)
-        entries.append(
-            CorpusEntry(
-                name=row["name"],
-                label=row["label"],
-                path=root / row["path"],
-                seed=row["seed"],
-                planted=row.get("planted", {}),
+        try:
+            row = json.loads(line)
+            if "\x00" in row["path"]:
+                raise ValueError("path holds a NUL character")
+            entries.append(
+                CorpusEntry(
+                    name=row["name"],
+                    label=row["label"],
+                    path=root / row["path"],
+                    seed=row["seed"],
+                    planted=row.get("planted", {}),
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{manifest}:{lineno}: bad manifest row: {exc!r}") from None
     return entries

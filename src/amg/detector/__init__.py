@@ -208,7 +208,6 @@ def train_detector(
     kind: DetectorKind,
     samples: Sequence[tuple[bytes, int]],
     seed: int = 0,
-    **overrides,
 ) -> Detector:
     """Fit a detector on (bytes, label) pairs; label 1 marks malicious."""
     labels = {label for _, label in samples}
@@ -216,11 +215,9 @@ def train_detector(
         raise DegenerateCorpus(
             f"training data must contain both labels, got {sorted(labels)}"
         )
-    params = dict(_TRAIN_DEFAULTS[kind])
-    params.update(overrides)
     X = extract_matrix(kind, (raw for raw, _ in samples))
     y = np.array([label for _, label in samples], dtype=np.float64)
-    model = fit_stumps(X, y, seed=seed, **params)
+    model = fit_stumps(X, y, seed=seed, **_TRAIN_DEFAULTS[kind])
     return Detector(kind, model)
 
 

@@ -81,14 +81,12 @@ def prepare_world(
     malicious: list[bytes],
     benign: list[bytes],
     seed: int = 0,
-    detector_overrides: dict | None = None,
 ) -> World:
     mal_train, mal_val, mal_test = split_indexed(malicious)
     ben_train, ben_val, ben_test = split_indexed(benign)
     labeled = [(raw, 1) for raw in mal_train] + [(raw, 0) for raw in ben_train]
-    overrides = detector_overrides or {}
-    det_a = train_detector(DetectorKind.STRUCTURAL, labeled, seed=seed, **overrides)
-    det_b = train_detector(DetectorKind.BIGRAM, labeled, seed=seed, **overrides)
+    det_a = train_detector(DetectorKind.STRUCTURAL, labeled, seed=seed)
+    det_b = train_detector(DetectorKind.BIGRAM, labeled, seed=seed)
     return World(
         detector_a=det_a,
         detector_b=det_b,
@@ -109,8 +107,8 @@ def prepare_world(
 def _select(agent, obs):
     """Training and evaluation both keep a little stochasticity so a policy
     cannot pin itself to one useless action: DQN acts at a fixed
-    epsilon = DQN_EVAL_EPSILON (0.05) in training as well, so its own epsilon
-    schedule never acts; policy learners sample from their distribution."""
+    epsilon = DQN_EVAL_EPSILON (0.05) in training as well; policy learners
+    sample from their distribution."""
     if agent.kind == "dqn":
         return agent.select_action(obs, epsilon=DQN_EVAL_EPSILON)
     return agent.select_action(obs)

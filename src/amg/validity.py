@@ -7,18 +7,15 @@ features are compared against the controls with a set-agreement score.  If
 any test run failed outright the file is declared broken; otherwise it
 passes when at least two feature observations agree at the 0.95 level.
 
-Two report sources exist: a structural backend that derives deterministic
+Reports come from a structural backend that derives deterministic
 pseudo-reports from the bytes themselves (parse health, import names, entry
-section identity, planted byte motifs), and a fixture backend that replays
-reports stored as JSON, for plugging in externally captured traces.
+section identity, planted byte motifs).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import pe_model, signals
 from .pe_mods import ActionId, BenignContentPool, ModResult, Outcome, apply_action, ACTION_NAMES
@@ -51,15 +48,6 @@ class BehaviorReport:
             "processes": sorted(self.processes),
             "failed": self.failed,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BehaviorReport":
-        return cls(
-            signatures=set(d.get("signatures", ())),
-            api_calls=set(d.get("api_calls", ())),
-            processes=set(d.get("processes", ())),
-            failed=bool(d.get("failed", False)),
-        )
 
 
 @dataclass
@@ -165,27 +153,6 @@ class StructuralBackend:
             digest = hashlib.sha256(img.sections[entry].data).hexdigest()[:16]
             procs = {f"proc:{digest}"}
         return BehaviorReport(signatures=sigs, api_calls=calls, processes=procs)
-
-
-class FixtureBackend:
-    """Replays reports stored as ``<id>.control_N.json`` / ``<id>.test_N.json``."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def reports_for(self, file_id: str, data: bytes, role: str) -> list[BehaviorReport]:
-        out = []
-        for i in range(1, REPORT_ROUNDS + 1):
-            path = self.root / f"{file_id}.{role}_{i}.json"
-            out.append(BehaviorReport.from_dict(json.loads(path.read_text())))
-        return out
-
-
-def write_fixture_report(root: str | Path, file_id: str, role: str, index: int,
-                         report: BehaviorReport) -> Path:
-    path = Path(root) / f"{file_id}.{role}_{index}.json"
-    path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return path
 
 
 # ---------------------------------------------------------------------------

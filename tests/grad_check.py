@@ -21,27 +21,19 @@ from amg.agents.net import (
 BATCH = 8
 
 
-def flat_grads(grads: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def fd_relative_error(net, loss_fn, eps: float = 1e-5) -> float:
     """Relative L2 error between analytic and central-difference gradients."""
     loss_fn_only = lambda: loss_fn()[0]
-    _, grads = loss_fn()
-    analytic = flat_grads(grads)
-    flat0 = net.get_flat().copy()
+    _, analytic = loss_fn()
+    flat0 = net.flat.copy()
     numeric = np.zeros_like(flat0)
     for i in range(flat0.size):
-        bump = flat0.copy()
-        bump[i] = flat0[i] + eps
-        net.set_flat(bump)
+        net.flat[i] = flat0[i] + eps
         hi = loss_fn_only()
-        bump[i] = flat0[i] - eps
-        net.set_flat(bump)
+        net.flat[i] = flat0[i] - eps
         lo = loss_fn_only()
+        net.flat[i] = flat0[i]
         numeric[i] = (hi - lo) / (2.0 * eps)
-    net.set_flat(flat0)
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
 

@@ -15,7 +15,6 @@ import toy_chain
 from amg.agents import (
     AgentHyper,
     CheckpointError,
-    DqnAgent,
     RandomAgent,
     discounted_return,
     discounted_returns,
@@ -25,7 +24,7 @@ from amg.agents import (
     q_update,
     save_agent,
 )
-from amg.agents.net import Adam, QNet, log_softmax, softmax
+from amg.agents.net import Adam, PolicyValueNet, QNet, log_softmax, softmax
 from grad_check import TRIALS
 
 # ---------------------------------------------------------------------------
@@ -97,26 +96,25 @@ def test_analytic_gradients_match_central_differences(name):
 
 def test_adam_first_step_matches_closed_form():
     rng = np.random.default_rng(0)
-    params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-    before = [p.copy() for p in params]
-    grads = [rng.standard_normal(p.shape) for p in params]
-    opt = Adam(params, lr=0.01)
-    opt.step(params, grads)
+    flat = rng.standard_normal(8)
+    before = flat.copy()
+    grads = rng.standard_normal(8)
+    opt = Adam(flat, lr=0.01)
+    opt.step(grads)
     # After one step the bias-corrected moments equal g and g^2 exactly.
-    for p0, p1, g in zip(before, params, grads):
-        expected = p0 - 0.01 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(p1, expected, atol=1e-12)
+    assert np.allclose(flat, before - 0.01 * grads / (np.abs(grads) + 1e-8), atol=1e-12)
 
 
-def test_epsilon_schedule_endpoints_and_midpoint():
-    agent = DqnAgent(3, 2, AgentHyper(eps_start=1.0, eps_end=0.05, eps_decay_steps=100))
-    assert agent.epsilon == 1.0
-    agent.total_steps = 50
-    assert agent.epsilon == pytest.approx(0.525)
-    agent.total_steps = 100
-    assert agent.epsilon == pytest.approx(0.05)
-    agent.total_steps = 10_000
-    assert agent.epsilon == pytest.approx(0.05)  # clamps, never undershoots
+@pytest.mark.parametrize("net_class", [QNet, PolicyValueNet])
+def test_layers_are_views_into_the_flat_vector(net_class):
+    net = net_class(5, 3, hidden=(4, 6), seed=2)
+    assert all(np.shares_memory(p, net.flat) for p in net.params)
+    assert sum(p.size for p in net.params) == net.flat.size == net_class.size(5, 3, (4, 6))
+    before = [p.copy() for p in net.params]
+    Adam(net.flat, lr=0.1).step(np.ones_like(net.flat))
+    # One step moves every element by lr, and every layer sees it.
+    for p0, p1 in zip(before, net.params):
+        assert np.allclose(p1, p0 - 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,7 @@ def test_random_agent_ignores_observations_but_honors_seed():
 def test_checkpoint_round_trip_preserves_policy(tmp_path, kind):
     agent = make_agent(kind, 6, 3, AgentHyper(alpha=0.002, gamma=0.95), seed=4)
     if kind != "random":  # nudge weights off their init so the test is not vacuous
-        toy_train = np.random.default_rng(0).standard_normal(agent.net.n_params) * 0.01
-        agent.net.set_flat(agent.net.get_flat() + toy_train)
+        agent.net.flat += np.random.default_rng(0).standard_normal(agent.net.flat.size) * 0.01
     path = tmp_path / f"{kind}.agent"
     save_agent(path, agent)
     clone = load_agent(path)
@@ -233,6 +230,18 @@ def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
         tracemalloc.stop()
     # Rejecting a header costs memory in proportion to the file, not to what the header claims.
     assert peak < 10 * path.stat().st_size
+
+
+def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
+    """A header written when ``AgentHyper`` still had an epsilon schedule loads."""
+    path = tmp_path / "dqn.agent"
+    agent = make_agent("dqn", 4, 2, seed=0)
+    save_agent(path, agent)
+    rewrite_header(path, lambda h: h["hyper"].update(
+        eps_start=1.0, eps_end=0.05, eps_decay_steps=2000))
+    clone = load_agent(path)
+    assert clone.hyper == agent.hyper
+    assert np.array_equal(clone.net.flat, agent.net.flat)
 
 
 def test_make_agent_rejects_unknown_kind():

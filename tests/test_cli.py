@@ -166,6 +166,25 @@ def test_missing_file_exits_two(ws, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        b'{"name": "mal_0000", "label": "malicious", "pa',
+        b'{"name": "mal_0000", "label": "malicious", "seed": 1}\n',
+        b'["mal_0000", "malicious", "files/mal_0000", 1]\n',
+        b'{"name": "mal_\xff\xfe", "label": "malicious"}\n',
+        b'{"name": "mal_0000", "label": "malicious", "path": "a\\u0000b", "seed": 1}\n',
+    ],
+    ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path"],
+)
+def test_unreadable_manifest_exits_two(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.jsonl").write_bytes(manifest)
+    assert main(["validate", "--corpus", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_garbage_model_exits_two(ws, tmp_path, capsys):
     bogus = tmp_path / "bogus.det"
     bogus.write_bytes(b"not a model at all")

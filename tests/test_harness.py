@@ -26,7 +26,7 @@ from amg.harness import (
     transferability,
     truncated_percent,
 )
-from amg.agents import make_agent
+from amg.agents import AgentHyper, make_agent
 from amg.pe_mods import ACTION_COUNT
 from amg.rl import N_OBSERVATION
 
@@ -151,7 +151,7 @@ def test_train_agent_is_seed_deterministic(world):
             episodes=16,
             seed=seed,
         )
-        return agent.net.get_flat()
+        return agent.net.flat
 
     a, b = flat(7), flat(7)
     assert (a == b).all()
@@ -261,6 +261,14 @@ def test_workflow_is_deterministic(world, micro_report):
 # goldens: every agent kind's training and evaluation, and the micro workflow
 
 
+def _state_sha256(agent) -> str:
+    state = hashlib.sha256()
+    for name, array in sorted(agent.state_arrays().items()):
+        state.update(name.encode())
+        state.update(array.tobytes())
+    return state.hexdigest()
+
+
 def _agent_rollouts(world) -> dict:
     """Per agent kind: train as in ``test_train_agent_is_seed_deterministic``,
     then evaluate on the validation split with pairs collected. Weights and
@@ -276,16 +284,12 @@ def _agent_rollouts(world) -> dict:
             episodes=16,
             seed=7,
         )
-        state = hashlib.sha256()
-        for name, array in sorted(agent.state_arrays().items()):
-            state.update(name.encode())
-            state.update(array.tobytes())
         result = evaluate_policy(
             agent, world.mal_val, world.detector_a.classify, world.pool,
             max_steps=3, seed=7, collect_pairs=True,
         )
         out[kind] = {
-            "state_sha256": state.hexdigest(),
+            "state_sha256": _state_sha256(agent),
             "counts": [result.evaded, result.eligible, result.excluded, result.queries],
             "rewrites_sha256": hashlib.sha256(
                 b"".join(rewrite for _, rewrite in result.pairs)).hexdigest(),
@@ -297,6 +301,27 @@ def _scrubbed(report: dict) -> dict:
     report = json.loads(json.dumps(report))
     report.pop("elapsed_seconds", None)
     return report
+
+
+# Captured before the nets moved to one flat parameter vector.
+DQN_UPDATES_SHA256 = "b2b5fce8bd163ad1b1d9932686c2e5b1134eb97445c9c3dc40d901797ed4d88e"
+
+
+def test_dqn_td_updates_and_target_syncs_match_golden(world):
+    """The ``agents.json`` DQN entry stops below ``learn_start``; this run
+    learns from replay and syncs its target net twice."""
+    agent = train_agent(
+        "dqn",
+        world.mal_train[:6],
+        world.detector_a.classify,
+        world.pool,
+        max_steps=3,
+        episodes=16,
+        seed=7,
+        hyper=AgentHyper(learn_start=8, batch_size=8, target_sync=16),
+    )
+    assert agent.total_steps > 16
+    assert _state_sha256(agent) == DQN_UPDATES_SHA256
 
 
 def test_agent_rollouts_and_micro_workflow_match_goldens(world, micro_report):

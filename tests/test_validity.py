@@ -16,12 +16,10 @@ from amg.validity import (
     AGREEMENT_THRESHOLD,
     ArityError,
     BehaviorReport,
-    FixtureBackend,
     StructuralBackend,
     agreement,
     evaluate_validity,
     run_validity_suite,
-    write_fixture_report,
 )
 
 
@@ -261,20 +259,3 @@ def test_import_extension_stays_valid_via_other_features(corpus_files, pool):
     ][:10]
     row = run_validity_suite(roomy, ActionId.APPEND_NEW_IMPORT, StructuralBackend(), pool)
     assert row.valid == row.total == len(roomy)
-
-
-# ---------------------------------------------------------------------------
-# fixture backend
-
-
-def test_fixture_backend_round_trip(tmp_path):
-    reports = triple(**FULL)
-    for i, r in enumerate(reports, start=1):
-        write_fixture_report(tmp_path, "sample", "control", i, r)
-        write_fixture_report(tmp_path, "sample", "test", i, r)
-    backend = FixtureBackend(tmp_path)
-    controls = backend.reports_for("sample", b"", "control")
-    tests = backend.reports_for("sample", b"", "test")
-    assert [r.to_dict() for r in controls] == [r.to_dict() for r in reports]
-    verdict = evaluate_validity(controls, tests)
-    assert verdict.ok and verdict.matched_features == 9

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from amg.agents import AgentHyper, make_agent
+from amg.harness import _select
 from amg.rl import Transition
 
 N_STATES = 5
@@ -64,12 +65,13 @@ def optimal_policy(gamma: float) -> list[int]:
 
 def train_chain_agent(kind: str, seed: int, episodes: int = 2000,
                       alpha: float = 1e-3, gamma: float = 0.9):
+    """Train on the corridor, acting as ``harness.train_agent`` does."""
     agent = make_agent(kind, N_STATES, 2, AgentHyper(alpha=alpha, gamma=gamma), seed=seed)
     for _ in range(episodes):
         state, steps = 0, 0
         while steps < MAX_STEPS:
             obs = one_hot(state)
-            action = agent.select_action(obs)
+            action = _select(agent, obs)
             nxt, reward, done = chain_step(state, action)
             agent.record(Transition(obs, action, reward, one_hot(nxt), done, {}))
             state, steps = nxt, steps + 1

@@ -80,7 +80,7 @@ def load_agent(path: str | Path, seed: int = 0):
     offset += 4
     try:
         header = json.loads(blob[offset : offset + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"unreadable checkpoint header: {e}") from None
     offset += head_len
     try:

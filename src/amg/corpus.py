@@ -570,29 +570,32 @@ def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSp
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
+    """Read ``manifest.jsonl``; every row's file must resolve inside the corpus."""
     root = Path(corpus_dir)
     manifest = root / "manifest.jsonl"
     try:
         lines = manifest.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{manifest}: not UTF-8: {exc}") from None
+    inside = root.resolve()
     entries = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-            if "\x00" in row["path"]:
-                raise ValueError("path holds a NUL character")
+            path = (root / row["path"]).resolve()  # ValueError on a NUL
+            if inside not in path.parents:
+                raise ValueError(f"path {row['path']!r} leaves the corpus directory")
             entries.append(
                 CorpusEntry(
                     name=row["name"],
                     label=row["label"],
-                    path=root / row["path"],
+                    path=path,
                     seed=row["seed"],
                     planted=row.get("planted", {}),
                 )
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
             raise CorpusError(f"{manifest}:{lineno}: bad manifest row: {exc!r}") from None
     return entries

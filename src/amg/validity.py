@@ -15,6 +15,7 @@ section identity, planted byte motifs).
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import pe_model, signals
@@ -25,6 +26,9 @@ AGREEMENT_THRESHOLD = 0.95
 FEATURES = ("signatures", "api_calls", "processes")
 REPORT_ROUNDS = 3
 MATCH_MINIMUM = 2
+#: Control reports kept by one backend; about 3 KB each, so a full memo holds
+#: about 3 MB.
+REPORT_MEMO_ENTRIES = 1024
 
 
 class ArityError(ValueError):
@@ -116,10 +120,29 @@ def evaluate_validity(
 
 
 class StructuralBackend:
-    """Deterministic pseudo-reports computed from the bytes themselves."""
+    """Deterministic pseudo-reports computed from the bytes themselves.
+
+    A report is a pure function of the bytes, and the suite profiles the same
+    original for every action, so control reports are kept by the SHA-256 of
+    their content (least recently used out first) and looked up for every
+    role: a test of an unchanged original is a hit too.  Rewrites are new on
+    every call and are never stored.  Callers get fresh copies each time.
+    """
+
+    def __init__(self) -> None:
+        self._memo: OrderedDict[bytes, BehaviorReport] = OrderedDict()
 
     def reports_for(self, file_id: str, data: bytes, role: str) -> list[BehaviorReport]:
-        report = self._report(data)
+        key = hashlib.sha256(data).digest()
+        report = self._memo.get(key)
+        if report is not None:
+            self._memo.move_to_end(key)
+        else:
+            report = self._report(data)
+            if role == "control":
+                self._memo[key] = report
+                if len(self._memo) > REPORT_MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
         return [
             BehaviorReport(
                 set(report.signatures), set(report.api_calls), set(report.processes), report.failed

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toy_chain
 from amg.agents import (
@@ -24,7 +25,9 @@ from amg.agents import (
     q_update,
     save_agent,
 )
+from amg.agents.checkpoint import MAGIC
 from amg.agents.net import Adam, PolicyValueNet, QNet, log_softmax, softmax
+from fuzzing import damaged
 from grad_check import TRIALS
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,14 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_agent(path)
 
 
+def test_checkpoint_rejects_deeply_nested_header(tmp_path):
+    path = tmp_path / "nested.agent"
+    head = b"[" * 100_000
+    path.write_bytes(MAGIC + struct.pack("<I", len(head)) + head + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+        load_agent(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     agent = make_agent("pg", 4, 2, seed=0)
     path = tmp_path / "pg.agent"
@@ -242,6 +253,31 @@ def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
     clone = load_agent(path)
     assert clone.hyper == agent.hyper
     assert np.array_equal(clone.net.flat, agent.net.flat)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkpoint-fuzz")
+    blobs = {}
+    for kind in ("dqn", "ppo"):
+        save_agent(root / "agent.bin", make_agent(kind, 6, 3, AgentHyper(hidden=(8,)), seed=0))
+        blob = (root / "agent.bin").read_bytes()
+        (head_len,) = struct.unpack_from("<I", blob, 8)
+        blobs[kind] = (blob, 12 + head_len + 16)
+    return root / "agent.bin", blobs
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["dqn", "ppo"]))
+def test_property_damaged_checkpoint_loads_or_raises(saved_checkpoints, data, kind):
+    path, blobs = saved_checkpoints
+    blob, head = blobs[kind]
+    path.write_bytes(data.draw(damaged(blob, head)))
+    try:
+        agent = load_agent(path)
+    except CheckpointError:
+        return
+    assert agent.state_arrays()
 
 
 def test_make_agent_rejects_unknown_kind():

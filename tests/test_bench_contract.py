@@ -4,8 +4,9 @@ The benchmark's tracer replaces a method through its class's own
 ``__dict__`` (an inherited method is not found there) and a function through
 every module attribute bound to it, so ``run_workflow`` must reach
 ``train_agent`` and ``evaluate_policy`` through ``harness``'s globals. Its
-query accounting wraps ``harness.evaluate_policy`` the same way. No real
-training runs here.
+query accounting wraps ``harness.evaluate_policy`` the same way, and its
+validity workload counts one op per ``reports_for`` call with the test role.
+No real training runs here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from amg import corpus, detector, harness, pe_mods, pe_model, signals, validity
 from amg.agents import DqnAgent, PpoAgent, RandomAgent, make_agent
 from amg.detector import boost, features
-from amg.pe_mods import ACTION_COUNT
+from amg.pe_mods import ACTION_COUNT, ActionId
 from amg.rl import N_OBSERVATION, RewriteEnv, observation
 
 WRAPPED_METHODS = [
@@ -79,3 +80,24 @@ def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, mo
     assert len(tests) == 2  # the winner and the random baseline
     assert len(evaluated) == len(validations) + len(tests)
     assert report["test"]["transfer"]["percent"] is None  # no pairs, nothing eligible
+
+
+def test_validity_suite_asks_the_backend_twice_per_file(corpus_files, pool):
+    """Once with the control role on the original, then once with the test
+    role; a report memo lives inside the backend, never around this call."""
+    entries = [(f.name, f.data) for f in corpus_files if f.label == "malicious"][:6]
+    calls = []
+
+    class Recording(validity.StructuralBackend):
+        def reports_for(self, file_id, data, role):
+            calls.append((file_id, data, role))
+            return super().reports_for(file_id, data, role)
+
+    backend = Recording()
+    for action in ActionId:
+        calls.clear()
+        validity.run_validity_suite(entries, action, backend, pool)
+        assert [(file_id, role) for file_id, _, role in calls] == [
+            (file_id, role) for file_id, _ in entries for role in ("control", "test")
+        ]
+        assert [data for _, data, role in calls if role == "control"] == [raw for _, raw in entries]

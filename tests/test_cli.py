@@ -174,14 +174,19 @@ def test_missing_file_exits_two(ws, tmp_path, capsys):
         b'["mal_0000", "malicious", "files/mal_0000", 1]\n',
         b'{"name": "mal_\xff\xfe", "label": "malicious"}\n',
         b'{"name": "mal_0000", "label": "malicious", "path": "a\\u0000b", "seed": 1}\n',
+        b'{"name": "mal_0000", "label": "malicious", "path": "/etc/hostname", "seed": 1}\n',
+        b'{"name": "mal_0000", "label": "malicious", "path": "../manifest.jsonl", "seed": 1}\n',
+        b"[" * 100_000 + b"\n",
     ],
-    ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path"],
+    ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path",
+         "absolute-path", "dotdot-path", "deeply-nested-row"],
 )
 def test_unreadable_manifest_exits_two(tmp_path, capsys, manifest):
     (tmp_path / "manifest.jsonl").write_bytes(manifest)
     assert main(["validate", "--corpus", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "bad manifest row" in err or "not UTF-8" in err
     assert "Traceback" not in err
 
 

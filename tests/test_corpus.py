@@ -1,12 +1,18 @@
-"""Generator contract: determinism, label design, on-disk round trip."""
+"""Generator contract: determinism, label design, on-disk round trip, and a
+manifest reader that returns entries inside the corpus or raises
+``CorpusError``."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from amg import pe_model
 from amg.corpus import (
     ALL_QUIRKS,
+    CorpusError,
     CorpusSpec,
     QUIRK_CERTIFICATE,
     QUIRK_CHECKSUM,
@@ -18,6 +24,7 @@ from amg.corpus import (
     write_corpus,
 )
 from amg.signals import MOTIFS
+from fuzzing import damaged, json_values
 
 SMALL = CorpusSpec(malicious=12, benign=8, seed=3)
 
@@ -116,3 +123,89 @@ def test_write_and_load_round_trip(tmp_path):
         assert e.planted == src.planted
     meta = json.loads((tmp_path / "corpus" / "meta.json").read_text())
     assert CorpusSpec.from_dict(meta) == SMALL
+
+
+# ---------------------------------------------------------------------------
+# untrusted manifests
+
+
+@pytest.mark.parametrize("escape", ["absolute", "dotdot", "symlink"])
+def test_manifest_path_must_stay_inside_the_corpus(tmp_path, escape):
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(b"not part of the corpus")
+    root = tmp_path / "corpus"
+    manifest = write_corpus(generate(SMALL), root)
+    assert load_corpus(root)
+    if escape == "absolute":
+        path = str(outside)
+    elif escape == "dotdot":
+        path = "files/../../outside.bin"
+    else:
+        (root / "files" / "link.exe").symlink_to(outside)
+        path = "files/link.exe"
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    rows[3]["path"] = path
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(CorpusError, match="leaves the corpus directory"):
+        load_corpus(root)
+
+
+def test_corpus_reached_through_a_symlink_loads(tmp_path):
+    files = generate(SMALL)
+    write_corpus(files, tmp_path / "corpus")
+    (tmp_path / "alias").symlink_to(tmp_path / "corpus")
+    entries = load_corpus(tmp_path / "alias")
+    assert [e.read() for e in entries] == [f.data for f in files]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    manifest = write_corpus(generate(SMALL), root)
+    return root, manifest.read_bytes()
+
+
+def _loads_inside_or_raises_corpus_error(root, manifest: bytes) -> None:
+    (root / "manifest.jsonl").write_bytes(manifest)
+    try:
+        entries = load_corpus(root)
+    except CorpusError:
+        return
+    for entry in entries:
+        assert root.resolve() in entry.path.resolve().parents
+
+
+ROW_PATHS = st.sampled_from(
+    ["files/mal_0000.exe", "/etc/hostname", "../outside", "files/../../x", "", ".", "a\x00b"]
+) | st.text(max_size=12)
+# Rows with the entry fields and plausible values, rows with those fields
+# holding any JSON, and any JSON at all.
+ROWS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "name": st.text(max_size=12),
+            "label": st.sampled_from(["malicious", "benign"]),
+            "path": ROW_PATHS,
+            "seed": st.integers(),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"name": json_values, "label": json_values, "path": json_values, "seed": json_values},
+        optional={"planted": json_values},
+    ),
+    json_values,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(ROWS.map(json.dumps).map(str.encode) | st.binary(max_size=40), max_size=4))
+def test_property_any_manifest_loads_inside_or_raises(written, lines):
+    root, _ = written
+    _loads_inside_or_raises_corpus_error(root, b"\n".join(lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_damaged_manifest_loads_inside_or_raises(written, data):
+    root, manifest = written
+    _loads_inside_or_raises_corpus_error(root, data.draw(damaged(manifest, len(manifest))))

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amg import detector, pe_model
 from amg.detector import (
@@ -31,6 +32,7 @@ from amg.detector.features import (
 )
 from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIFS, count_motif_hits
+from fuzzing import damaged
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +319,26 @@ def test_load_rejects_out_of_range_stump_index(world, tmp_path):
         bad.write_bytes(blob[:head_size] + struct.pack("<I", index) + blob[head_size + 4 :])
         with pytest.raises(DetectorFormatError, match="out of range"):
             Detector.load(bad)
+
+
+@pytest.fixture(scope="module")
+def saved_detectors(world, tmp_path_factory):
+    root = tmp_path_factory.mktemp("detector-fuzz")
+    blobs = []
+    for det in (world.detector_a, world.detector_b):
+        det.fresh().save(root / "det.bin")
+        blobs.append((root / "det.bin").read_bytes())
+    return root / "det.bin", blobs
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), which=st.integers(0, 1))
+def test_property_damaged_detector_loads_or_raises(saved_detectors, mal_bytes, data, which):
+    path, blobs = saved_detectors
+    blob = blobs[which]
+    path.write_bytes(data.draw(damaged(blob, struct.calcsize("<8sBII d d") + 8)))
+    try:
+        loaded = Detector.load(path)
+    except DetectorFormatError:
+        return
+    assert loaded.classify(mal_bytes[0]) in (Verdict.MALICIOUS, Verdict.BENIGN)

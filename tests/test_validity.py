@@ -3,14 +3,20 @@
 The thirty authored cases each supply three control and three test reports
 with a hand-computed expected verdict; they pin the agreement formula, the
 0.95 boundary (inclusive), the any-control rule, the two-of-nine success
-rule, and the failed-test-report override.
+rule, and the failed-test-report override.  The structural backend's report
+memo is checked against a backend without one, and the suite's rows for all
+ten actions against a golden.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from amg import pe_model
+from amg import pe_model, validity
 from amg.pe_mods import ActionId, ModResult, Outcome, apply_action
 from amg.validity import (
     AGREEMENT_THRESHOLD,
@@ -259,3 +265,120 @@ def test_import_extension_stays_valid_via_other_features(corpus_files, pool):
     ][:10]
     row = run_validity_suite(roomy, ActionId.APPEND_NEW_IMPORT, StructuralBackend(), pool)
     assert row.valid == row.total == len(roomy)
+
+
+# ---------------------------------------------------------------------------
+# the control-report memo
+
+
+def _dicts(reports: list[BehaviorReport]) -> list[dict]:
+    return [r.to_dict() for r in reports]
+
+
+def test_memoized_reports_equal_fresh_ones(mal_bytes, pool):
+    originals = mal_bytes[:4]
+    applied, unchanged = [], []
+    for raw in originals:
+        img = pe_model.parse(raw)
+        for action in ActionId:
+            result = apply_action(img.copy(), action, pool, seed=3)
+            if result.outcome is Outcome.APPLIED:
+                applied.append(pe_model.serialize(result.image))
+            else:
+                unchanged.append(raw)
+    assert applied and unchanged
+    inputs = (
+        [(raw, "control") for raw in originals]
+        + [(raw, "test") for raw in applied + unchanged]
+        + [(b"garbage", "control"), (b"garbage", "test")]
+        + [(raw, "control") for raw in originals]
+    )
+    memoized = StructuralBackend()
+    for raw, role in inputs:
+        expected = _dicts(StructuralBackend().reports_for("f", raw, role))
+        assert _dicts(memoized.reports_for("f", raw, role)) == expected
+    assert expected[0]["failed"] is False
+    assert _dicts(memoized.reports_for("f", b"garbage", "test"))[0]["failed"] is True
+
+
+def test_memoized_report_cannot_be_changed_through_a_copy(mal_bytes):
+    backend = StructuralBackend()
+    first = backend.reports_for("f", mal_bytes[0], "control")
+    expected = _dicts(first)
+    for report in first:
+        report.signatures.add("tampered")
+        report.api_calls.clear()
+        report.processes.discard(next(iter(report.processes)))
+        report.failed = True
+    again = backend.reports_for("f", mal_bytes[0], "control")
+    assert _dicts(again) == expected
+    assert len({id(r.signatures) for r in again}) == len(again)
+
+
+def test_memo_keeps_the_last_control_digests(mal_bytes, monkeypatch):
+    monkeypatch.setattr(validity, "REPORT_MEMO_ENTRIES", 4)
+    inputs = mal_bytes[:10]
+    assert len(set(inputs)) == 10
+    backend = StructuralBackend()
+    for raw in inputs:
+        backend.reports_for("f", raw, "control")
+    assert list(backend._memo) == [hashlib.sha256(raw).digest() for raw in inputs[-4:]]
+    # a hit moves its content to the most recent end
+    backend.reports_for("f", inputs[-4], "test")
+    assert next(reversed(backend._memo)) == hashlib.sha256(inputs[-4]).digest()
+    assert len(backend._memo) == 4
+
+
+def test_test_role_contents_are_never_stored(mal_bytes):
+    backend = StructuralBackend()
+    for raw in mal_bytes[:5] + [b"garbage"]:
+        backend.reports_for("f", raw, "test")
+    assert not backend._memo
+
+
+class RecordingBackend(StructuralBackend):
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[str, bytes, str]] = []
+
+    def reports_for(self, file_id: str, data: bytes, role: str) -> list[BehaviorReport]:
+        self.calls.append((file_id, data, role))
+        return super().reports_for(file_id, data, role)
+
+
+def test_each_original_is_profiled_once_across_actions(corpus_files, pool, monkeypatch):
+    entries = [(f.name, f.data) for f in corpus_files if f.label == "malicious"][:8]
+    originals = {raw for _, raw in entries}
+    profiled = []
+    report = StructuralBackend._report
+
+    def counting(self, data):
+        profiled.append(data)
+        return report(self, data)
+
+    monkeypatch.setattr(StructuralBackend, "_report", counting)
+    backend = RecordingBackend()
+    for action in ActionId:
+        run_validity_suite(entries, action, backend, pool)
+    assert len(backend.calls) == 2 * len(entries) * len(ActionId)
+    assert sorted(profiled.count(raw) for raw in originals) == [1] * len(entries)
+    # a test whose bytes are the original's (noop, failed, or an applied
+    # rewrite that changed nothing) is a hit; every other test is profiled
+    rewrites = [data for _, data, role in backend.calls if role == "test" and data not in originals]
+    assert rewrites
+    assert len(profiled) == len(entries) + len(rewrites)
+
+
+# ---------------------------------------------------------------------------
+# golden: the suite's rows for all ten actions with one shared backend
+
+GOLDEN = Path(__file__).parent / "golden" / "validity_rows.json"
+
+
+def test_validity_rows_for_all_actions_match_golden(corpus_files, pool):
+    """Captured before the backend kept control reports; a change that moves
+    these rows re-captures the file and says why."""
+    entries = [(f.name, f.data) for f in corpus_files if f.label == "malicious"][:16]
+    backend = StructuralBackend()
+    rows = [run_validity_suite(entries, action, backend, pool, seed=3) for action in ActionId]
+    assert [row.to_dict() for row in rows] == json.loads(GOLDEN.read_text())

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .. import pe_model, signals
-from ..bytestats import byte_counts, shannon_entropy
+from ..bytestats import entropy_of_counts, segment_counts
 from ..pe_model import PeImage
 
 N_FEATURES_STRUCTURAL = 128
@@ -61,7 +61,8 @@ def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
     x[12] = sum(hits) / (size / 4096.0)
     x[13] = sum(1 for h in hits if h) / len(hits)
 
-    section_entropies = [shannon_entropy(s.data) for s in img.sections]
+    counts, section_counts = segment_counts(raw, img.raw_parts())
+    section_entropies = [entropy_of_counts(c, len(s.data)) for c, s in zip(section_counts, img.sections)]
     entropies = [e for e, s in zip(section_entropies, img.sections) if s.data]
     if entropies:
         x[14] = (sum(entropies) / len(entropies)) / 8.0
@@ -90,7 +91,6 @@ def extract_features_structural(img: PeImage, raw: bytes) -> np.ndarray:
     for i, h in enumerate(hits):
         x[68 + i] = 1.0 if h else 0.0
 
-    counts = byte_counts(raw)
     coarse = counts.reshape(16, 16).sum(axis=1) / size
     x[100:116] = coarse
     x[116] = counts[0x20:0x7F].sum() / size

@@ -21,7 +21,7 @@ import numpy as np
 from .agents import AgentHyper, make_agent
 from .detector import Detector, DetectorKind, Verdict, train_detector
 from .pe_mods import ACTION_COUNT, BenignContentPool, build_pool
-from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, RewriteEnv
+from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, ObservationMemo, RewriteEnv
 
 DQN_EVAL_EPSILON = 0.05
 
@@ -133,15 +133,19 @@ def train_agent(
     episodes: int,
     hyper: AgentHyper | None = None,
     seed: int = 0,
+    observations: ObservationMemo | None = None,
 ):
-    """Train one agent by sampling episodes over the given files."""
+    """Train one agent by sampling episodes over the given files.  Every
+    episode's env takes its states from ``observations``, or from one memo
+    made for this call when none is given."""
+    observations = ObservationMemo() if observations is None else observations
     agent = make_agent(kind, N_OBSERVATION, ACTION_COUNT, hyper, seed=seed)
     rng = np.random.default_rng(seed)
     config = EnvConfig(max_steps=max_steps, seed=seed)
     for _ in range(episodes):
         raw = files[int(rng.integers(len(files)))]
         try:
-            for transition in _play(agent, RewriteEnv(raw, classify, pool, config)):
+            for transition in _play(agent, RewriteEnv(raw, classify, pool, config, observations)):
                 agent.record(transition)
         except AlreadyBenign:
             continue
@@ -192,12 +196,20 @@ def evaluate_policy(
     max_steps: int,
     seed: int = 0,
     collect_pairs: bool = False,
+    observations: ObservationMemo | None = None,
 ) -> EvalResult:
-    """Run one episode per file; undetected originals never enter the count."""
+    """Run one episode per file; undetected originals never enter the count.
+
+    ``EvalResult.queries`` counts the queries of the eligible files' episodes
+    only: the screening query that finds an original undetected is made but
+    not counted.  Every env takes its states from ``observations``, or from
+    one memo made for this call when none is given.
+    """
+    observations = ObservationMemo() if observations is None else observations
     config = EnvConfig(max_steps=max_steps, seed=seed)
     result = EvalResult()
     for raw in files:
-        env = RewriteEnv(raw, classify, pool, config)
+        env = RewriteEnv(raw, classify, pool, config, observations)
         try:
             # an evading step is the episode's last, so stopping at it plays no less
             hit = any(transition.info["evaded"] for transition in _play(agent, env))
@@ -325,11 +337,13 @@ def _run_stage(
     episodes: int,
     seed: int,
     stage: str,
+    observations: ObservationMemo,
 ) -> tuple[list[ConfigResult], object]:
     """Train each (kind, max_steps, alpha, gamma) job against detector A and
     validate it; return the rows best first and the best row's agent. Jobs
-    share nothing. Other agents are dropped once rated: a DQN agent with a
-    full replay buffer holds about 47 MB."""
+    share nothing but ``observations``, which changes no result. Other
+    agents are dropped once rated: a DQN agent with a full replay buffer
+    holds about 47 MB."""
     rows: list[ConfigResult] = []
     best = None
     for kind, max_steps, alpha, gamma in jobs:
@@ -342,6 +356,7 @@ def _run_stage(
             episodes=episodes,
             hyper=AgentHyper(alpha=alpha, gamma=gamma),
             seed=seed,
+            observations=observations,
         )
         result = evaluate_policy(
             agent,
@@ -350,6 +365,7 @@ def _run_stage(
             world.pool,
             max_steps=max_steps,
             seed=seed + 10_000,
+            observations=observations,
         )
         row = ConfigResult(kind, max_steps, alpha, gamma, result, stage)
         if best is None or row.sort_key() < best[0].sort_key():
@@ -363,11 +379,13 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     """Execute all five stages and return (and optionally write) the report.
 
     The workflow queries copies of the world's detectors, so it starts with
-    empty margin memos, as a newly loaded detector does, and its memos go
-    when it returns.
+    empty margin memos, as a newly loaded detector does.  Its envs share one
+    observation memo, so a content every stage meets is encoded once.  All
+    these memos go when it returns.
     """
     t0 = time.time()
     world = replace(world, detector_a=world.detector_a.fresh(), detector_b=world.detector_b.fresh())
+    observations = ObservationMemo()
     seed = plan.seed
     report: dict = {"plan": plan.to_dict(), "stages": {}}
 
@@ -376,7 +394,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     sweep, _ = _run_stage(
         world,
         [(kind, max_steps, 0.001, 0.9) for kind in plan.agents for max_steps in plan.max_steps_grid],
-        plan.sweep_iterations * plan.episodes_per_iteration, seed, "sweep",
+        plan.sweep_iterations * plan.episodes_per_iteration, seed, "sweep", observations,
     )
     sweep.sort(key=lambda row: plan.agents.index(row.agent_kind))
     best_steps: dict[str, int] = {}
@@ -394,7 +412,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
             for alpha in plan.alpha_grid
             for gamma in plan.gamma_grid
         ],
-        plan.grid_iterations * plan.episodes_per_iteration, seed, "grid",
+        plan.grid_iterations * plan.episodes_per_iteration, seed, "grid", observations,
     )
     report["stages"]["grid"] = [row.to_dict() for row in grid]
 
@@ -403,7 +421,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     extended, winner_agent = _run_stage(
         world,
         [(row.agent_kind, row.max_steps, row.alpha, row.gamma) for row in grid[: plan.top_k]],
-        plan.extended_iterations * plan.episodes_per_iteration, seed, "extended",
+        plan.extended_iterations * plan.episodes_per_iteration, seed, "extended", observations,
     )
     report["stages"]["extended"] = [row.to_dict() for row in extended]
     winner = extended[0]
@@ -419,6 +437,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
         max_steps=winner.max_steps,
         seed=seed + 20_000,
         collect_pairs=True,
+        observations=observations,
     )
     baseline = make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
     baseline_result = evaluate_policy(
@@ -428,6 +447,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
         world.pool,
         max_steps=winner.max_steps,
         seed=seed + 20_000,
+        observations=observations,
     )
     transfer = transferability(test_result.pairs, world.detector_b.classify)
     report["test"] = {

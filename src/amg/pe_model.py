@@ -281,6 +281,11 @@ class PeImage:
                 return i
         return None
 
+    def raw_parts(self) -> list[tuple[int | None, bytes]]:
+        """Each section's (file offset, data) in table order; the offset is
+        None for a section with no bytes on disk."""
+        return [(s.pointer_to_raw_data if s.has_raw() else None, s.data) for s in self.sections]
+
     def copy(self) -> PeImage:
         """Copy the headers, directories and sections; payload ``bytes`` are shared."""
         opt = self.optional

@@ -4,6 +4,7 @@ from .env import (
     AlreadyBenign,
     EnvConfig,
     EpisodeFinished,
+    ObservationMemo,
     RewriteEnv,
     Transition,
     REWARD_EVASION,
@@ -15,6 +16,7 @@ __all__ = [
     "AlreadyBenign",
     "EnvConfig",
     "EpisodeFinished",
+    "ObservationMemo",
     "RewriteEnv",
     "Transition",
     "REWARD_EVASION",

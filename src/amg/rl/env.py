@@ -11,6 +11,8 @@ would show.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +32,10 @@ from .observation import observe
 
 REWARD_EVASION = 10.0
 REWARD_STEP = -0.1
+
+#: Observations an :class:`ObservationMemo` keeps, least recently used out
+#: first, like the detectors' margin memos.
+OBSERVATION_MEMO_ENTRIES = 4096
 
 
 class AlreadyBenign(Exception):
@@ -56,8 +62,41 @@ class Transition:
     info: dict = field(default_factory=dict)
 
 
+class ObservationMemo:
+    """Observations keyed by the SHA-256 of the bytes they encode.
+
+    An observation is a function of the bytes alone, so envs that meet the
+    same content (agents replaying the same files under the same env seeds)
+    can share one memo.  The env hashes its own bytes and shares nothing
+    with the classifier.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, img: pe_model.PeImage, raw: bytes) -> np.ndarray:
+        """A fresh copy of ``observe(img, raw)``, computed only for new bytes."""
+        key = hashlib.sha256(raw).digest()
+        x = self._entries.get(key)
+        if x is None:
+            x = observe(img, raw)  # the module global, so a patched ``observe`` sees every miss
+            self._entries[key] = x
+            if len(self._entries) > OBSERVATION_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        return x.copy()
+
+
 class RewriteEnv:
-    """One-file episode loop; ``classify`` is any bytes -> Verdict callable."""
+    """One-file episode loop; ``classify`` is any bytes -> Verdict callable.
+
+    Every state comes from ``observations``, a memo that may outlive the env
+    and be shared with others; without one the env keeps its own.
+    """
 
     def __init__(
         self,
@@ -65,11 +104,13 @@ class RewriteEnv:
         classify: Callable[[bytes], Verdict],
         pool: BenignContentPool,
         config: EnvConfig,
+        observations: ObservationMemo | None = None,
     ):
         self._raw = raw
         self._classify = classify
         self._pool = pool
         self.config = config
+        self._observations = ObservationMemo() if observations is None else observations
         self.queries = 0
         self.episode = -1
         self._img = None
@@ -89,7 +130,7 @@ class RewriteEnv:
             raise AlreadyBenign("starting file is not detected")
         self._steps = 0
         self._done = False
-        self._obs = observe(self._img, self._bytes)
+        self._obs = self._observations.lookup(self._img, self._bytes)
         return self._obs
 
     def step(self, action: int) -> Transition:
@@ -108,7 +149,7 @@ class RewriteEnv:
         reward = REWARD_EVASION if evaded else REWARD_STEP
         self._done = evaded or self._steps >= self.config.max_steps
         if result.outcome is Outcome.APPLIED:
-            next_obs = observe(self._img, self._bytes)
+            next_obs = self._observations.lookup(self._img, self._bytes)
         else:
             next_obs = self._obs.copy()  # same image, same bytes: observe would repeat itself
         transition = Transition(

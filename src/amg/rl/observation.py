@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .. import pe_model
-from ..bytestats import byte_counts, shannon_entropy
+from ..bytestats import byte_counts, entropy_of_counts, segment_counts
 from ..pe_model import PeImage
 
 N_OBSERVATION = 272
@@ -36,17 +36,25 @@ def byte_histogram(raw: bytes) -> np.ndarray:
 
 
 def observe(img: PeImage, raw: bytes) -> np.ndarray:
-    """Encode a parsed image and its exact bytes into the 272-value state."""
-    x = np.zeros(N_OBSERVATION, dtype=np.float64)
-    x[:_N_HISTOGRAM] = byte_histogram(raw)
+    """Encode a parsed image and its exact bytes into the 272-value state.
 
+    ``raw`` must be the image's own bytes (the bytes it was parsed from, or
+    ``serialize(img)``): the section byte counts are taken from the image and
+    the rest from ``raw``, so the state is a function of ``raw`` alone.
+    ``raw`` too short to hold the image's sections raises ``ValueError``.
+    """
+    x = np.zeros(N_OBSERVATION, dtype=np.float64)
     size = max(len(raw), 1)
+    counts, section_counts = segment_counts(raw, img.raw_parts())
+    x[:_N_HISTOGRAM] = counts / size
     x[256] = len(img.sections) / 16.0
     x[257] = len(img.overlay) / size
     descriptors, _ = pe_model.import_descriptors(img, pe_model.section_map(img))
     x[258] = len(descriptors) / 16.0
     x[259] = img.header_slack / 4096.0
-    entropies = [shannon_entropy(s.data) for s in img.sections if s.data]
+    entropies = [
+        entropy_of_counts(c, len(s.data)) for c, s in zip(section_counts, img.sections) if s.data
+    ]
     x[260] = (sum(entropies) / len(entropies)) / 8.0 if entropies else 0.0
     x[261] = 1.0 if img.optional.checksum == 0 else 0.0
     x[262] = img.coff.time_date_stamp / 2.0**32

@@ -11,13 +11,15 @@ No real training runs here.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from amg import corpus, detector, harness, pe_mods, pe_model, signals, validity
 from amg.agents import DqnAgent, PpoAgent, RandomAgent, make_agent
-from amg.detector import boost, features
+from amg.detector import Verdict, boost, features
 from amg.pe_mods import ACTION_COUNT, ActionId
-from amg.rl import N_OBSERVATION, RewriteEnv, observation
+from amg.rl import EnvConfig, N_OBSERVATION, ObservationMemo, RewriteEnv, observation
 
 WRAPPED_METHODS = [
     (PpoAgent, ("select_action", "record", "end_episode")),
@@ -57,11 +59,13 @@ def test_wrapped_functions_are_module_level(module, names):
 def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, monkeypatch):
     trained, evaluated = [], []
 
-    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0):
+    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0,
+                   observations=None):
         trained.append(kind)
         return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
 
-    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False):
+    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
+                      observations=None):
         evaluated.append(files)
         return harness.EvalResult(evaded=0, eligible=1, excluded=0)
 
@@ -101,3 +105,35 @@ def test_validity_suite_asks_the_backend_twice_per_file(corpus_files, pool):
             (file_id, role) for file_id, _ in entries for role in ("control", "test")
         ]
         assert [data for _, data, role in calls if role == "control"] == [raw for _, raw in entries]
+
+
+def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monkeypatch):
+    """The tracer counts ``rl.observe`` by replacing every ``amg`` module
+    attribute bound to ``observation.observe``, so a memo miss must call
+    ``observe`` through such a binding at call time (not, say, a default
+    argument bound at import), and a hit must not call it at all."""
+    original = observation.observe
+    calls = []
+
+    def counting(img, raw):
+        calls.append(raw)
+        return original(img, raw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "amg" or name.startswith("amg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+
+    memo = ObservationMemo()
+    contents = []
+    for _ in range(2):  # the second env replays the first env's episode
+        env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.MALICIOUS, pool,
+                         EnvConfig(max_steps=4, seed=1), observations=memo)
+        env.reset()
+        contents.append(env.current_bytes)
+        while not env.done:
+            env.step(ActionId.APPEND_OVERLAY)
+            contents.append(env.current_bytes)
+    assert calls == list(dict.fromkeys(contents))
+    assert len(calls) == 5

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amg import detector, pe_model
+from amg.bytestats import shannon_entropy
 from amg.detector import (
     DegenerateCorpus,
     Detector,
@@ -28,7 +29,6 @@ from amg.detector.features import (
     N_FEATURES_STRUCTURAL,
     extract_features_bigram,
     extract_features_structural,
-    shannon_entropy,
 )
 from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIFS, count_motif_hits

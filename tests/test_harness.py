@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from amg import harness
+from amg import harness, pe_model
 from amg.detector import Verdict
 from amg.harness import (
     EmptyDenominator,
@@ -28,7 +28,7 @@ from amg.harness import (
 )
 from amg.agents import AgentHyper, make_agent
 from amg.pe_mods import ACTION_COUNT
-from amg.rl import N_OBSERVATION
+from amg.rl import N_OBSERVATION, ObservationMemo, env as env_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -131,6 +131,28 @@ def test_evaluate_policy_collects_winning_pairs(world):
         assert classify(rewrite) is Verdict.BENIGN
 
 
+def test_direct_evaluation_observes_each_content_once_per_call(world, monkeypatch):
+    """Without a memo from its caller, an evaluation makes one for itself:
+    a file met twice is encoded once, and the next call starts empty."""
+    original = env_module.observe
+    seen = []
+
+    def counting(img, raw):
+        seen.append(hashlib.sha256(raw).digest())
+        return original(img, raw)
+
+    monkeypatch.setattr(env_module, "observe", counting)
+    calls = []
+    for _ in range(2):
+        seen.clear()
+        agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=0)
+        evaluate_policy(agent, world.mal_test[:3] * 2, lambda raw: Verdict.MALICIOUS,
+                        world.pool, max_steps=3, seed=0)
+        calls.append(list(seen))
+    assert len(set(calls[0])) == len(calls[0]) >= 3
+    assert calls[1] == calls[0]
+
+
 def test_transferability_exclusion_and_counting():
     pairs = [(b"o1", b"r1"), (b"o2", b"r2"), (b"o3", b"r3")]
     table = {b"o1": Verdict.MALICIOUS, b"o2": Verdict.MALICIOUS, b"o3": Verdict.BENIGN,
@@ -182,12 +204,14 @@ def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch
     before = {name: list(getattr(world, name)._memo) for name in ("detector_a", "detector_b")}
     used = []  # (detector, memo size) at each call
 
-    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0):
+    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0,
+                   observations=None):
         used.append((classify.__self__, len(classify.__self__._memo)))
         classify(files[0])
         return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
 
-    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False):
+    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
+                      observations=None):
         used.append((classify.__self__, len(classify.__self__._memo)))
         return EvalResult(evaded=0, eligible=1, excluded=0)
 
@@ -208,6 +232,34 @@ def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch
     assert {id(det) for det, _ in used[:-1]} == {id(copy_a)}  # one copy for the whole workflow
     assert used[1][1] == 1  # and keeps what the workflow scored
     assert {name: list(getattr(world, name)._memo) for name in before} == before
+
+
+def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
+    memos = []  # (memo, its size) at each call
+
+    def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0,
+                   observations=None):
+        memos.append((observations, len(observations)))
+        observations.lookup(pe_model.parse(files[0]), files[0])
+        return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
+
+    def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
+                      observations=None):
+        memos.append((observations, len(observations)))
+        return EvalResult(evaded=0, eligible=1, excluded=0)
+
+    monkeypatch.setattr(harness, "train_agent", fake_train)
+    monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
+    runs = []
+    for _ in range(2):
+        memos.clear()
+        run_workflow(world, micro_plan())
+        runs.append(memos[0][0])
+        assert isinstance(memos[0][0], ObservationMemo)
+        assert {id(memo) for memo, _ in memos} == {id(memos[0][0])}  # every job, every stage
+        assert memos[0][1] == 0  # it starts empty
+        assert memos[1][1] == 1  # and keeps what the first job encoded
+    assert runs[0] is not runs[1]  # and goes with its workflow
 
 
 def test_workflow_report_structure(micro_report):

@@ -5,6 +5,7 @@ shares nothing with the classifier feature extractors."""
 from __future__ import annotations
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,16 @@ import pytest
 
 from amg import pe_model
 from amg.detector import Verdict
-from amg.pe_mods import ACTION_COUNT, ActionId
+from amg.pe_mods import ACTION_COUNT, ActionId, Outcome, apply_action
 from amg.rl import (
     AlreadyBenign,
     EnvConfig,
     EpisodeFinished,
     N_OBSERVATION,
+    ObservationMemo,
     RewriteEnv,
     byte_histogram,
+    env as env_module,
     observe,
 )
 
@@ -64,6 +67,84 @@ def test_observation_reacts_to_rewrites(mal_bytes, pool):
     out = pe_model.serialize(res.image)
     after = observe(res.image, out)
     assert not np.array_equal(before, after)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_observation_of_a_rewrite_is_a_function_of_its_bytes(mal_bytes, ben_bytes, pool):
+    """A memo keyed by the bytes may answer for any image with those bytes:
+    the rewritten image and its serialization's reparse encode bit for bit
+    alike, after every action and every two-action chain."""
+    checked = 0
+    for raw in mal_bytes[:4] + ben_bytes[:2]:
+        img = pe_model.parse(raw)
+        assert _same_bits(observe(img, raw), observe(pe_model.parse(raw), raw))
+        for first in ActionId:
+            once = apply_action(img.copy(), first, pool, seed=int(first))
+            chains = [once] + [
+                apply_action(once.image.copy(), second, pool, seed=100 + int(second))
+                for second in ActionId
+            ]
+            for result in chains:
+                if result.outcome is not Outcome.APPLIED:
+                    continue
+                out = pe_model.serialize(result.image)
+                assert _same_bits(observe(result.image, out), observe(pe_model.parse(out), out))
+                checked += 1
+    assert checked > 300
+
+
+def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes):
+    memo = ObservationMemo()
+    img = pe_model.parse(mal_bytes[0])
+    expected = observe(img, mal_bytes[0])
+    miss = memo.lookup(img, mal_bytes[0])
+    hit = memo.lookup(img, mal_bytes[0])
+    assert len(memo) == 1
+    assert _same_bits(miss, expected) and _same_bits(hit, expected)
+    assert hit is not miss and not np.shares_memory(hit, miss)
+    miss[:] = -1.0
+    hit[:] = -2.0
+    assert _same_bits(memo.lookup(img, mal_bytes[0]), expected)
+
+
+def test_observation_memo_keeps_the_last_entries(mal_bytes, monkeypatch):
+    monkeypatch.setattr(env_module, "OBSERVATION_MEMO_ENTRIES", 4)
+    inputs = mal_bytes[:10]
+    memo = ObservationMemo()
+    for raw in inputs:
+        memo.lookup(pe_model.parse(raw), raw)
+    digests = [hashlib.sha256(raw).digest() for raw in inputs]
+    assert list(memo._entries) == digests[-4:]
+    memo.lookup(pe_model.parse(inputs[6]), inputs[6])  # a hit is used most recently
+    assert list(memo._entries) == digests[7:] + digests[6:7]
+    memo.lookup(pe_model.parse(inputs[0]), inputs[0])  # an evicted content comes back
+    assert list(memo._entries) == digests[8:] + [digests[6], digests[0]]
+
+
+def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
+    """Envs that share one memo play, state for state, the episodes that
+    envs keeping their own memos play."""
+
+    def episodes(observations):
+        out = []
+        for raw in mal_bytes[:3] * 2:
+            env = RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=6, seed=4), observations)
+            out.append(env.reset())
+            action = 0
+            while not env.done:
+                t = env.step(action % ACTION_COUNT)
+                out += [t.observation, t.next_observation]
+                action += 3
+        return out
+
+    memo = ObservationMemo()
+    own, shared = episodes(None), episodes(memo)
+    assert len(own) == len(shared)
+    assert all(_same_bits(a, b) for a, b in zip(own, shared))
+    assert 0 < len(memo) < len(shared)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ periodically synced target network for the bootstrap targets."""
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 
 import numpy as np
 
@@ -12,9 +12,18 @@ from .net import Adam, QNet, td_loss_and_grads
 
 
 class DqnAgent:
+    """Replay is a ring of ``replay_capacity`` transitions over a ring of
+    ``2 * replay_capacity`` state rows. A transition holds the row indices
+    of its two states, so a state equal bit for bit to the row written last
+    (the next observation of the step before, in a chained episode) takes
+    no second row. The arrays are made on the first ``record``: building or
+    loading an agent allocates nothing for replay."""
+
     kind = "dqn"
 
     def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int = 0):
+        if operator.index(hyper.replay_capacity) < 1:
+            raise ValueError(f"replay_capacity must be positive, got {hyper.replay_capacity}")
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hyper = hyper
@@ -22,8 +31,10 @@ class DqnAgent:
         self.net = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
         self.target = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
         self.optim = Adam(self.net.flat, lr=hyper.alpha)
-        self.replay: deque = deque(maxlen=hyper.replay_capacity)
         self.total_steps = 0
+        self.transitions = 0  # recorded into replay; the newest replay_capacity are held
+        self.state_rows = 0  # state rows written
+        self._states = None
 
     def select_action(self, obs: np.ndarray, epsilon: float) -> int:
         if self.rng.random() < epsilon:
@@ -32,33 +43,55 @@ class DqnAgent:
         return int(np.argmax(q))
 
     def record(self, transition) -> None:
-        self.replay.append(
-            (
-                np.asarray(transition.observation, dtype=np.float64),
-                int(transition.action),
-                float(transition.reward),
-                np.asarray(transition.next_observation, dtype=np.float64),
-                bool(transition.done),
-            )
-        )
+        cap = self.hyper.replay_capacity
+        if self._states is None:
+            # Each transition writes at most two rows and shares only the row
+            # written last, so a held transition's oldest row is at most
+            # 2 * cap - 1 writes old: 2 * cap rows never overwrite a live one.
+            self._states = np.empty((2 * cap, self.obs_dim))
+            self._obs_row = np.empty(cap, dtype=np.intp)
+            self._next_row = np.empty(cap, dtype=np.intp)
+            self._actions = np.empty(cap, dtype=np.int64)
+            self._rewards = np.empty(cap)
+            self._done = np.empty(cap)
+        slot = self.transitions % cap
+        self._obs_row[slot] = self._state_row(transition.observation)
+        self._next_row[slot] = self._state_row(transition.next_observation)
+        self._actions[slot] = int(transition.action)
+        self._rewards[slot] = float(transition.reward)
+        self._done[slot] = bool(transition.done)
+        self.transitions += 1
         self.total_steps += 1
-        if len(self.replay) >= max(self.hyper.learn_start, self.hyper.batch_size):
+        if min(self.transitions, cap) >= max(self.hyper.learn_start, self.hyper.batch_size):
             self._learn()
         if self.total_steps % self.hyper.target_sync == 0:
             self.target.flat[:] = self.net.flat
 
+    def _state_row(self, obs) -> int:
+        """The row holding ``obs``: the row written last if its bytes are
+        ``obs``'s (so -0.0 and NaN stay exact), else a newly written one."""
+        obs = np.asarray(obs, dtype=np.float64)
+        rows = self._states
+        last = (self.state_rows - 1) % len(rows)
+        if self.state_rows and rows[last].tobytes() == obs.tobytes():
+            return last
+        row = self.state_rows % len(rows)
+        rows[row] = obs
+        self.state_rows += 1
+        return row
+
     def _learn(self) -> None:
+        """TD step on a uniform batch. Draw ``i`` names the ``i``-th oldest
+        held transition, so the same draws give the same batch as a deque."""
         h = self.hyper
-        picks = self.rng.integers(len(self.replay), size=h.batch_size)
-        batch = [self.replay[i] for i in picks]
-        obs = np.stack([b[0] for b in batch])
-        actions = np.array([b[1] for b in batch])
-        rewards = np.array([b[2] for b in batch])
-        next_obs = np.stack([b[3] for b in batch])
-        done = np.array([b[4] for b in batch], dtype=np.float64)
+        held = min(self.transitions, h.replay_capacity)
+        picks = self.rng.integers(held, size=h.batch_size)
+        slots = (self.transitions - held + picks) % h.replay_capacity
+        obs = self._states[self._obs_row[slots]]
+        next_obs = self._states[self._next_row[slots]]
         next_q = self.target.q_values(next_obs).max(axis=1)
-        targets = rewards + h.gamma * (1.0 - done) * next_q
-        _, grads = td_loss_and_grads(self.net, obs, actions, targets)
+        targets = self._rewards[slots] + h.gamma * (1.0 - self._done[slots]) * next_q
+        _, grads = td_loss_and_grads(self.net, obs, self._actions[slots], targets)
         self.optim.step(grads)
 
     def end_episode(self) -> None:

@@ -170,17 +170,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self._scratch = (np.empty_like(flat), np.empty_like(flat))
 
     def step(self, grads: np.ndarray) -> None:
+        """``flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` after the moment
+        updates, one elementwise operation at a time through two scratch
+        vectors, so it allocates nothing and rounds as the expression does."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         m, v = self.m, self.v
+        a, b = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        np.multiply(1.0 - self.beta1, grads, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * (grads * grads)
-        self.flat -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        np.multiply(grads, grads, out=b)
+        b *= 1.0 - self.beta2
+        v += b
+        np.divide(m, b1c, out=a)
+        a *= self.lr
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.flat -= a
 
 
 # ---------------------------------------------------------------------------

@@ -124,14 +124,22 @@ def hash_dll(name: str) -> int:
     return h
 
 
+def bigram_buckets(window: np.ndarray) -> np.ndarray:
+    """Bucket ``((a << 8) | b) % 1024`` of each consecutive byte pair
+    ``(a, b)`` of a uint8 array: b and a's low two bits, as 1024 = 2**10."""
+    idx = (window[:-1] & 3).astype(np.intp)
+    idx <<= 8
+    idx |= window[1:]
+    return idx
+
+
 def extract_features_bigram(raw: bytes) -> np.ndarray:
     """1024 hashed byte-bigram frequencies over the first 64 KiB."""
     window = np.frombuffer(raw[:BIGRAM_WINDOW], dtype=np.uint8)
     x = np.zeros(N_FEATURES_BIGRAM, dtype=np.float64)
     if window.size < 2:
         return x
-    idx = ((window[:-1].astype(np.int32) << 8) | window[1:]) % N_FEATURES_BIGRAM
-    counts = np.bincount(idx, minlength=N_FEATURES_BIGRAM).astype(np.float64)
+    counts = np.bincount(bigram_buckets(window), minlength=N_FEATURES_BIGRAM).astype(np.float64)
     total = counts.sum()
     if total > 0:
         counts /= total

@@ -342,8 +342,9 @@ def _run_stage(
     """Train each (kind, max_steps, alpha, gamma) job against detector A and
     validate it; return the rows best first and the best row's agent. Jobs
     share nothing but ``observations``, which changes no result. Other
-    agents are dropped once rated: a DQN agent with a full replay buffer
-    holds about 47 MB."""
+    agents are dropped once rated: a DQN agent's replay reserves 43.5 MB
+    (20,000 state rows of 272 float64) and touches all of it once it has
+    written 20,000 states."""
     rows: list[ConfigResult] = []
     best = None
     for kind, max_steps, alpha, gamma in jobs:

@@ -27,6 +27,8 @@ from amg.agents import (
 )
 from amg.agents.checkpoint import MAGIC
 from amg.agents.net import Adam, PolicyValueNet, QNet, log_softmax, softmax
+from amg.rl import Transition
+from dqn_reference import DequeDqnAgent
 from fuzzing import damaged
 from grad_check import TRIALS
 
@@ -118,6 +120,135 @@ def test_layers_are_views_into_the_flat_vector(net_class):
     # One step moves every element by lr, and every layer sees it.
     for p0, p1 in zip(before, net.params):
         assert np.allclose(p1, p0 - 0.1)
+
+
+def _adam_expression(flat, m, v, t, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam step as one expression over fresh temporaries, the oracle of
+    the in-place step."""
+    b1c = 1.0 - beta1**t
+    b2c = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * (grads * grads)
+    flat -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+
+def test_adam_in_place_step_equals_the_expression_bit_for_bit():
+    rng = np.random.default_rng(5)
+    flat = rng.standard_normal(301)
+    ref_flat, ref_m, ref_v = flat.copy(), np.zeros(301), np.zeros(301)
+    opt = Adam(flat, lr=0.003)
+    for t in range(1, 51):
+        grads = rng.standard_normal(301) * 10.0 ** rng.integers(-8, 4)
+        grads[rng.integers(301, size=20)] = 0.0
+        opt.step(grads)
+        _adam_expression(ref_flat, ref_m, ref_v, t, grads, lr=0.003)
+        assert opt.t == t
+        assert flat.tobytes() == ref_flat.tobytes()
+        assert opt.m.tobytes() == ref_m.tobytes()
+        assert opt.v.tobytes() == ref_v.tobytes()
+
+
+def test_adam_step_allocates_less_than_one_parameter_vector():
+    net = QNet(272, 10, (64, 64), seed=0)
+    opt = Adam(net.flat, lr=1e-3)
+    grads = np.random.default_rng(0).standard_normal(net.flat.size)
+    opt.step(grads)
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < net.flat.nbytes
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+
+REPLAY_HYPER = AgentHyper(hidden=(4,), replay_capacity=5, batch_size=4, learn_start=4,
+                          target_sync=7)
+
+
+def _replay_segments(rng, obs_dim=3):
+    """(name, episodes) pairs, each episode a list of transitions: one-step
+    episodes; chained episodes whose next state is the following step's
+    state, as one array and as a fresh copy with equal bits; episodes whose
+    next state differs from the following state only in the sign of a zero;
+    and chained episodes whose every next state repeats its state's bits."""
+
+    def episode(steps, follow, after):
+        obs, out = rng.standard_normal(obs_dim), []
+        for step in range(steps):
+            nxt = after(obs)
+            out.append(Transition(obs, int(rng.integers(2)), float(rng.standard_normal()),
+                                  nxt, step == steps - 1, {}))
+            obs = follow(nxt)
+        return out
+
+    def fresh(_):
+        return rng.standard_normal(obs_dim)
+
+    def zero_head(_):
+        x = rng.standard_normal(obs_dim)
+        x[0] = 0.0
+        return x
+
+    def negate_head(x):
+        x = x.copy()
+        x[0] = -0.0
+        return x
+
+    def same(x):
+        return x
+
+    yield "one-step", [episode(1, same, fresh) for _ in range(6)]
+    yield "chained", [episode(4, same, fresh) for _ in range(4)]
+    yield "chained-copies", [episode(4, np.copy, fresh) for _ in range(4)]
+    yield "signed-zero", [episode(3, negate_head, zero_head) for _ in range(3)]
+    yield "no-op", [episode(3, same, np.copy) for _ in range(2)]
+
+
+def _learner_state(agent) -> tuple:
+    return (agent.net.flat.tobytes(), agent.target.flat.tobytes(), agent.optim.m.tobytes(),
+            agent.optim.v.tobytes(), agent.optim.t, agent.total_steps,
+            agent.rng.bit_generator.state)
+
+
+def test_replay_rings_learn_as_the_deque_did():
+    agent = make_agent("dqn", 3, 2, REPLAY_HYPER, seed=3)
+    reference = DequeDqnAgent(3, 2, REPLAY_HYPER, seed=3)
+    rows = {}
+    for name, episodes in _replay_segments(np.random.default_rng(11)):
+        before = agent.state_rows
+        for transition in (t for ep in episodes for t in ep):
+            agent.record(transition)
+            reference.record(transition)
+            assert _learner_state(agent) == _learner_state(reference)
+        rows[name] = (agent.state_rows - before, sum(map(len, episodes)), len(episodes))
+    # A chained episode costs one row per step plus its first state.
+    for name in ("chained", "chained-copies"):
+        written, transitions, episodes = rows[name]
+        assert written == transitions + episodes
+    for name in ("one-step", "signed-zero"):
+        written, transitions, _ = rows[name]
+        assert written == 2 * transitions
+    assert rows["no-op"][0] == rows["no-op"][2]
+    cap = REPLAY_HYPER.replay_capacity
+    assert agent.transitions > 2 * cap and agent.state_rows > 2 * (2 * cap)
+    assert agent.optim.t > 40
+
+
+def test_replay_shares_a_row_by_its_bits():
+    agent = make_agent("dqn", 3, 2, AgentHyper(hidden=(4,), replay_capacity=5), seed=0)
+    nan_state = np.array([np.nan, -0.0, 1.0])
+    agent.record(Transition(nan_state, 0, 0.0, nan_state.copy(), False, {}))
+    assert agent.state_rows == 1
+    assert agent._states[0].tobytes() == nan_state.tobytes()
+    agent.record(Transition(np.array([np.nan, 0.0, 1.0]), 0, 0.0, nan_state, True, {}))
+    assert agent.state_rows == 3
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +384,33 @@ def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
     clone = load_agent(path)
     assert clone.hyper == agent.hyper
     assert np.array_equal(clone.net.flat, agent.net.flat)
+
+
+def test_checkpoint_with_a_huge_replay_capacity_loads_and_acts(tmp_path):
+    """Replay arrays are made on the first ``record``, so a header may ask
+    for any capacity without costing memory at load."""
+    path = tmp_path / "dqn.agent"
+    save_agent(path, make_agent("dqn", 4, 2, seed=0))
+    rewrite_header(path, lambda h: h["hyper"].update(replay_capacity=10**12))
+    tracemalloc.start()
+    try:
+        agent = load_agent(path)
+        action = agent.select_action(np.zeros(4), epsilon=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert agent.hyper.replay_capacity == 10**12
+    assert action in (0, 1)
+    assert peak < 10 * path.stat().st_size
+
+
+@pytest.mark.parametrize("capacity", [0, -3, 2.5], ids=["zero", "negative", "fractional"])
+def test_checkpoint_rejects_a_replay_capacity_that_is_not_a_positive_integer(tmp_path, capacity):
+    path = tmp_path / "dqn.agent"
+    save_agent(path, make_agent("dqn", 4, 2, seed=0))
+    rewrite_header(path, lambda h: h["hyper"].update(replay_capacity=capacity))
+    with pytest.raises(CheckpointError):
+        load_agent(path)
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from amg.detector.features import (
     BIGRAM_WINDOW,
     N_FEATURES_BIGRAM,
     N_FEATURES_STRUCTURAL,
+    bigram_buckets,
     extract_features_bigram,
     extract_features_structural,
 )
@@ -87,6 +88,34 @@ def test_bigram_bucket_arithmetic():
 def test_bigram_of_tiny_input_is_zero_vector():
     assert extract_features_bigram(b"").sum() == 0.0
     assert extract_features_bigram(b"A").sum() == 0.0
+
+
+def _bigram_modulo(raw: bytes) -> np.ndarray:
+    """``extract_features_bigram`` as written with the ``% N_FEATURES_BIGRAM``
+    bucket index, kept verbatim as the oracle of the masked index."""
+    window = np.frombuffer(raw[:BIGRAM_WINDOW], dtype=np.uint8)
+    x = np.zeros(N_FEATURES_BIGRAM, dtype=np.float64)
+    if window.size < 2:
+        return x
+    idx = ((window[:-1].astype(np.int32) << 8) | window[1:]) % N_FEATURES_BIGRAM
+    counts = np.bincount(idx, minlength=N_FEATURES_BIGRAM).astype(np.float64)
+    total = counts.sum()
+    if total > 0:
+        counts /= total
+    x[:] = counts
+    return x
+
+
+def test_bigram_index_equals_the_modulo_formula(corpus_files):
+    # Every pair (a, b) sits at an even offset of the interleaved window.
+    a, b = np.divmod(np.arange(256 * 256), 256)
+    window = np.column_stack([a, b]).astype(np.uint8).ravel()
+    modulo = ((window[:-1].astype(np.int32) << 8) | window[1:]) % N_FEATURES_BIGRAM
+    assert np.array_equal(bigram_buckets(window), modulo)
+    noise = np.random.default_rng(0).integers(0, 256, BIGRAM_WINDOW + 1, dtype=np.uint8)
+    edges = [b"", b"\x07", b"\x07\xff", noise[:BIGRAM_WINDOW].tobytes(), noise.tobytes()]
+    for raw in edges + [f.data for f in corpus_files]:
+        assert np.array_equal(extract_features_bigram(raw), _bigram_modulo(raw))
 
 
 def test_shannon_entropy_extremes():

@@ -19,6 +19,14 @@ by appending benign content.
 Each file derives from a single per-file seed, so any slice of the corpus can
 be regenerated independently.  No file contains executable behavior; entry
 points land on inert filler bytes.
+
+The fillers make most of the random draws, one per word, byte or swap, so they
+draw straight from ``rng.getrandbits`` with ``random.Random._randbelow``'s own
+rejection rule: for a draw below ``n``, take ``k = n.bit_length()`` bits and
+draw again while the result is ``>= n``.  The Mersenne Twister sees the same
+calls in the same order as under ``choice``/``randrange``/``shuffle``, so the
+bytes and the rng state after each filler are what those gave;
+``tests/corpus_reference.py`` keeps the per-call fillers as the oracle.
 """
 
 from __future__ import annotations
@@ -137,24 +145,44 @@ class CorpusEntry:
 # fillers
 
 
+# Each word with either separator the text filler puts after it.
+_SPACED = tuple(w + b" " for w in _WORDS)
+_BROKEN = tuple(w + b"\r\n" for w in _WORDS)
+
+
 def _text_filler(rng: random.Random, n: int) -> bytes:
+    draw, rand = rng.getrandbits, rng.random
+    n_words = len(_WORDS)
+    k = n_words.bit_length()
     out = bytearray()
     while len(out) < n:
-        out += rng.choice(_WORDS)
-        out += b" " if rng.random() < 0.8 else b"\r\n"
-        if rng.random() < 0.05:
+        r = draw(k)  # rng.choice(_WORDS)
+        while r >= n_words:
+            r = draw(k)
+        out += _SPACED[r] if rand() < 0.8 else _BROKEN[r]
+        if rand() < 0.05:
             out += b"\x00" * rng.randrange(2, 12)
     return bytes(out[:n])
 
 
 def _code_filler(rng: random.Random, n: int) -> bytes:
+    draw, rand = rng.getrandbits, rng.random
     out = bytearray()
     while len(out) < n:
         out += _CODE_BYTES
-        out += bytes(rng.randrange(256) for _ in range(4))
-        if rng.random() < 0.1:
+        for _ in range(4):
+            r = draw(9)  # rng.randrange(256)
+            while r >= 256:
+                r = draw(9)
+            out.append(r)
+        if rand() < 0.1:
             out += b"\x00" * rng.randrange(4, 16)
     return bytes(out[:n])
+
+
+# ``rng.shuffle``'s swaps for a 256-byte block: each ``i`` from 255 down to 1
+# with the bit count of its draw below ``i + 1``; a short block takes the tail.
+_SWAPS = tuple((i, (i + 1).bit_length()) for i in range(255, 0, -1))
 
 
 def _mixed_filler(rng: random.Random, n: int, scramble_frac: float) -> bytes:
@@ -168,11 +196,16 @@ def _mixed_filler(rng: random.Random, n: int, scramble_frac: float) -> bytes:
     """
     buf = bytearray(_text_filler(rng, n))
     if scramble_frac > 0.0:
+        draw = rng.getrandbits
         for start in range(0, len(buf), 256):
             if rng.random() < scramble_frac:
-                block = bytearray(buf[start : start + 256])
-                rng.shuffle(block)
-                buf[start : start + 256] = block
+                block = list(buf[start : start + 256])
+                for i, k in _SWAPS[256 - len(block) :]:  # rng.shuffle(block)
+                    r = draw(k)
+                    while r > i:
+                        r = draw(k)
+                    block[i], block[r] = block[r], block[i]
+                buf[start : start + 256] = bytes(block)
     return bytes(buf)
 
 
@@ -183,9 +216,14 @@ def _hot_patch(rng: random.Random, content: bytearray, lo: float, hi: float) -> 
     span = int(len(content) * rng.uniform(lo, hi))
     span = min(span, len(content) - 1)
     start = rng.randrange(0, len(content) - span)
-    content[start : start + span] = bytes(
-        0xA0 + rng.randrange(0x20) for _ in range(span)
-    )
+    draw = rng.getrandbits
+    run = bytearray(span)
+    for j in range(span):
+        r = draw(6)  # rng.randrange(0x20)
+        while r >= 0x20:
+            r = draw(6)
+        run[j] = 0xA0 + r
+    content[start : start + span] = run
 
 
 def _plant_motifs(rng: random.Random, content: bytearray, count: int) -> int:

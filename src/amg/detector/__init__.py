@@ -176,6 +176,14 @@ class Detector:
         left = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
         off += 8 * n_rounds
         right = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
+        if not all(np.isfinite(a).all() for a in ((bias, lr), threshold, left, right)):
+            raise DetectorFormatError("non-finite bias, learning rate, threshold or leaf value")
+        # The largest margin any row can reach, summed as margin_one sums it:
+        # if this is finite, no score overflows.
+        with np.errstate(over="ignore"):
+            reach = abs(bias) + abs(lr) * np.maximum(np.abs(left), np.abs(right)).sum()
+        if not np.isfinite(reach):
+            raise DetectorFormatError("detector margins can overflow")
         kind = _CODE_KIND[code]
         det = cls(
             kind,

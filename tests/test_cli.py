@@ -209,6 +209,18 @@ def test_out_of_range_stump_index_exits_two(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nan_bias_model_exits_two(ws, tmp_path, capsys):
+    blob = bytearray(ws["det_b"].read_bytes())
+    bias_at = struct.calcsize("<8sBII")
+    blob[bias_at : bias_at + 8] = struct.pack("<d", float("nan"))
+    bad = tmp_path / "nan-bias.det"
+    bad.write_bytes(bytes(blob))
+    src = next((ws["corpus"] / "files").glob("mal_*"))
+    assert main(["detector", "classify", "--model", str(bad), str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "transfer"])
 @pytest.mark.parametrize("unfit", ["no-obs-dim", "obs-dim-100"])
 def test_unfit_checkpoint_exits_two(ws, tmp_path, capsys, command, unfit):

@@ -1,15 +1,19 @@
-"""Generator contract: determinism, label design, on-disk round trip, and a
+"""Generator contract: determinism, fillers that draw exactly as the per-call
+reference did, a pinned corpus, label design, on-disk round trip, and a
 manifest reader that returns entries inside the corpus or raises
 ``CorpusError``."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amg import pe_model
+from amg import corpus, pe_model
 from amg.corpus import (
     ALL_QUIRKS,
     CorpusError,
@@ -24,6 +28,8 @@ from amg.corpus import (
     write_corpus,
 )
 from amg.signals import MOTIFS
+import corpus_reference
+from conftest import UNIT_SPEC
 from fuzzing import damaged, json_values
 
 SMALL = CorpusSpec(malicious=12, benign=8, seed=3)
@@ -40,6 +46,83 @@ def test_seed_changes_content():
     a = generate(SMALL)
     b = generate(CorpusSpec(malicious=12, benign=8, seed=4))
     assert [f.data for f in a] != [f.data for f in b]
+
+
+# ---------------------------------------------------------------------------
+# the fillers' inline draws against the per-call reference
+
+FILLER_SEEDS = range(40)
+FILLER_SIZES = (0, 1, 58, 255, 256, 257, 3000)
+
+
+def _same_draws(call_new, call_ref, seed):
+    new, ref = random.Random(seed), random.Random(seed)
+    assert call_new(new) == call_ref(ref), seed
+    assert new.getstate() == ref.getstate(), seed
+
+
+@pytest.mark.parametrize("n", FILLER_SIZES)
+@pytest.mark.parametrize("filler", ["_text_filler", "_code_filler"])
+def test_filler_matches_reference_bytes_and_rng_state(filler, n):
+    new, ref = getattr(corpus, filler), getattr(corpus_reference, filler)
+    for seed in FILLER_SEEDS:
+        _same_draws(lambda rng: new(rng, n), lambda rng: ref(rng, n), seed)
+
+
+@pytest.mark.parametrize("scramble_frac", [0.0, 0.08, 0.75, 1.0])
+def test_mixed_filler_matches_reference_bytes_and_rng_state(scramble_frac):
+    """Every size but 0 and 256 ends on a short block, which shuffles too."""
+    for n in FILLER_SIZES:
+        for seed in FILLER_SEEDS:
+            _same_draws(
+                lambda rng: corpus._mixed_filler(rng, n, scramble_frac),
+                lambda rng: corpus_reference._mixed_filler(rng, n, scramble_frac),
+                seed,
+            )
+
+
+@pytest.mark.parametrize("size", [127, 128, 129, 1536, 6000])
+@pytest.mark.parametrize("lo, hi", [(0.15, 0.35), (0.08, 0.20), (0.0, 1.0)])
+def test_hot_patch_matches_reference_bytes_and_rng_state(size, lo, hi):
+    for seed in FILLER_SEEDS:
+        body = random.Random(-seed).randbytes(size)
+        new, ref = bytearray(body), bytearray(body)
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        corpus._hot_patch(new_rng, new, lo, hi)
+        corpus_reference._hot_patch(ref_rng, ref, lo, hi)
+        assert new == ref, seed
+        assert new_rng.getstate() == ref_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("spec", [SMALL, CorpusSpec(malicious=20, benign=14, seed=131)])
+def test_generate_matches_generation_with_reference_fillers(monkeypatch, spec):
+    new = generate(spec)
+    for name in ("_text_filler", "_code_filler", "_mixed_filler", "_hot_patch"):
+        monkeypatch.setattr(corpus, name, getattr(corpus_reference, name))
+    ref = generate(spec)
+    assert [(f.name, f.data, f.planted) for f in new] == [(f.name, f.data, f.planted) for f in ref]
+
+
+def test_corpus_matches_golden(corpus_files):
+    """The session corpus itself, pinned by the SHA-256 of its bytes and of
+    its sorted-JSON manifest rows; captured before the fillers drew from
+    ``getrandbits``.  A change that moves it re-captures the file and says why."""
+    rows = "".join(
+        json.dumps(
+            {"name": f.name, "label": f.label, "seed": f.seed, "planted": f.planted},
+            sort_keys=True,
+        )
+        + "\n"
+        for f in corpus_files
+    )
+    got = {
+        "spec": UNIT_SPEC.to_dict(),
+        "files": len(corpus_files),
+        "data_sha256": hashlib.sha256(b"".join(f.data for f in corpus_files)).hexdigest(),
+        "planted_sha256": hashlib.sha256(rows.encode()).hexdigest(),
+    }
+    golden = Path(__file__).parent / "golden" / "corpus.json"
+    assert got == json.loads(golden.read_text())
 
 
 def test_label_counts_and_names(corpus_files):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +362,42 @@ def saved_detectors(world, tmp_path_factory):
     return root / "det.bin", blobs
 
 
+def _at(values: np.ndarray, index: int, value: float) -> np.ndarray:
+    out = values.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        (lambda m: {"bias": math.nan}, "non-finite"),
+        (lambda m: {"bias": -math.inf}, "non-finite"),
+        (lambda m: {"learning_rate": math.nan}, "non-finite"),
+        (lambda m: {"threshold": _at(m.threshold, 3, math.nan)}, "non-finite"),
+        (lambda m: {"threshold": _at(m.threshold, 0, math.inf)}, "non-finite"),
+        (lambda m: {"left_value": _at(m.left_value, 0, math.inf)}, "non-finite"),
+        (lambda m: {"right_value": _at(m.right_value, -1, math.nan)}, "non-finite"),
+        # every parameter finite, but some row's margin is not
+        (lambda m: {"learning_rate": 1e308}, "overflow"),
+        (lambda m: {"left_value": np.full(m.n_rounds, 1e307)}, "overflow"),
+        (lambda m: {"bias": sys.float_info.max, "learning_rate": 1e300}, "overflow"),
+    ],
+    ids=[
+        "nan-bias", "inf-bias", "nan-learning-rate", "nan-threshold", "inf-threshold",
+        "inf-left", "nan-right", "huge-learning-rate", "huge-leaves", "huge-bias",
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_rejects_non_finite_or_overflowing_models(world, tmp_path, changes, match):
+    model = world.detector_b.model
+    path = tmp_path / "bad.det"
+    Detector(DetectorKind.BIGRAM, dataclasses.replace(model, **changes(model))).save(path)
+    with pytest.raises(DetectorFormatError, match=match):
+        Detector.load(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), which=st.integers(0, 1))
 def test_property_damaged_detector_loads_or_raises(saved_detectors, mal_bytes, data, which):

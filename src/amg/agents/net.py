@@ -26,10 +26,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(z))
-
-
 def _dense_shapes(sizes: list[int]) -> list[tuple[int, ...]]:
     """Weight and bias shapes of dense layers ``sizes[0] -> sizes[1] -> ...``."""
     shapes: list[tuple[int, ...]] = []

@@ -10,16 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def byte_counts(raw: bytes) -> np.ndarray:
-    """Occurrences of each byte value 0..255, as float64."""
-    return np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=256).astype(np.float64)
-
-
-def shannon_entropy(data: bytes) -> float:
-    """Byte-level Shannon entropy in bits (0..8)."""
-    return entropy_of_counts(byte_counts(data), len(data))
-
-
 def entropy_of_counts(counts: np.ndarray, n: int) -> float:
     """Shannon entropy in bits of ``n`` bytes whose value counts are ``counts``."""
     if not n:
@@ -35,7 +25,7 @@ def segment_counts(raw: bytes, parts: list[tuple[int | None, bytes]]) -> tuple[n
     len(data)]``, or ``(None, data)`` for bytes that are not in ``raw``;
     parts in ``raw`` must not overlap.  The whole-file counts are the sum of
     the in-file parts' counts and the counts of the bytes outside them, so
-    they equal :func:`byte_counts` of ``raw`` exactly.  Returns the whole
+    they equal the byte counts of all of ``raw`` exactly.  Returns the whole
     counts as float64 and each part's counts as integers, in ``parts`` order.
     Raises ``ValueError`` for an in-file part that overlaps another or runs
     past the end of ``raw``; that its bytes match ``raw`` is not checked.

@@ -162,6 +162,8 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.limit < 0:
+        raise CliError(f"--limit must be 0 (no cap) or positive, got {args.limit}")
     mal, ben = _load_labeled(args.corpus)
     entries = mal[: args.limit] if args.limit else mal
     pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
@@ -186,6 +188,8 @@ def cmd_validate(args) -> int:
 def cmd_train(args) -> int:
     mal, ben = _load_labeled(args.corpus)
     files = [raw for _, raw in _pick_split(mal, "train")]
+    if not files:
+        raise CliError(f"no malicious files in the train split of {args.corpus}")
     pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
     det = Detector.load(args.detector)
     hyper = AgentHyper(alpha=args.alpha, gamma=args.gamma)
@@ -376,14 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PeError, CorpusError, DegenerateCorpus, DetectorFormatError,
-            CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, a directory where a file belongs, ...
+    except (CliError, PeError, CorpusError, DegenerateCorpus, DetectorFormatError,
+            CheckpointError, OSError) as exc:  # OSError: a missing file, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,8 @@ once: its margins are memoized by SHA-256 of the bytes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import pe_model
+from ..memo import ContentMemo
 from .boost import BoostedStumps, fit_stumps
 from .features import (
     N_FEATURES_BIGRAM,
@@ -83,8 +82,8 @@ def parse_kind(name: str) -> DetectorKind:
 class Detector:
     kind: DetectorKind
     model: BoostedStumps
-    _memo: OrderedDict[bytes, float] = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
+    _memo: ContentMemo = field(
+        default_factory=lambda: ContentMemo(MEMO_ENTRIES), init=False, repr=False, compare=False
     )
 
     @property
@@ -101,21 +100,14 @@ class Detector:
         The margin is a pure function of the bytes, so a content scored before
         is looked up by its SHA-256 instead of being parsed and scored again.
         """
-        key = hashlib.sha256(raw).digest()
-        margin = self._memo.get(key)
-        if margin is not None:
-            self._memo.move_to_end(key)
-            return margin
+        return self._memo.get(raw, lambda: self._margin(raw))
+
+    def _margin(self, raw: bytes) -> float:
         try:
             x = _features(self.kind, raw, pe_model.parse(raw))
         except pe_model.PeError:
-            margin = math.inf
-        else:
-            margin = self.model.margin_one(x)
-        self._memo[key] = margin
-        if len(self._memo) > MEMO_ENTRIES:
-            self._memo.popitem(last=False)
-        return margin
+            return math.inf
+        return self.model.margin_one(x)
 
     def classify(self, raw: bytes) -> Verdict:
         return Verdict.MALICIOUS if self.score(raw) > 0 else Verdict.BENIGN

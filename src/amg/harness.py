@@ -20,8 +20,10 @@ import numpy as np
 
 from .agents import AgentHyper, make_agent
 from .detector import Detector, DetectorKind, Verdict, train_detector
+from .memo import ContentMemo
 from .pe_mods import ACTION_COUNT, BenignContentPool, build_pool
-from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, ObservationMemo, RewriteEnv
+from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, RewriteEnv
+from .rl.env import OBSERVATION_MEMO_ENTRIES
 
 DQN_EVAL_EPSILON = 0.05
 
@@ -133,12 +135,11 @@ def train_agent(
     episodes: int,
     hyper: AgentHyper | None = None,
     seed: int = 0,
-    observations: ObservationMemo | None = None,
+    observations: ContentMemo | None = None,
 ):
     """Train one agent by sampling episodes over the given files.  Every
-    episode's env takes its states from ``observations``, or from one memo
-    made for this call when none is given."""
-    observations = ObservationMemo() if observations is None else observations
+    episode's env takes its states from ``observations``, or keeps its own
+    memo when none is given."""
     agent = make_agent(kind, N_OBSERVATION, ACTION_COUNT, hyper, seed=seed)
     rng = np.random.default_rng(seed)
     config = EnvConfig(max_steps=max_steps, seed=seed)
@@ -196,16 +197,15 @@ def evaluate_policy(
     max_steps: int,
     seed: int = 0,
     collect_pairs: bool = False,
-    observations: ObservationMemo | None = None,
+    observations: ContentMemo | None = None,
 ) -> EvalResult:
     """Run one episode per file; undetected originals never enter the count.
 
     ``EvalResult.queries`` counts the queries of the eligible files' episodes
     only: the screening query that finds an original undetected is made but
-    not counted.  Every env takes its states from ``observations``, or from
-    one memo made for this call when none is given.
+    not counted.  Every env takes its states from ``observations``, or keeps
+    its own memo when none is given.
     """
-    observations = ObservationMemo() if observations is None else observations
     config = EnvConfig(max_steps=max_steps, seed=seed)
     result = EvalResult()
     for raw in files:
@@ -337,7 +337,7 @@ def _run_stage(
     episodes: int,
     seed: int,
     stage: str,
-    observations: ObservationMemo,
+    observations: ContentMemo,
 ) -> tuple[list[ConfigResult], object]:
     """Train each (kind, max_steps, alpha, gamma) job against detector A and
     validate it; return the rows best first and the best row's agent. Jobs
@@ -386,7 +386,7 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     """
     t0 = time.time()
     world = replace(world, detector_a=world.detector_a.fresh(), detector_b=world.detector_b.fresh())
-    observations = ObservationMemo()
+    observations = ContentMemo(OBSERVATION_MEMO_ENTRIES)
     seed = plan.seed
     report: dict = {"plan": plan.to_dict(), "stages": {}}
 

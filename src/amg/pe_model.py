@@ -798,34 +798,22 @@ def zero_file_range(img: PeImage, offset: int, size: int) -> int:
     """
     if size <= 0 or offset < 0:
         return 0
-    cleared = 0
     lo, hi = offset, offset + size
-    for s in img.sections:
-        if not s.has_raw():
-            continue
-        a, b = s.pointer_to_raw_data, s.pointer_to_raw_data + s.size_of_raw_data
-        cut_lo, cut_hi = max(lo, a), min(hi, b)
-        if cut_lo < cut_hi:
-            local_lo, local_hi = cut_lo - a, cut_hi - a
-            s.data = s.data[:local_lo] + b"\x00" * (local_hi - local_lo) + s.data[local_hi:]
-            cleared += cut_hi - cut_lo
-    new_spans = []
-    for off, blob in img.padding_spans:
-        a, b = off, off + len(blob)
-        cut_lo, cut_hi = max(lo, a), min(hi, b)
-        if cut_lo < cut_hi:
-            local_lo, local_hi = cut_lo - a, cut_hi - a
-            blob = blob[:local_lo] + b"\x00" * (local_hi - local_lo) + blob[local_hi:]
-            cleared += cut_hi - cut_lo
-        new_spans.append((off, blob))
-    img.padding_spans = new_spans
-    base = img.last_raw_end
-    a, b = base, base + len(img.overlay)
-    cut_lo, cut_hi = max(lo, a), min(hi, b)
-    if cut_lo < cut_hi:
-        local_lo, local_hi = cut_lo - base, cut_hi - base
-        img.overlay = (
-            img.overlay[:local_lo] + b"\x00" * (local_hi - local_lo) + img.overlay[local_hi:]
-        )
+    cleared = 0
+
+    def cut(blob: bytes, start: int, end: int) -> bytes:
+        """``blob``, which lives at file range [start, end), with [lo, hi) zeroed."""
+        nonlocal cleared
+        cut_lo, cut_hi = max(lo, start), min(hi, end)
+        if cut_lo >= cut_hi:
+            return blob
         cleared += cut_hi - cut_lo
+        return blob[: cut_lo - start] + b"\x00" * (cut_hi - cut_lo) + blob[cut_hi - start :]
+
+    for s in img.sections:
+        if s.has_raw():
+            s.data = cut(s.data, s.pointer_to_raw_data, s.pointer_to_raw_data + s.size_of_raw_data)
+    img.padding_spans = [(off, cut(blob, off, off + len(blob))) for off, blob in img.padding_spans]
+    base = img.last_raw_end
+    img.overlay = cut(img.overlay, base, base + len(img.overlay))
     return cleared

@@ -11,8 +11,6 @@ would show.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +18,7 @@ import numpy as np
 
 from .. import pe_model
 from ..detector import Verdict
+from ..memo import ContentMemo
 from ..pe_mods import (
     ACTION_COUNT,
     ActionId,
@@ -33,8 +32,8 @@ from .observation import observe
 REWARD_EVASION = 10.0
 REWARD_STEP = -0.1
 
-#: Observations an :class:`ObservationMemo` keeps, least recently used out
-#: first, like the detectors' margin memos.
+#: Observations an observation memo keeps, least recently used out first,
+#: like the detectors' margin memos.
 OBSERVATION_MEMO_ENTRIES = 4096
 
 
@@ -62,40 +61,13 @@ class Transition:
     info: dict = field(default_factory=dict)
 
 
-class ObservationMemo:
-    """Observations keyed by the SHA-256 of the bytes they encode.
-
-    An observation is a function of the bytes alone, so envs that meet the
-    same content (agents replaying the same files under the same env seeds)
-    can share one memo.  The env hashes its own bytes and shares nothing
-    with the classifier.
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, img: pe_model.PeImage, raw: bytes) -> np.ndarray:
-        """A fresh copy of ``observe(img, raw)``, computed only for new bytes."""
-        key = hashlib.sha256(raw).digest()
-        x = self._entries.get(key)
-        if x is None:
-            x = observe(img, raw)  # the module global, so a patched ``observe`` sees every miss
-            self._entries[key] = x
-            if len(self._entries) > OBSERVATION_MEMO_ENTRIES:
-                self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
-        return x.copy()
-
-
 class RewriteEnv:
     """One-file episode loop; ``classify`` is any bytes -> Verdict callable.
 
-    Every state comes from ``observations``, a memo that may outlive the env
-    and be shared with others; without one the env keeps its own.
+    Every state comes from ``observations``, a memo of observations by the
+    bytes they encode that may outlive the env and be shared with others;
+    without one the env keeps its own.  The env hashes its own bytes and
+    shares nothing with the classifier.
     """
 
     def __init__(
@@ -104,13 +76,15 @@ class RewriteEnv:
         classify: Callable[[bytes], Verdict],
         pool: BenignContentPool,
         config: EnvConfig,
-        observations: ObservationMemo | None = None,
+        observations: ContentMemo | None = None,
     ):
         self._raw = raw
         self._classify = classify
         self._pool = pool
         self.config = config
-        self._observations = ObservationMemo() if observations is None else observations
+        self._observations = (
+            ContentMemo(OBSERVATION_MEMO_ENTRIES) if observations is None else observations
+        )
         self.queries = 0
         self.episode = -1
         self._img = None
@@ -130,7 +104,7 @@ class RewriteEnv:
             raise AlreadyBenign("starting file is not detected")
         self._steps = 0
         self._done = False
-        self._obs = self._observations.lookup(self._img, self._bytes)
+        self._obs = self._observe()
         return self._obs
 
     def step(self, action: int) -> Transition:
@@ -149,7 +123,7 @@ class RewriteEnv:
         reward = REWARD_EVASION if evaded else REWARD_STEP
         self._done = evaded or self._steps >= self.config.max_steps
         if result.outcome is Outcome.APPLIED:
-            next_obs = self._observations.lookup(self._img, self._bytes)
+            next_obs = self._observe()
         else:
             next_obs = self._obs.copy()  # same image, same bytes: observe would repeat itself
         transition = Transition(
@@ -167,6 +141,11 @@ class RewriteEnv:
         )
         self._obs = next_obs
         return transition
+
+    def _observe(self) -> np.ndarray:
+        """A fresh copy of ``observe`` of the current image, computed only for new bytes."""
+        # ``observe`` is the module global, so a patched one sees every miss
+        return self._observations.get(self._bytes, lambda: observe(self._img, self._bytes)).copy()
 
     # -- views ----------------------------------------------------------------
 

@@ -21,18 +21,11 @@ import math
 import numpy as np
 
 from .. import pe_model
-from ..bytestats import byte_counts, entropy_of_counts, segment_counts
+from ..bytestats import entropy_of_counts, segment_counts
 from ..pe_model import PeImage
 
 N_OBSERVATION = 272
 _N_HISTOGRAM = 256
-
-
-def byte_histogram(raw: bytes) -> np.ndarray:
-    """Normalized 256-bin byte histogram (sums to one for nonempty input)."""
-    if not raw:
-        return np.zeros(_N_HISTOGRAM, dtype=np.float64)
-    return byte_counts(raw) / len(raw)
 
 
 def observe(img: PeImage, raw: bytes) -> np.ndarray:

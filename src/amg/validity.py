@@ -15,10 +15,10 @@ section identity, planted byte motifs).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import pe_model, signals
+from .memo import ContentMemo
 from .pe_mods import ActionId, BenignContentPool, ModResult, Outcome, apply_action, ACTION_NAMES
 from .seeds import fanout
 
@@ -130,19 +130,10 @@ class StructuralBackend:
     """
 
     def __init__(self) -> None:
-        self._memo: OrderedDict[bytes, BehaviorReport] = OrderedDict()
+        self._memo = ContentMemo(REPORT_MEMO_ENTRIES)
 
     def reports_for(self, file_id: str, data: bytes, role: str) -> list[BehaviorReport]:
-        key = hashlib.sha256(data).digest()
-        report = self._memo.get(key)
-        if report is not None:
-            self._memo.move_to_end(key)
-        else:
-            report = self._report(data)
-            if role == "control":
-                self._memo[key] = report
-                if len(self._memo) > REPORT_MEMO_ENTRIES:
-                    self._memo.popitem(last=False)
+        report = self._memo.get(data, lambda: self._report(data), keep=role == "control")
         return [
             BehaviorReport(
                 set(report.signatures), set(report.api_calls), set(report.processes), report.failed

@@ -19,7 +19,8 @@ from amg import corpus, detector, harness, pe_mods, pe_model, signals, validity
 from amg.agents import DqnAgent, PpoAgent, RandomAgent, make_agent
 from amg.detector import Verdict, boost, features
 from amg.pe_mods import ACTION_COUNT, ActionId
-from amg.rl import EnvConfig, N_OBSERVATION, ObservationMemo, RewriteEnv, observation
+from amg.memo import ContentMemo
+from amg.rl import EnvConfig, N_OBSERVATION, RewriteEnv, observation
 
 WRAPPED_METHODS = [
     (PpoAgent, ("select_action", "record", "end_episode")),
@@ -111,7 +112,8 @@ def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monk
     """The tracer counts ``rl.observe`` by replacing every ``amg`` module
     attribute bound to ``observation.observe``, so a memo miss must call
     ``observe`` through such a binding at call time (not, say, a default
-    argument bound at import), and a hit must not call it at all."""
+    argument bound at import), and a hit must not call it at all: the memo
+    counts each call as a miss and every other lookup as a hit."""
     original = observation.observe
     calls = []
 
@@ -125,7 +127,7 @@ def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monk
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
 
-    memo = ObservationMemo()
+    memo = ContentMemo(16)
     contents = []
     for _ in range(2):  # the second env replays the first env's episode
         env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.MALICIOUS, pool,
@@ -137,3 +139,4 @@ def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monk
             contents.append(env.current_bytes)
     assert calls == list(dict.fromkeys(contents))
     assert len(calls) == 5
+    assert (memo.misses, memo.hits) == (len(calls), len(contents) - len(calls))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from amg import pe_model
-from amg.bytestats import byte_counts, entropy_of_counts, segment_counts, shannon_entropy
+from amg.bytestats import entropy_of_counts, segment_counts
 from amg.rl import observe
+from bytestats_reference import byte_counts, shannon_entropy
 
 
 def _assert_segments_agree(raw: bytes, parts: list[tuple[int | None, bytes]]) -> None:

@@ -113,6 +113,27 @@ def test_validate_table_and_json(ws, capsys):
     assert 0 <= rows[0]["valid"] <= rows[0]["total"] == 3
 
 
+def test_validate_rejects_a_negative_limit(ws, capsys):
+    for limit in ("-3", "-1"):
+        assert main(["validate", "--corpus", str(ws["corpus"]), "--limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--limit" in captured.err
+
+
+def test_train_with_an_empty_malicious_train_split_exits_two(ws, tmp_path, capsys):
+    corpus = tmp_path / "tiny"
+    assert main(["corpus", "--out", str(corpus), "--malicious", "1", "--benign", "2",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "dqn.ckpt"
+    assert main(["train", "--corpus", str(corpus), "--detector", str(ws["det_b"]),
+                 "--agent", "dqn", "--episodes", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "train split" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_prints_rate_line(ws, capsys):
     assert main(["evaluate", "--corpus", str(ws["corpus"]), "--detector",
                  str(ws["det_a"]), "--agent", str(ws["agent"]),

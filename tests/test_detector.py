@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import struct
 import sys
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amg import detector, pe_model
-from amg.bytestats import shannon_entropy
+from amg.bytestats import entropy_of_counts
 from amg.detector import (
     DegenerateCorpus,
     Detector,
@@ -35,6 +34,7 @@ from amg.detector.features import (
 )
 from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIFS, count_motif_hits
+from bytestats_reference import byte_counts, shannon_entropy
 from fuzzing import damaged
 
 
@@ -121,9 +121,9 @@ def test_bigram_index_equals_the_modulo_formula(corpus_files):
 
 
 def test_shannon_entropy_extremes():
-    assert shannon_entropy(b"") == 0.0
-    assert shannon_entropy(b"\x00" * 4096) == 0.0
-    assert shannon_entropy(bytes(range(256)) * 16) == pytest.approx(8.0)
+    for data, expected in ((b"", 0.0), (b"\x00" * 4096, 0.0), (bytes(range(256)) * 16, 8.0)):
+        assert shannon_entropy(data) == pytest.approx(expected)
+        assert entropy_of_counts(byte_counts(data), len(data)) == shannon_entropy(data)
 
 
 def _motif_inputs(corpus_files):
@@ -313,17 +313,20 @@ def test_memoized_margins_equal_unmemoized(world, mal_bytes, pool, monkeypatch, 
 
 
 def test_memo_is_bounded_least_recently_used_first(world, mal_bytes, monkeypatch):
+    """Each detector's margin memo is bounded by ``MEMO_ENTRIES``; the memo's
+    own order and counts are tested in ``test_memo``."""
     monkeypatch.setattr(detector, "MEMO_ENTRIES", 8)
     inputs = mal_bytes[:20]
     assert len(set(inputs)) == 20
     for det in (world.detector_a, world.detector_b):
         memoized = det.fresh()
         margins = [memoized.score(raw) for raw in inputs]
-        assert list(memoized._memo) == [hashlib.sha256(raw).digest() for raw in inputs[-8:]]
+        assert (memoized._memo.entries, len(memoized._memo)) == (8, 8)
+        assert [memoized.score(raw) for raw in inputs[-8:]] == margins[-8:]
+        assert (memoized._memo.hits, memoized._memo.misses) == (8, 20)
         # an evicted content is scored again, to the same margin
         assert memoized.score(inputs[0]) == margins[0]
-        assert len(memoized._memo) == 8
-        assert next(reversed(memoized._memo)) == hashlib.sha256(inputs[0]).digest()
+        assert memoized._memo.misses == 21
 
 
 def test_load_rejects_foreign_and_truncated_files(world, tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from amg import harness, pe_model
+from amg import harness
 from amg.detector import Verdict
 from amg.harness import (
     EmptyDenominator,
@@ -28,7 +28,9 @@ from amg.harness import (
 )
 from amg.agents import AgentHyper, make_agent
 from amg.pe_mods import ACTION_COUNT
-from amg.rl import N_OBSERVATION, ObservationMemo, env as env_module
+from amg.memo import ContentMemo
+from amg.rl import N_OBSERVATION, env as env_module
+from amg.rl.env import OBSERVATION_MEMO_ENTRIES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -131,9 +133,11 @@ def test_evaluate_policy_collects_winning_pairs(world):
         assert classify(rewrite) is Verdict.BENIGN
 
 
-def test_direct_evaluation_observes_each_content_once_per_call(world, monkeypatch):
-    """Without a memo from its caller, an evaluation makes one for itself:
-    a file met twice is encoded once, and the next call starts empty."""
+def test_direct_evaluation_observes_each_content_once_per_env(world, monkeypatch):
+    """An evaluation passes its caller's memo to every env and builds none
+    itself: without one, each env keeps its own, so a file met twice is
+    encoded twice; with one, it is encoded once and the memo counts the
+    repeats as hits."""
     original = env_module.observe
     seen = []
 
@@ -142,15 +146,38 @@ def test_direct_evaluation_observes_each_content_once_per_call(world, monkeypatc
         return original(img, raw)
 
     monkeypatch.setattr(env_module, "observe", counting)
+    files = world.mal_test[:3] * 2
     calls = []
-    for _ in range(2):
+    for memo in (None, ContentMemo(OBSERVATION_MEMO_ENTRIES)):
         seen.clear()
         agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=0)
-        evaluate_policy(agent, world.mal_test[:3] * 2, lambda raw: Verdict.MALICIOUS,
-                        world.pool, max_steps=3, seed=0)
+        evaluate_policy(agent, files, lambda raw: Verdict.MALICIOUS, world.pool,
+                        max_steps=3, seed=0, observations=memo)
         calls.append(list(seen))
-    assert len(set(calls[0])) == len(calls[0]) >= 3
-    assert calls[1] == calls[0]
+    own, shared = calls
+    starts = [hashlib.sha256(raw).digest() for raw in files]
+    assert [digest for digest in own if digest in starts] == starts  # each env encodes its start
+    assert shared == list(dict.fromkeys(own))  # one shared memo encodes each content once
+    assert len(shared) < len(own)
+    assert memo.misses == len(shared) and memo.hits >= len(files) // 2
+
+
+@pytest.mark.parametrize("memo", [None, ContentMemo(8)], ids=["none", "given"])
+def test_train_and_evaluate_pass_their_memo_to_every_env(world, monkeypatch, memo):
+    given = []
+
+    class Recording(harness.RewriteEnv):
+        def __init__(self, raw, classify, pool, config, observations=None):
+            given.append(observations)
+            super().__init__(raw, classify, pool, config, observations)
+
+    monkeypatch.setattr(harness, "RewriteEnv", Recording)
+    classify = lambda raw: Verdict.MALICIOUS
+    agent = train_agent("random", world.mal_train[:3], classify, world.pool, max_steps=2,
+                        episodes=4, observations=memo)
+    evaluate_policy(agent, world.mal_test[:3], classify, world.pool, max_steps=2,
+                    observations=memo)
+    assert len(given) == 7 and all(observations is memo for observations in given)
 
 
 def test_transferability_exclusion_and_counting():
@@ -201,7 +228,10 @@ def micro_report(world, tmp_path_factory):
 def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch):
     world.detector_a.classify(world.mal_train[0])
     world.detector_b.classify(world.mal_train[0])
-    before = {name: list(getattr(world, name)._memo) for name in ("detector_a", "detector_b")}
+    def counts(memo):
+        return memo.hits, memo.misses, len(memo)
+
+    before = {name: counts(getattr(world, name)._memo) for name in ("detector_a", "detector_b")}
     used = []  # (detector, memo size) at each call
 
     def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0,
@@ -231,7 +261,7 @@ def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch
     assert size_a == size_b == 0  # each copy starts with an empty memo
     assert {id(det) for det, _ in used[:-1]} == {id(copy_a)}  # one copy for the whole workflow
     assert used[1][1] == 1  # and keeps what the workflow scored
-    assert {name: list(getattr(world, name)._memo) for name in before} == before
+    assert {name: counts(getattr(world, name)._memo) for name in before} == before
 
 
 def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
@@ -240,7 +270,7 @@ def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
     def fake_train(kind, files, classify, pool, max_steps, episodes, hyper=None, seed=0,
                    observations=None):
         memos.append((observations, len(observations)))
-        observations.lookup(pe_model.parse(files[0]), files[0])
+        observations.get(files[0], lambda: None)
         return make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=seed)
 
     def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
@@ -255,7 +285,8 @@ def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
         memos.clear()
         run_workflow(world, micro_plan())
         runs.append(memos[0][0])
-        assert isinstance(memos[0][0], ObservationMemo)
+        assert isinstance(memos[0][0], ContentMemo)
+        assert memos[0][0].entries == OBSERVATION_MEMO_ENTRIES
         assert {id(memo) for memo, _ in memos} == {id(memos[0][0])}  # every job, every stage
         assert memos[0][1] == 0  # it starts empty
         assert memos[1][1] == 1  # and keeps what the first job encoded

@@ -5,7 +5,6 @@ shares nothing with the classifier feature extractors."""
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -13,18 +12,18 @@ import pytest
 
 from amg import pe_model
 from amg.detector import Verdict
+from amg.memo import ContentMemo
 from amg.pe_mods import ACTION_COUNT, ActionId, Outcome, apply_action
 from amg.rl import (
     AlreadyBenign,
     EnvConfig,
     EpisodeFinished,
     N_OBSERVATION,
-    ObservationMemo,
     RewriteEnv,
-    byte_histogram,
     env as env_module,
     observe,
 )
+from bytestats_reference import byte_counts
 
 RL_DIR = Path(__file__).resolve().parent.parent / "src" / "amg" / "rl"
 
@@ -44,7 +43,7 @@ def test_byte_histogram_slice_sums_to_one(mal_bytes):
     raw = mal_bytes[0]
     obs = observe(pe_model.parse(raw), raw)
     assert obs[:256].sum() == pytest.approx(1.0)
-    assert np.array_equal(obs[:256], byte_histogram(raw))
+    assert np.array_equal(obs[:256], byte_counts(raw) / len(raw))
 
 
 def test_observation_scalar_slots(corpus_files):
@@ -96,32 +95,39 @@ def test_observation_of_a_rewrite_is_a_function_of_its_bytes(mal_bytes, ben_byte
     assert checked > 300
 
 
-def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes):
-    memo = ObservationMemo()
-    img = pe_model.parse(mal_bytes[0])
-    expected = observe(img, mal_bytes[0])
-    miss = memo.lookup(img, mal_bytes[0])
-    hit = memo.lookup(img, mal_bytes[0])
-    assert len(memo) == 1
+def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes, pool):
+    memo = ContentMemo(4)
+    raw = mal_bytes[0]
+    expected = observe(pe_model.parse(raw), raw)
+
+    def start() -> np.ndarray:
+        return RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=1), memo).reset()
+
+    miss, hit = start(), start()
+    assert (memo.misses, memo.hits, len(memo)) == (1, 1, 1)
     assert _same_bits(miss, expected) and _same_bits(hit, expected)
     assert hit is not miss and not np.shares_memory(hit, miss)
     miss[:] = -1.0
     hit[:] = -2.0
-    assert _same_bits(memo.lookup(img, mal_bytes[0]), expected)
+    assert _same_bits(start(), expected)
 
 
-def test_observation_memo_keeps_the_last_entries(mal_bytes, monkeypatch):
-    monkeypatch.setattr(env_module, "OBSERVATION_MEMO_ENTRIES", 4)
-    inputs = mal_bytes[:10]
-    memo = ObservationMemo()
-    for raw in inputs:
-        memo.lookup(pe_model.parse(raw), raw)
-    digests = [hashlib.sha256(raw).digest() for raw in inputs]
-    assert list(memo._entries) == digests[-4:]
-    memo.lookup(pe_model.parse(inputs[6]), inputs[6])  # a hit is used most recently
-    assert list(memo._entries) == digests[7:] + digests[6:7]
-    memo.lookup(pe_model.parse(inputs[0]), inputs[0])  # an evicted content comes back
-    assert list(memo._entries) == digests[8:] + [digests[6], digests[0]]
+def test_observation_memo_keeps_the_last_entries(mal_bytes, pool, monkeypatch):
+    """An env given no memo keeps its own, bounded by
+    ``OBSERVATION_MEMO_ENTRIES``; the memo's own order and counts are tested
+    in ``test_memo``."""
+    monkeypatch.setattr(env_module, "OBSERVATION_MEMO_ENTRIES", 3)
+    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=6, seed=2))
+    contents = [env.current_bytes]
+    env.reset()
+    while not env.done:
+        env.step(ActionId.APPEND_OVERLAY)
+        contents.append(env.current_bytes)
+    assert len(set(contents)) == 7
+    memo = env._observations
+    assert (memo.entries, len(memo), memo.misses, memo.hits) == (3, 3, 7, 0)
+    env.reset()  # the first content was evicted, so it is observed again
+    assert (memo.misses, memo.hits) == (8, 0)
 
 
 def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
@@ -140,7 +146,7 @@ def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
                 action += 3
         return out
 
-    memo = ObservationMemo()
+    memo = ContentMemo(env_module.OBSERVATION_MEMO_ENTRIES)
     own, shared = episodes(None), episodes(memo)
     assert len(own) == len(shared)
     assert all(_same_bits(a, b) for a, b in zip(own, shared))

@@ -10,7 +10,6 @@ ten actions against a golden.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -316,24 +315,28 @@ def test_memoized_report_cannot_be_changed_through_a_copy(mal_bytes):
 
 
 def test_memo_keeps_the_last_control_digests(mal_bytes, monkeypatch):
+    """A backend's report memo is bounded by ``REPORT_MEMO_ENTRIES``; the
+    memo's own order and counts are tested in ``test_memo``."""
     monkeypatch.setattr(validity, "REPORT_MEMO_ENTRIES", 4)
     inputs = mal_bytes[:10]
     assert len(set(inputs)) == 10
     backend = StructuralBackend()
     for raw in inputs:
         backend.reports_for("f", raw, "control")
-    assert list(backend._memo) == [hashlib.sha256(raw).digest() for raw in inputs[-4:]]
-    # a hit moves its content to the most recent end
-    backend.reports_for("f", inputs[-4], "test")
-    assert next(reversed(backend._memo)) == hashlib.sha256(inputs[-4]).digest()
-    assert len(backend._memo) == 4
+    assert (backend._memo.entries, len(backend._memo)) == (4, 4)
+    # a test of a kept original is a hit; an evicted one is profiled again
+    for raw in inputs[-4:] + inputs[:1]:
+        backend.reports_for("f", raw, "test")
+    assert (backend._memo.hits, backend._memo.misses) == (4, 11)
 
 
 def test_test_role_contents_are_never_stored(mal_bytes):
     backend = StructuralBackend()
     for raw in mal_bytes[:5] + [b"garbage"]:
         backend.reports_for("f", raw, "test")
+        backend.reports_for("f", raw, "test")
     assert not backend._memo
+    assert (backend._memo.hits, backend._memo.misses) == (0, 12)
 
 
 class RecordingBackend(StructuralBackend):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +274,20 @@ def test_save_load_round_trip(world, mal_bytes, tmp_path):
         unqueried.save(path)
         assert path.read_bytes() == blob
         assert not Detector.load(path)._memo
+
+
+def test_trained_detectors_match_golden(world, tmp_path):
+    """Both detectors of the session world (corpus ``UNIT_SPEC``, world seed
+    1), pinned by the SHA-256 of their saved files; captured before
+    ``fit_stumps`` kept its columns transposed.  A change that moves them
+    re-captures the file and says why."""
+    got = {}
+    for det in (world.detector_a, world.detector_b):
+        path = tmp_path / f"{det.kind.value}.det"
+        det.save(path)
+        got[det.kind.value] = hashlib.sha256(path.read_bytes()).hexdigest()
+    golden = Path(__file__).parent / "golden" / "detectors.json"
+    assert got == json.loads(golden.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,14 @@ split gain and leaf values come from the gradient/Hessian sums of the
 logistic loss, so a leaf's value is a regularized Newton step
 ``sum(g) / (sum(h) + l2)``.  Rounds are combined additively with shrinkage.
 
-Columns are argsorted once up front; every round then reduces to cumulative
-sums over the presorted gradient, which keeps the search fully vectorized.
+Columns are argsorted once and kept transposed, one contiguous row per
+feature of ``order``, sorted values and ``splittable`` flags.  A round
+gathers each sampled column's gradients and Hessians as complex numbers
+``g + 1j*h`` and sums them along the row (complex addition adds each part on
+its own), works out the gain only where a split is possible, with the same
+floating-point operations in the same order as over the full table, a
+block of splits at a time in buffers made once per fit, and takes the first
+of the best gains in (position, column) order.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Splits whose gains are worked out together in ``fit_stumps``' scratch buffers.
+BLOCK = 8192
 
 
 @dataclass
@@ -29,14 +38,6 @@ class BoostedStumps:
     @property
     def n_rounds(self) -> int:
         return len(self.feature)
-
-    def margin(self, X: np.ndarray) -> np.ndarray:
-        """Additive scores for a batch of rows; positive means class 1."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(X.shape[0], self.bias)
-        for f, t, lv, rv in zip(self.feature, self.threshold, self.left_value, self.right_value):
-            out += self.learning_rate * np.where(X[:, f] <= t, lv, rv)
-        return out
 
     def margin_one(self, x: np.ndarray) -> float:
         """Score a single row without the batch loop (fancy-indexed over rounds)."""
@@ -55,6 +56,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_gains(
+    sums: np.ndarray, at: np.ndarray, l2: float, gain: np.ndarray, scratch: tuple
+) -> np.ndarray:
+    """``gl**2 / (hl + l2) + gr**2 / (hr + l2) - g**2 / (h + l2)`` at each split
+    ``at`` (flat indices into ``sums``), written into ``gain`` a block of
+    splits at a time through the block-sized ``scratch`` buffers."""
+    total = sums[:, -1]
+    unsplit = total.real**2 / (total.imag + l2)
+    step = len(scratch[0])
+    for lo in range(0, at.size, step):
+        part = at[lo : lo + step]
+        left, right, slot, spare = (buf[: part.size] for buf in scratch)
+        out = gain[lo : lo + part.size]
+        np.take(sums, part, out=left, mode="clip")
+        np.floor_divide(part, sums.shape[1], out=slot)
+        np.take(total, slot, out=right, mode="clip")
+        np.subtract(right, left, out=right)
+        gl, hl, gr, hr = left.real, left.imag, right.real, right.imag
+        np.multiply(gl, gl, out=out)
+        np.add(hl, l2, out=spare)
+        np.divide(out, spare, out=out)
+        np.multiply(gr, gr, out=spare)
+        np.add(hr, l2, out=hr)
+        np.divide(spare, hr, out=spare)
+        np.add(out, spare, out=out)
+        np.take(unsplit, slot, out=spare, mode="clip")
+        np.subtract(out, spare, out=out)
+    return gain[: at.size]
+
+
 def fit_stumps(
     X: np.ndarray,
     y: np.ndarray,
@@ -70,15 +101,24 @@ def fit_stumps(
     n, d = X.shape
     if n != len(y):
         raise ValueError("X and y disagree on the number of rows")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a non-finite value")
+    if not 0.0 < colsample <= 1.0:
+        raise ValueError(f"colsample must lie in (0, 1], got {colsample}")
+    if not l2 >= 0.0:
+        raise ValueError(f"l2 must be non-negative, got {l2}")
     pos = float(y.sum())
     neg = float(n - pos)
     if pos == 0 or neg == 0:
         raise ValueError("both labels are required to fit a classifier")
 
-    order = np.argsort(X, axis=0, kind="stable")
-    X_sorted = np.take_along_axis(X, order, axis=0)
-    # splits between equal sorted values are meaningless
-    splittable = X_sorted[:-1, :] < X_sorted[1:, :]
+    X_sorted = np.ascontiguousarray(X.T)
+    order = np.argsort(X_sorted, axis=1, kind="stable")
+    X_sorted.sort(axis=1, kind="stable")
+    # the last position never splits, so rows of sums and of flags line up
+    splittable = np.zeros((d, n), dtype=bool)
+    np.less(X_sorted[:, :-1], X_sorted[:, 1:], out=splittable[:, :-1])
+    n_splittable = splittable.sum(axis=1)
 
     rng = np.random.default_rng(seed)
     n_cols = max(1, int(round(colsample * d)))
@@ -90,39 +130,52 @@ def fit_stumps(
     lefts: list[float] = []
     rights: list[float] = []
 
+    gh = np.empty(n, dtype=np.complex128)
+    sums = np.empty((n_cols, n), dtype=np.complex128)
+    if n_cols == d:
+        cols, rows = np.arange(d), order
+        at = np.flatnonzero(splittable)
+    else:
+        rows = np.empty((n_cols, n), dtype=order.dtype)
+    # room for the most splits a round can have; the other buffers hold one
+    # block, so no round allocates anything large
+    gain_buf = np.empty(int(np.sort(n_splittable)[d - n_cols :].sum()))
+    block = min(gain_buf.size, BLOCK)
+    kinds = (np.complex128, np.complex128, np.intp, np.float64)
+    scratch = tuple(np.empty(block, dtype=kind) for kind in kinds)
+
     for _ in range(n_rounds):
         p = _sigmoid(margin)
-        g = y - p
-        h = p * (1.0 - p)
-        cols = (
-            np.arange(d)
-            if n_cols == d
-            else np.sort(rng.choice(d, size=n_cols, replace=False))
-        )
-        g_sorted = g[order[:, cols]]
-        h_sorted = h[order[:, cols]]
-        gl = np.cumsum(g_sorted, axis=0)[:-1, :]
-        hl = np.cumsum(h_sorted, axis=0)[:-1, :]
-        g_total = gl[-1, :] + g_sorted[-1, :]
-        h_total = hl[-1, :] + h_sorted[-1, :]
-        gr = g_total[None, :] - gl
-        hr = h_total[None, :] - hl
-        gain = gl**2 / (hl + l2) + gr**2 / (hr + l2) - (g_total**2 / (h_total + l2))[None, :]
-        gain[~splittable[:, cols]] = -np.inf
-        flat = int(np.argmax(gain))
-        best_gain = gain.flat[flat]
+        gh.real = y - p
+        gh.imag = p * (1.0 - p)
+        if n_cols != d:
+            cols = np.sort(rng.choice(d, size=n_cols, replace=False))
+            np.take(order, cols, axis=0, out=rows, mode="clip")
+            at = np.flatnonzero(splittable[cols])
+        if at.size == 0:
+            break
+        np.take(gh, rows, out=sums, mode="clip")
+        np.cumsum(sums, axis=1, out=sums)
+        gain = _split_gains(sums, at, l2, gain_buf, scratch)
+        best_gain = gain.max()
         if not np.isfinite(best_gain) or best_gain <= 1e-12:
             break
-        row, col_i = divmod(flat, len(cols))
-        col = int(cols[col_i])
-        threshold = float((X_sorted[row, col] + X_sorted[row + 1, col]) / 2.0)
-        left = float(gl[row, col_i] / (hl[row, col_i] + l2))
-        right = float(gr[row, col_i] / (hr[row, col_i] + l2))
+        # of equal gains the first in (position, column) order wins, as in
+        # an argmax over the row-major table of positions by columns
+        slots, positions = np.divmod(at[gain == best_gain], n)
+        pick = int(np.argmin(positions * n_cols + slots))
+        slot, row = int(slots[pick]), int(positions[pick])
+        col = int(cols[slot])
+        threshold = float((X_sorted[col, row] + X_sorted[col, row + 1]) / 2.0)
+        g_left, h_left = sums[slot, row].real, sums[slot, row].imag
+        g_all, h_all = sums[slot, -1].real, sums[slot, -1].imag
+        left_value = float(g_left / (h_left + l2))
+        right_value = float((g_all - g_left) / ((h_all - h_left) + l2))
         feats.append(col)
         thrs.append(threshold)
-        lefts.append(left)
-        rights.append(right)
-        margin += learning_rate * np.where(X[:, col] <= threshold, left, right)
+        lefts.append(left_value)
+        rights.append(right_value)
+        margin += learning_rate * np.where(X[:, col] <= threshold, left_value, right_value)
 
     return BoostedStumps(
         bias=bias,

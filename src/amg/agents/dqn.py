@@ -10,6 +10,10 @@ import numpy as np
 from .base import AgentHyper
 from .net import Adam, QNet, td_loss_and_grads
 
+#: Exploration rate in training and evaluation alike: a little stochasticity
+#: keeps a policy from pinning itself to one useless action.
+EPSILON = 0.05
+
 
 class DqnAgent:
     """Replay is a ring of ``replay_capacity`` transitions over a ring of
@@ -36,8 +40,8 @@ class DqnAgent:
         self.state_rows = 0  # state rows written
         self._states = None
 
-    def select_action(self, obs: np.ndarray, epsilon: float) -> int:
-        if self.rng.random() < epsilon:
+    def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
+        if not greedy and self.rng.random() < EPSILON:
             return int(self.rng.integers(self.n_actions))
         q = self.net.q_values(obs)[0]
         return int(np.argmax(q))

@@ -49,7 +49,7 @@ class _TanhNet:
         """Parameter count of a net with these dimensions, without building it."""
         return sum(math.prod(s) for s in cls.layer_shapes(obs_dim, n_actions, hidden))
 
-    def __init__(self, obs_dim: int, n_actions: int, hidden=(64, 64), seed: int = 0):
+    def __init__(self, obs_dim: int, n_actions: int, hidden, seed: int):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hidden = tuple(hidden)
@@ -157,12 +157,13 @@ class PolicyValueNet(_TanhNet):
 class Adam:
     """Standard Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, flat: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, flat: np.ndarray, lr: float):
         self.flat = flat
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
@@ -234,9 +235,9 @@ def ppo_loss_and_grads(
     old_logp: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
-    clip: float = 0.2,
-    value_coef: float = 0.5,
-    entropy_coef: float = 0.0,
+    clip: float,
+    value_coef: float,
+    entropy_coef: float,
 ):
     """Clipped-ratio policy surrogate + value MSE - entropy bonus.
 

@@ -10,14 +10,13 @@ from .base import AgentHyper
 class RandomAgent:
     kind = "random"
 
-    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper | None = None,
-                 seed: int = 0):
+    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int = 0):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
-        self.hyper = hyper or AgentHyper()
+        self.hyper = hyper
         self.rng = np.random.default_rng(seed)
 
-    def select_action(self, obs: np.ndarray, **_ignored) -> int:
+    def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
         return int(self.rng.integers(self.n_actions))
 
     def record(self, transition) -> None:

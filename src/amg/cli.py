@@ -80,9 +80,11 @@ def _load_labeled(corpus_dir: str) -> tuple[list[tuple[str, bytes]], list[tuple[
     return mal, ben
 
 
-def _pick_split(named: list[tuple[str, bytes]], split: str) -> list[tuple[str, bytes]]:
-    train, val, test = split_indexed(named)
-    return {"train": train, "val": val, "test": test}[split]
+def _load_splits(corpus_dir: str):
+    """Each label's name/bytes lists by split (``"train"``, ``"val"``,
+    ``"test"``), and the content pool of the benign train split."""
+    mal, ben = (dict(zip(_SPLITS, split_indexed(named))) for named in _load_labeled(corpus_dir))
+    return mal, ben, build_pool([raw for _, raw in ben["train"]])
 
 
 def _parse_action(text: str) -> ActionId:
@@ -113,16 +115,14 @@ def cmd_corpus(args) -> int:
 
 def cmd_detector_train(args) -> int:
     kind = parse_kind(args.kind)
-    mal, ben = _load_labeled(args.corpus)
-    train = [(raw, 1) for _, raw in _pick_split(mal, "train")]
-    train += [(raw, 0) for _, raw in _pick_split(ben, "train")]
+    mal, ben, _ = _load_splits(args.corpus)
+    train = [(raw, 1) for _, raw in mal["train"]] + [(raw, 0) for _, raw in ben["train"]]
     det = train_detector(kind, train, seed=args.seed)
     out = Path(args.out) if args.out else _workspace() / "detectors" / f"{kind.value}.det"
     out.parent.mkdir(parents=True, exist_ok=True)
     det.save(out)
     for split in ("val", "test"):
-        held = [(raw, 1) for _, raw in _pick_split(mal, split)]
-        held += [(raw, 0) for _, raw in _pick_split(ben, split)]
+        held = [(raw, 1) for _, raw in mal[split]] + [(raw, 0) for _, raw in ben[split]]
         if held:
             print(f"{split} accuracy: {evaluate_accuracy(det, held):.3f}")
     print(f"saved {kind.value} model: {out}")
@@ -148,8 +148,7 @@ def cmd_mutate(args) -> int:
     action = _parse_action(args.action)
     raw = Path(args.infile).read_bytes()
     img = parse_pe(raw)
-    _, ben = _load_labeled(args.corpus)
-    pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
+    _, _, pool = _load_splits(args.corpus)
     result = apply_action(img, action, pool, seed=args.seed)
     name = ACTION_NAMES[action]
     if result.outcome is Outcome.FAILED:
@@ -164,9 +163,9 @@ def cmd_mutate(args) -> int:
 def cmd_validate(args) -> int:
     if args.limit < 0:
         raise CliError(f"--limit must be 0 (no cap) or positive, got {args.limit}")
-    mal, ben = _load_labeled(args.corpus)
-    entries = mal[: args.limit] if args.limit else mal
-    pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
+    mal, _, pool = _load_splits(args.corpus)
+    entries = [entry for split in _SPLITS for entry in mal[split]]
+    entries = entries[: args.limit] if args.limit else entries
     backend = StructuralBackend()
     if args.action == "all":
         actions = list(ActionId)
@@ -186,11 +185,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    mal, ben = _load_labeled(args.corpus)
-    files = [raw for _, raw in _pick_split(mal, "train")]
+    mal, _, pool = _load_splits(args.corpus)
+    files = [raw for _, raw in mal["train"]]
     if not files:
         raise CliError(f"no malicious files in the train split of {args.corpus}")
-    pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
     det = Detector.load(args.detector)
     hyper = AgentHyper(alpha=args.alpha, gamma=args.gamma)
     agent = train_agent(
@@ -211,18 +209,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_from_args(args, collect_pairs: bool = False):
-    mal, ben = _load_labeled(args.corpus)
-    files = [raw for _, raw in _pick_split(mal, args.split)]
-    pool = build_pool([raw for _, raw in _pick_split(ben, "train")])
-    det = Detector.load(args.detector)
+def _eval_from_args(args, detector: str, collect_pairs: bool = False):
+    mal, _, pool = _load_splits(args.corpus)
+    files = [raw for _, raw in mal[args.split]]
+    det = Detector.load(detector)
     agent = load_agent(args.agent, seed=args.seed)
     if (agent.obs_dim, agent.n_actions) != (N_OBSERVATION, ACTION_COUNT):
         raise CheckpointError(
             f"checkpoint is for {agent.obs_dim} observations and {agent.n_actions} actions; "
             f"the environment has {N_OBSERVATION} and {ACTION_COUNT}"
         )
-    result = evaluate_policy(
+    return evaluate_policy(
         agent,
         files,
         det.classify,
@@ -231,11 +228,10 @@ def _eval_from_args(args, collect_pairs: bool = False):
         seed=args.seed,
         collect_pairs=collect_pairs,
     )
-    return result
 
 
 def cmd_evaluate(args) -> int:
-    result = _eval_from_args(args)
+    result = _eval_from_args(args, args.detector)
     try:
         percent = result.percent
     except EmptyDenominator:
@@ -248,8 +244,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    args.detector = args.detector_a
-    result = _eval_from_args(args, collect_pairs=True)
+    result = _eval_from_args(args, args.detector_a, collect_pairs=True)
     det_b = Detector.load(args.detector_b)
     try:
         percent_a = result.percent
@@ -277,7 +272,12 @@ def cmd_report(args) -> int:
     }
     plan = plans[args.plan]()
     out_dir = Path(args.out) if args.out else _workspace() / "reports"
-    report = run_workflow(world, plan, out_dir=out_dir)
+    try:
+        report = run_workflow(world, plan, out_dir=out_dir)
+    except EmptyDenominator:
+        print("no eligible files: the classifier detected none of the originals "
+              "in a validation or test split", file=sys.stderr)
+        return 1
     print(render_report(report), end="")
     print(f"written: {out_dir / 'workflow.json'}")
     return 0

@@ -64,6 +64,13 @@ ALL_QUIRKS = (
 # Benign files occasionally carry one mild tell so no single feature
 # separates the labels on its own.
 BENIGN_NOISE_QUIRKS = (QUIRK_CHECKSUM, QUIRK_DEBUG, QUIRK_CERTIFICATE, QUIRK_MOTIFS)
+BENIGN_NOISE = 0.5  # chance that a benign file carries one
+
+# Inclusive ranges: sections before the optional high-entropy and import
+# sections, quirks per malicious file, and motifs a malicious file plants.
+MIN_SECTIONS, MAX_SECTIONS = 2, 5
+QUIRKS_LOW, QUIRKS_HIGH = 4, 6
+MOTIFS_LOW, MOTIFS_HIGH = 5, 10
 
 # Build timestamps: the band ordinary files live in, plus the odd bands the
 # timestamp quirk draws from (close enough to walk back in a few 500-day hops).
@@ -88,8 +95,6 @@ _CODE_BYTES = bytes(
      0xC7, 0x04, 0x24, 0x90, 0x90, 0xC3, 0x5F, 0x5E, 0x5B, 0x8B, 0xE5, 0x5D]
 )
 
-BENIGN_DLLS = DLL_CATALOG
-
 
 class CorpusError(Exception):
     """A generated file failed its own structural self-check, or a corpus
@@ -101,19 +106,13 @@ class CorpusSpec:
     malicious: int = 700
     benign: int = 400
     seed: int = 7
-    min_sections: int = 2
-    max_sections: int = 5
-    quirks_low: int = 4
-    quirks_high: int = 6
-    motifs_low: int = 5
-    motifs_high: int = 10
-    benign_noise: float = 0.5
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusSpec":
+        # an older meta.json also holds what are now generation constants
         known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
         return cls(**known)
 
@@ -295,12 +294,12 @@ def _build_import_section(base_rva: int, dlls: list[tuple[str, list[str]]]) -> b
 
 
 def _pick_imports(rng: random.Random, suspicious: bool) -> list[tuple[str, list[str]]]:
-    dll_names = list(BENIGN_DLLS)
+    dll_names = list(DLL_CATALOG)
     rng.shuffle(dll_names)
     chosen = dll_names[: rng.randint(2, 3)]
     out = []
     for dll in chosen:
-        pool = list(BENIGN_DLLS[dll])
+        pool = list(DLL_CATALOG[dll])
         rng.shuffle(pool)
         out.append((dll, pool[: rng.randint(3, min(8, len(pool)))]))
     if suspicious:
@@ -316,22 +315,22 @@ def _pick_imports(rng: random.Random, suspicious: bool) -> list[tuple[str, list[
 # the builder
 
 
-def _build_file(file_seed: int, label: str, index: int, spec: CorpusSpec) -> GeneratedFile:
+def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     rng = random.Random(file_seed)
     malicious = label == "malicious"
 
     if malicious:
-        quirks = set(rng.sample(ALL_QUIRKS, rng.randint(spec.quirks_low, spec.quirks_high)))
+        quirks = set(rng.sample(ALL_QUIRKS, rng.randint(QUIRKS_LOW, QUIRKS_HIGH)))
     else:
         quirks = set()
-        if rng.random() < spec.benign_noise:
+        if rng.random() < BENIGN_NOISE:
             quirks.add(rng.choice(BENIGN_NOISE_QUIRKS))
 
     # Header slack is fixed by index so the advertised proportions hold for
     # any seed: 70% of files keep room for a new section header, 30% do not.
     slack = rng.randrange(40, 440) if index % 10 < 7 else rng.randrange(0, 40)
 
-    n_sections = rng.randint(spec.min_sections, spec.max_sections)
+    n_sections = rng.randint(MIN_SECTIONS, MAX_SECTIONS)
     has_imports = True
     # Both labels carry some shuffled blocks so every pair-frequency bucket
     # has a benign baseline; the classifier then has to threshold between the
@@ -378,7 +377,7 @@ def _build_file(file_seed: int, label: str, index: int, spec: CorpusSpec) -> Gen
         names[victim] = rng.choice(signals.SUSPICIOUS_SECTION_NAMES)
 
     if QUIRK_MOTIFS in quirks:
-        want = rng.randint(spec.motifs_low, spec.motifs_high) if malicious else rng.randint(1, 2)
+        want = rng.randint(MOTIFS_LOW, MOTIFS_HIGH) if malicious else rng.randint(1, 2)
         spread = [c for c in contents if len(c) >= 64]
         for k in range(want):
             _plant_motifs(rng, spread[k % len(spread)], 1)
@@ -579,13 +578,13 @@ def generate(spec: CorpusSpec) -> list[GeneratedFile]:
     """Generate the whole corpus in memory, malicious files first."""
     out = []
     for i in range(spec.malicious):
-        out.append(_build_file(fanout(spec.seed, "mal", i), "malicious", i, spec))
+        out.append(_build_file(fanout(spec.seed, "mal", i), "malicious", i))
     for i in range(spec.benign):
-        out.append(_build_file(fanout(spec.seed, "ben", i), "benign", i, spec))
+        out.append(_build_file(fanout(spec.seed, "ben", i), "benign", i))
     return out
 
 
-def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSpec | None = None) -> Path:
+def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSpec) -> Path:
     """Write files plus ``manifest.jsonl``/``meta.json``; returns the manifest path."""
     out = Path(out_dir)
     (out / "files").mkdir(parents=True, exist_ok=True)
@@ -602,8 +601,7 @@ def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSp
                 "planted": f.planted,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if spec is not None:
-        (out / "meta.json").write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
+    (out / "meta.json").write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
     return manifest
 
 

@@ -25,8 +25,6 @@ from .pe_mods import ACTION_COUNT, BenignContentPool, build_pool
 from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, RewriteEnv
 from .rl.env import OBSERVATION_MEMO_ENTRIES
 
-DQN_EVAL_EPSILON = 0.05
-
 
 class EmptyDenominator(ValueError):
     """Raised when an evasion rate is requested over zero eligible files."""
@@ -55,12 +53,16 @@ def truncated_percent(evaded: int, eligible: int) -> float:
 # corpus splits
 
 
-def split_indexed(items: list, ratios: tuple[int, int, int] = (4, 1, 2)) -> tuple[list, list, list]:
+#: Train, validation and test shares of a split.
+SPLIT_RATIOS = (4, 1, 2)
+
+
+def split_indexed(items: list) -> tuple[list, list, list]:
     """Deterministic proportional three-way split in list order."""
-    total = sum(ratios)
+    total = sum(SPLIT_RATIOS)
     n = len(items)
-    cut1 = n * ratios[0] // total
-    cut2 = n * (ratios[0] + ratios[1]) // total
+    cut1 = n * SPLIT_RATIOS[0] // total
+    cut2 = n * (SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) // total
     return items[:cut1], items[cut1:cut2], items[cut2:]
 
 
@@ -106,22 +108,12 @@ def prepare_world(
 # training and evaluation loops
 
 
-def _select(agent, obs):
-    """Training and evaluation both keep a little stochasticity so a policy
-    cannot pin itself to one useless action: DQN acts at a fixed
-    epsilon = DQN_EVAL_EPSILON (0.05) in training as well; policy learners
-    sample from their distribution."""
-    if agent.kind == "dqn":
-        return agent.select_action(obs, epsilon=DQN_EVAL_EPSILON)
-    return agent.select_action(obs)
-
-
 def _play(agent, env: RewriteEnv):
     """Drive one episode: reset ``env``, then yield each transition until it
     is done. ``reset`` raises ``AlreadyBenign`` for an undetected original."""
     obs = env.reset()
     while not env.done:
-        transition = env.step(_select(agent, obs))
+        transition = env.step(agent.select_action(obs))
         yield transition
         obs = transition.next_observation
 

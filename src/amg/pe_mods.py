@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pe_model
 from .pe_model import (
@@ -56,6 +56,9 @@ DLL_CATALOG: dict[str, tuple[str, ...]] = {
     "ADVAPI32.dll": ("RegOpenKeyExA", "RegQueryValueExA", "RegCloseKey"),
     "SHELL32.dll": ("SHGetFolderPathA", "DragQueryFileA", "SHFileOperationA"),
 }
+
+#: Blobs a pool keeps from its benign files, in file order.
+MAX_POOL_BLOBS = 96
 
 _FALLBACK_BLOB = (
     b"Copyright (c) example software. All rights reserved. "
@@ -103,11 +106,9 @@ class ModResult:
 
 @dataclass
 class BenignContentPool:
-    """Byte blobs, section names and import names drawn from benign files."""
+    """Byte blobs drawn from benign files; names come from the fixed catalogs."""
 
-    blobs: list[bytes] = field(default_factory=lambda: [_FALLBACK_BLOB])
-    section_names: tuple[bytes, ...] = DEFAULT_SECTION_NAMES
-    dll_catalog: dict[str, tuple[str, ...]] = field(default_factory=lambda: dict(DLL_CATALOG))
+    blobs: list[bytes]
 
     def __post_init__(self) -> None:
         self.blobs = [b for b in self.blobs if len(b) >= 16] or [_FALLBACK_BLOB]
@@ -116,16 +117,16 @@ class BenignContentPool:
         return rng.choice(self.blobs)
 
     def pick_section_name(self, rng: random.Random) -> bytes:
-        return rng.choice(self.section_names)
+        return rng.choice(DEFAULT_SECTION_NAMES)
 
     def pick_dll(self, rng: random.Random) -> tuple[str, list[str]]:
-        dll = rng.choice(sorted(self.dll_catalog))
-        names = list(self.dll_catalog[dll])
+        dll = rng.choice(sorted(DLL_CATALOG))
+        names = list(DLL_CATALOG[dll])
         count = rng.randint(min(4, len(names)), len(names))
         return dll, rng.sample(names, count)
 
 
-def build_pool(benign_files: list[bytes], max_blobs: int = 96) -> BenignContentPool:
+def build_pool(benign_files: list[bytes]) -> BenignContentPool:
     """Harvest section contents and overlays from benign files into a pool."""
     blobs: list[bytes] = []
     for raw in benign_files:
@@ -141,7 +142,7 @@ def build_pool(benign_files: list[bytes], max_blobs: int = 96) -> BenignContentP
             if len(trimmed) < 1024:
                 continue
             blobs.append(trimmed[:16384])
-            if len(blobs) >= max_blobs:
+            if len(blobs) >= MAX_POOL_BLOBS:
                 return BenignContentPool(blobs=blobs)
     return BenignContentPool(blobs=blobs)
 
@@ -406,11 +407,7 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     dll, funcs = pool.pick_dll(rng)
     out = img.copy()
 
-    old_raw = b""
-    d = out.directory(DIR_IMPORT)
-    if d.rva:
-        descriptors, _ = pe_model.read_table(pe_model.section_map(out), d.rva, 20, 512)
-        old_raw = b"".join(descriptors)
+    old_raw = b"".join(pe_model.import_descriptors(out, pe_model.section_map(out))[0])
 
     base = home[0]
     entry_size = 8 if out.optional.magic == PE32PLUS_MAGIC else 4

@@ -55,18 +55,9 @@ class BehaviorReport:
 
 
 @dataclass
-class FeatureDetail:
-    test_report: int
-    feature: str
-    best_agreement: float
-    matched: bool
-
-
-@dataclass
 class ValidityVerdict:
     decision: str  # "success" or "failure"
     matched_features: int
-    per_feature_detail: list[FeatureDetail] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -95,24 +86,15 @@ def evaluate_validity(
             f"got {len(controls)} and {len(tests)}"
         )
     matched = 0
-    detail: list[FeatureDetail] = []
-    for t_index, test in enumerate(tests):
+    for test in tests:
         if test.failed:
-            return ValidityVerdict("failure", matched, detail)
+            return ValidityVerdict("failure", matched)
         for feature in FEATURES:
-            best = 0.0
-            hit = False
-            for control in controls:
-                score = agreement(test.feature(feature), control.feature(feature))
-                best = max(best, score)
-                if score >= AGREEMENT_THRESHOLD:
-                    hit = True
-                    break
-            if hit:
-                matched += 1
-            detail.append(FeatureDetail(t_index, feature, best, hit))
-    decision = "success" if matched >= MATCH_MINIMUM else "failure"
-    return ValidityVerdict(decision, matched, detail)
+            matched += any(
+                agreement(test.feature(feature), control.feature(feature)) >= AGREEMENT_THRESHOLD
+                for control in controls
+            )
+    return ValidityVerdict("success" if matched >= MATCH_MINIMUM else "failure", matched)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def ppo_trial(seed: int) -> float:
     return fd_relative_error(
         net,
         lambda: ppo_loss_and_grads(
-            net, obs, actions, old_logp, advantages, returns, entropy_coef=0.01
+            net, obs, actions, old_logp, advantages, returns,
+            clip=0.2, value_coef=0.5, entropy_coef=0.01,
         ),
     )
 

@@ -16,7 +16,7 @@ import toy_chain
 from amg.agents import (
     AgentHyper,
     CheckpointError,
-    RandomAgent,
+    DqnAgent,
     discounted_return,
     discounted_returns,
     load_agent,
@@ -252,6 +252,48 @@ def test_replay_shares_a_row_by_its_bits():
 
 
 # ---------------------------------------------------------------------------
+# acting
+
+
+class _EpsilonDqn(DqnAgent):
+    """``DqnAgent`` with its acting call as it was when the caller passed epsilon."""
+
+    def select_action(self, obs: np.ndarray, epsilon: float) -> int:
+        if self.rng.random() < epsilon:
+            return int(self.rng.integers(self.n_actions))
+        q = self.net.q_values(obs)[0]
+        return int(np.argmax(q))
+
+
+def test_dqn_acts_as_epsilon_greedy_at_five_percent():
+    agent = make_agent("dqn", 6, 4, seed=2)
+    reference = _EpsilonDqn(6, 4, AgentHyper(), seed=2)
+    rng = np.random.default_rng(0)
+    off_greedy = 0
+    for _ in range(200):
+        obs = rng.standard_normal(6)
+        action = agent.select_action(obs)
+        assert action == reference.select_action(obs, 0.05)
+        assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
+        off_greedy += action != int(np.argmax(agent.net.q_values(obs)[0]))
+    assert 0 < off_greedy < 20
+
+
+def test_greedy_acting_takes_the_best_action_and_draws_nothing():
+    agent = make_agent("dqn", 6, 4, seed=2)
+    state = agent.rng.bit_generator.state
+    rng = np.random.default_rng(1)
+    actions = set()
+    for _ in range(50):
+        obs = rng.standard_normal(6)
+        action = agent.select_action(obs, greedy=True)
+        assert action == int(np.argmax(agent.net.q_values(obs)[0]))
+        actions.add(action)
+    assert agent.rng.bit_generator.state == state
+    assert len(actions) > 1
+
+
+# ---------------------------------------------------------------------------
 # learning sanity (single seed here; the acceptance gate sweeps three)
 
 
@@ -273,8 +315,8 @@ def test_value_iteration_oracle_values():
 
 
 def test_random_agent_ignores_observations_but_honors_seed():
-    a = RandomAgent(5, 4, seed=3)
-    b = RandomAgent(5, 4, seed=3)
+    a = make_agent("random", 5, 4, seed=3)
+    b = make_agent("random", 5, 4, seed=3)
     obs = np.zeros(5)
     seq_a = [a.select_action(obs) for _ in range(50)]
     seq_b = [b.select_action(obs) for _ in range(50)]
@@ -303,14 +345,7 @@ def test_checkpoint_round_trip_preserves_policy(tmp_path, kind):
         rng = np.random.default_rng(1)
         for _ in range(10):
             obs = rng.standard_normal(6)
-            if kind == "dqn":
-                assert clone.select_action(obs, epsilon=0.0) == agent.select_action(
-                    obs, epsilon=0.0
-                )
-            else:
-                assert clone.select_action(obs, greedy=True) == agent.select_action(
-                    obs, greedy=True
-                )
+            assert clone.select_action(obs, greedy=True) == agent.select_action(obs, greedy=True)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -395,7 +430,7 @@ def test_checkpoint_with_a_huge_replay_capacity_loads_and_acts(tmp_path):
     tracemalloc.start()
     try:
         agent = load_agent(path)
-        action = agent.select_action(np.zeros(4), epsilon=0.0)
+        action = agent.select_action(np.zeros(4), greedy=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

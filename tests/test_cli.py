@@ -164,6 +164,22 @@ def test_report_micro_plan_writes_artifacts(ws, tmp_path, capsys):
     assert "winner" in stdout
 
 
+def test_report_with_no_eligible_files_exits_one(tmp_path, capsys):
+    """On a corpus this small the winner's test split holds one file, which
+    the classifier misses: the report exits 1 with a message, as an empty
+    evaluation does, and writes nothing."""
+    corpus = tmp_path / "small"
+    assert main(["corpus", "--out", str(corpus), "--malicious", "3", "--benign", "4",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "reports"
+    assert main(["report", "--corpus", str(corpus), "--plan", "micro",
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "no eligible files" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_workspace_env_var_sets_default_paths(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AMG_WORKSPACE", str(tmp_path / "space"))
     assert main(["corpus", "--malicious", "6", "--benign", "4", "--seed", "1"]) == 0

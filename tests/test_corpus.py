@@ -208,6 +208,14 @@ def test_write_and_load_round_trip(tmp_path):
     assert CorpusSpec.from_dict(meta) == SMALL
 
 
+def test_meta_with_the_old_generation_settings_still_loads():
+    """``meta.json`` once also recorded the section, quirk, motif and noise
+    settings that are now constants; such a file loads to the same spec."""
+    old = {**SMALL.to_dict(), "min_sections": 2, "max_sections": 5, "quirks_low": 4,
+           "quirks_high": 6, "motifs_low": 5, "motifs_high": 10, "benign_noise": 0.5}
+    assert CorpusSpec.from_dict(old) == SMALL
+
+
 # ---------------------------------------------------------------------------
 # untrusted manifests
 
@@ -217,7 +225,7 @@ def test_manifest_path_must_stay_inside_the_corpus(tmp_path, escape):
     outside = tmp_path / "outside.bin"
     outside.write_bytes(b"not part of the corpus")
     root = tmp_path / "corpus"
-    manifest = write_corpus(generate(SMALL), root)
+    manifest = write_corpus(generate(SMALL), root, SMALL)
     assert load_corpus(root)
     if escape == "absolute":
         path = str(outside)
@@ -235,7 +243,7 @@ def test_manifest_path_must_stay_inside_the_corpus(tmp_path, escape):
 
 def test_corpus_reached_through_a_symlink_loads(tmp_path):
     files = generate(SMALL)
-    write_corpus(files, tmp_path / "corpus")
+    write_corpus(files, tmp_path / "corpus", SMALL)
     (tmp_path / "alias").symlink_to(tmp_path / "corpus")
     entries = load_corpus(tmp_path / "alias")
     assert [e.read() for e in entries] == [f.data for f in files]
@@ -244,7 +252,7 @@ def test_corpus_reached_through_a_symlink_loads(tmp_path):
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     root = tmp_path_factory.mktemp("manifest-fuzz")
-    manifest = write_corpus(generate(SMALL), root)
+    manifest = write_corpus(generate(SMALL), root, SMALL)
     return root, manifest.read_bytes()
 
 

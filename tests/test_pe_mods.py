@@ -9,6 +9,9 @@ from amg.pe_mods import (
     ACTION_COUNT,
     ActionId,
     BenignContentPool,
+    DEFAULT_SECTION_NAMES,
+    DLL_CATALOG,
+    MAX_POOL_BLOBS,
     Outcome,
     TIMESTAMP_STEP,
     action_from_name,
@@ -107,7 +110,7 @@ def test_rename_section_uses_pool_vocabulary(mal_bytes, pool):
     res = apply_action(img, ActionId.RENAME_SECTION, pool, seed=3)
     assert res.outcome is Outcome.APPLIED
     stripped = {s.name.rstrip(b"\x00") for s in res.image.sections}
-    vocab = {n[:8].rstrip(b"\x00") for n in pool.section_names}
+    vocab = {n[:8].rstrip(b"\x00") for n in DEFAULT_SECTION_NAMES}
     assert stripped & vocab
     assert all(len(s.name) == 8 for s in res.image.sections)
 
@@ -152,7 +155,7 @@ def test_append_new_import_adds_descriptor(corpus_files, pool):
     after = {d.dll_name for d in pe_model.parse_imports(pe_model.parse(out))}
     assert before < after
     added = after - before
-    assert all(dll in pool.dll_catalog for dll in added)
+    assert all(dll in DLL_CATALOG for dll in added)
 
 
 def test_append_to_section_fills_slack_or_grows_tail(mal_bytes, pool):
@@ -214,4 +217,4 @@ def test_build_pool_harvests_benign_content(ben_bytes):
     pool = build_pool(ben_bytes)
     assert pool.blobs
     assert all(len(b) >= 16 for b in pool.blobs)
-    assert pool.dll_catalog
+    assert len(pool.blobs) <= MAX_POOL_BLOBS

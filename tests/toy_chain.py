@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from amg.agents import AgentHyper, make_agent
-from amg.harness import _select
 from amg.rl import Transition
 
 N_STATES = 5
@@ -71,7 +70,7 @@ def train_chain_agent(kind: str, seed: int, episodes: int = 2000,
         state, steps = 0, 0
         while steps < MAX_STEPS:
             obs = one_hot(state)
-            action = _select(agent, obs)
+            action = agent.select_action(obs)
             nxt, reward, done = chain_step(state, action)
             agent.record(Transition(obs, action, reward, one_hot(nxt), done, {}))
             state, steps = nxt, steps + 1
@@ -82,10 +81,4 @@ def train_chain_agent(kind: str, seed: int, episodes: int = 2000,
 
 
 def greedy_chain_policy(agent) -> list[int]:
-    policy = []
-    for s in range(GOAL):
-        if agent.kind == "dqn":
-            policy.append(int(agent.select_action(one_hot(s), epsilon=0.0)))
-        else:
-            policy.append(int(agent.select_action(one_hot(s), greedy=True)))
-    return policy
+    return [agent.select_action(one_hot(s), greedy=True) for s in range(GOAL)]

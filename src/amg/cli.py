@@ -87,6 +87,13 @@ def _load_splits(corpus_dir: str):
     return mal, ben, build_pool([raw for _, raw in ben["train"]])
 
 
+def _at_least_one(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be 1 or more, got {value}")
+
+
 def _parse_action(text: str) -> ActionId:
     if text.isdigit():
         try:
@@ -185,6 +192,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _at_least_one(args, "max_steps", "episodes")
     mal, _, pool = _load_splits(args.corpus)
     files = [raw for _, raw in mal["train"]]
     if not files:
@@ -210,6 +218,7 @@ def cmd_train(args) -> int:
 
 
 def _eval_from_args(args, detector: str, collect_pairs: bool = False):
+    _at_least_one(args, "max_steps")
     mal, _, pool = _load_splits(args.corpus)
     files = [raw for _, raw in mal[args.split]]
     det = Detector.load(detector)

@@ -17,8 +17,10 @@ sections renamed, debug data and certificates dropped, and densities diluted
 by appending benign content.
 
 Each file derives from a single per-file seed, so any slice of the corpus can
-be regenerated independently.  No file contains executable behavior; entry
-points land on inert filler bytes.
+be regenerated independently.  ``generate`` relies on that: it builds the files
+in forked worker processes, one per usable CPU, and returns them in job order,
+byte for byte what a sequential build gives.  No file contains executable
+behavior; entry points land on inert filler bytes.
 
 The fillers make most of the random draws, one per word, byte or swap, so they
 draw straight from ``rng.getrandbits`` with ``random.Random._randbelow``'s own
@@ -32,8 +34,11 @@ bytes and the rng state after each filler are what those gave;
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,8 +102,9 @@ _CODE_BYTES = bytes(
 
 
 class CorpusError(Exception):
-    """A generated file failed its own structural self-check, or a corpus
-    manifest is not UTF-8 JSON lines of objects with the entry fields."""
+    """A spec asks for a negative file count, a generated file failed its own
+    structural self-check, or a corpus manifest is not UTF-8 JSON lines of
+    objects with the entry fields."""
 
 
 @dataclass
@@ -106,6 +112,13 @@ class CorpusSpec:
     malicious: int = 700
     benign: int = 400
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        if self.malicious < 0 or self.benign < 0:
+            raise CorpusError(
+                f"file counts must be 0 or more, got {self.malicious} malicious "
+                f"and {self.benign} benign"
+            )
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -575,13 +588,27 @@ def _self_check(name: str, data: bytes, planted: dict) -> None:
 
 
 def generate(spec: CorpusSpec) -> list[GeneratedFile]:
-    """Generate the whole corpus in memory, malicious files first."""
-    out = []
-    for i in range(spec.malicious):
-        out.append(_build_file(fanout(spec.seed, "mal", i), "malicious", i))
-    for i in range(spec.benign):
-        out.append(_build_file(fanout(spec.seed, "ben", i), "benign", i))
-    return out
+    """Generate the whole corpus in memory, malicious files first.
+
+    The files are built in forked worker processes, one per usable CPU and
+    no more than there are files, and come back in job order; each derives
+    from its own seed, so the bytes are those of a sequential build.  Fork
+    keeps the workers on the parent's modules as they are, patches included;
+    it copies only the calling thread, so no other thread may hold a lock the
+    workers need.
+    """
+    jobs = [(fanout(spec.seed, "mal", i), "malicious", i) for i in range(spec.malicious)]
+    jobs += [(fanout(spec.seed, "ben", i), "benign", i) for i in range(spec.benign)]
+    if not jobs:
+        return []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(jobs))
+    chunksize = -(-len(jobs) // (4 * workers))  # four chunks a worker even out their pace
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_build_file, *zip(*jobs), chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)  # a worker's error drops the files not yet begun
 
 
 def write_corpus(files: list[GeneratedFile], out_dir: str | Path, spec: CorpusSpec) -> Path:

@@ -50,6 +50,10 @@ class EnvConfig:
     max_steps: int
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be 1 or more, got {self.max_steps}")
+
 
 @dataclass
 class Transition:

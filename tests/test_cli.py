@@ -152,6 +152,44 @@ def test_transfer_prints_both_rates(ws, capsys):
     assert "transfer" in out
 
 
+def test_corpus_rejects_a_negative_count(tmp_path, capsys):
+    """``--malicious -3`` used to print ``wrote -3 malicious + 2 benign files``
+    and exit 0."""
+    out = tmp_path / "corpus"
+    for counts in (["--malicious", "-3", "--benign", "2"], ["--malicious", "2", "--benign", "-1"]):
+        assert main(["corpus", "--out", str(out), *counts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "0 or more" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--max-steps", "0"), ("--max-steps", "-2"),
+                                         ("--episodes", "0"), ("--episodes", "-5")])
+def test_train_rejects_a_budget_or_episode_count_below_one(ws, tmp_path, capsys, flag, value):
+    out = tmp_path / "ppo.ckpt"
+    args = {"--episodes": "4", "--max-steps": "2", flag: value}
+    assert main(["train", "--corpus", str(ws["corpus"]), "--detector", str(ws["det_a"]),
+                 "--agent", "ppo", "--out", str(out),
+                 *[x for pair in args.items() for x in pair]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and flag in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transfer"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_evaluate_and_transfer_reject_a_budget_below_one(ws, capsys, command, value):
+    detectors = (["--detector", str(ws["det_a"])] if command == "evaluate" else
+                 ["--detector-a", str(ws["det_a"]), "--detector-b", str(ws["det_b"])])
+    assert main([command, "--corpus", str(ws["corpus"]), *detectors, "--agent",
+                 str(ws["agent"]), "--split", "val", "--max-steps", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--max-steps" in captured.err
+
+
 def test_report_micro_plan_writes_artifacts(ws, tmp_path, capsys):
     out_dir = tmp_path / "reports"
     assert main(["report", "--corpus", str(ws["corpus"]), "--plan", "micro",

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import random
 from pathlib import Path
 
@@ -103,26 +105,122 @@ def test_generate_matches_generation_with_reference_fillers(monkeypatch, spec):
     assert [(f.name, f.data, f.planted) for f in new] == [(f.name, f.data, f.planted) for f in ref]
 
 
-def test_corpus_matches_golden(corpus_files):
-    """The session corpus itself, pinned by the SHA-256 of its bytes and of
-    its sorted-JSON manifest rows; captured before the fillers drew from
-    ``getrandbits``.  A change that moves it re-captures the file and says why."""
+def test_generate_reaches_patches_in_its_workers(monkeypatch):
+    """Workers are forked, so a patched filler is the one they call: a
+    sentinel ``.text`` filler that still parses changes every file.  Under
+    spawn or forkserver the workers would import the module afresh, and the
+    reference-filler oracle above would compare the new fillers with
+    themselves."""
+    new = generate(SMALL)
+    monkeypatch.setattr(corpus, "_code_filler", lambda rng, n: b"\xcc" * n)
+    sentinel = generate(SMALL)
+    assert [f.name for f in sentinel] == [f.name for f in new]
+    assert all(s.data != f.data for s, f in zip(sentinel, new))
+
+
+def _golden_record(files) -> dict:
     rows = "".join(
         json.dumps(
             {"name": f.name, "label": f.label, "seed": f.seed, "planted": f.planted},
             sort_keys=True,
         )
         + "\n"
-        for f in corpus_files
+        for f in files
     )
-    got = {
+    return {
         "spec": UNIT_SPEC.to_dict(),
-        "files": len(corpus_files),
-        "data_sha256": hashlib.sha256(b"".join(f.data for f in corpus_files)).hexdigest(),
+        "files": len(files),
+        "data_sha256": hashlib.sha256(b"".join(f.data for f in files)).hexdigest(),
         "planted_sha256": hashlib.sha256(rows.encode()).hexdigest(),
     }
-    golden = Path(__file__).parent / "golden" / "corpus.json"
-    assert got == json.loads(golden.read_text())
+
+
+GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
+
+
+def test_corpus_matches_golden(corpus_files):
+    """The session corpus itself, pinned by the SHA-256 of its bytes and of
+    its sorted-JSON manifest rows; captured before the fillers drew from
+    ``getrandbits``.  A change that moves it re-captures the file and says why."""
+    assert _golden_record(corpus_files) == json.loads(GOLDEN.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every pool ``generate`` starts."""
+    sizes = []
+
+    class Recorded(corpus.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", Recorded)
+    return sizes
+
+
+def test_one_usable_cpu_gives_the_golden_corpus(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _golden_record(generate(UNIT_SPEC)) == json.loads(GOLDEN.read_text())
+    assert pool_sizes == [1]
+
+
+def test_workers_follow_usable_cpus_capped_at_the_jobs(monkeypatch, pool_sizes):
+    cpus = len(os.sched_getaffinity(0))
+    generate(SMALL)
+    generate(CorpusSpec(malicious=1, benign=0, seed=3))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    generate(SMALL)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    generate(SMALL)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    generate(SMALL)
+    assert pool_sizes == [min(cpus, 20), 1, 20, 3, 1]
+
+
+def test_an_empty_corpus_starts_no_pool(pool_sizes):
+    assert generate(CorpusSpec(malicious=0, benign=0, seed=3)) == []
+    assert pool_sizes == []
+
+
+def test_no_worker_outlives_generate(monkeypatch):
+    generate(SMALL)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(corpus, "_self_check", _fails_on("ben_0002.exe"))
+    with pytest.raises(CorpusError):
+        generate(SMALL)
+    assert multiprocessing.active_children() == []
+
+
+def _fails_on(bad: str):
+    check = corpus._self_check
+
+    def fails(name, data, planted):
+        if name == bad:
+            raise CorpusError(f"{name}: planted failure")
+        check(name, data, planted)
+
+    return fails
+
+
+def test_a_worker_self_check_failure_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(corpus, "_self_check", _fails_on("mal_0005.exe"))
+    with pytest.raises(CorpusError, match=r"^mal_0005\.exe: planted failure$"):
+        generate(SMALL)
+
+
+@pytest.mark.parametrize("malicious, benign", [(-3, 2), (2, -1), (-1, -1)])
+def test_negative_file_counts_are_refused(malicious, benign):
+    """Refused when the spec is made, so no pool can start for it."""
+    with pytest.raises(CorpusError, match="0 or more"):
+        CorpusSpec(malicious=malicious, benign=benign, seed=3)
+    with pytest.raises(CorpusError, match="0 or more"):
+        CorpusSpec.from_dict({"malicious": malicious, "benign": benign, "seed": 3})
 
 
 def test_label_counts_and_names(corpus_files):

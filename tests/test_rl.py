@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from amg import pe_model
+from amg.agents import AgentHyper, make_agent
 from amg.detector import Verdict
+from amg.harness import evaluate_policy
 from amg.memo import ContentMemo
 from amg.pe_mods import ACTION_COUNT, ActionId, Outcome, apply_action
 from amg.rl import (
@@ -230,6 +232,24 @@ def test_episode_runs_to_step_budget(mal_bytes, pool):
     assert env.queries == 5  # one at reset, one per step
     with pytest.raises(EpisodeFinished):
         env.step(0)
+
+
+@pytest.mark.parametrize("max_steps", [0, -2])
+def test_a_step_budget_below_one_is_refused(mal_bytes, pool, max_steps):
+    """A budget below one used to play one step anyway: ``done`` is only
+    checked after a step.  Evaluation refuses it before any query."""
+    queries = []
+
+    def classify(raw):
+        queries.append(raw)
+        return Verdict.MALICIOUS
+
+    with pytest.raises(ValueError, match="max_steps"):
+        EnvConfig(max_steps=max_steps)
+    agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, AgentHyper(), seed=0)
+    with pytest.raises(ValueError, match="max_steps"):
+        evaluate_policy(agent, mal_bytes[:3], classify, pool, max_steps=max_steps)
+    assert queries == []
 
 
 def test_size_cap_classifier_rewards_evasion(mal_bytes, pool):

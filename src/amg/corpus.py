@@ -123,12 +123,6 @@ class CorpusSpec:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusSpec":
-        # an older meta.json also holds what are now generation constants
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
-
 
 @dataclass
 class GeneratedFile:
@@ -238,19 +232,6 @@ def _hot_patch(rng: random.Random, content: bytearray, lo: float, hi: float) -> 
     content[start : start + span] = run
 
 
-def _plant_motifs(rng: random.Random, content: bytearray, count: int) -> int:
-    """Overwrite ``count`` random 16-byte windows with motif patterns."""
-    if len(content) < 64:
-        return 0
-    planted = 0
-    for _ in range(count):
-        pos = rng.randrange(0, len(content) - 16)
-        motif = signals.MOTIFS[rng.randrange(len(signals.MOTIFS))]
-        content[pos : pos + 16] = motif
-        planted += 1
-    return planted
-
-
 # ---------------------------------------------------------------------------
 # import table assembly (local to the generator on purpose: the parser and
 # the rewrite actions build their own tables, so each checks the others)
@@ -344,7 +325,6 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     slack = rng.randrange(40, 440) if index % 10 < 7 else rng.randrange(0, 40)
 
     n_sections = rng.randint(MIN_SECTIONS, MAX_SECTIONS)
-    has_imports = True
     # Both labels carry some shuffled blocks so every pair-frequency bucket
     # has a benign baseline; the classifier then has to threshold between the
     # two bands rather than hugging zero, which keeps dilution by appended
@@ -379,10 +359,9 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
         contents.append(bytearray(rng.randbytes(rng.randrange(0x400, 0x1000))))
         characteristics.append(0x40000040)
 
-    if has_imports:
-        names.append(b".idata")
-        contents.append(bytearray())  # filled in once the VA is known
-        characteristics.append(0xC0000040)
+    names.append(b".idata")
+    contents.append(bytearray())  # filled in once the VA is known
+    characteristics.append(0xC0000040)
 
     if QUIRK_NAME in quirks:
         candidates = [j for j in range(1, len(names)) if names[j] != b".idata"]
@@ -393,7 +372,10 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
         want = rng.randint(MOTIFS_LOW, MOTIFS_HIGH) if malicious else rng.randint(1, 2)
         spread = [c for c in contents if len(c) >= 64]
         for k in range(want):
-            _plant_motifs(rng, spread[k % len(spread)], 1)
+            # overwrite a random 16-byte window with a motif pattern
+            content = spread[k % len(spread)]
+            pos = rng.randrange(0, len(content) - 16)
+            content[pos : pos + 16] = signals.MOTIFS[rng.randrange(len(signals.MOTIFS))]
 
     # --- lay out headers ---------------------------------------------------
     n = len(names)
@@ -409,10 +391,13 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     va = SECTION_ALIGNMENT
     ptr = size_of_headers
     debug_section = None
+    dirs = [(0, 0)] * 16
     for j in range(n):
         if names[j] == b".idata":
-            blob = _build_import_section(va, _pick_imports(rng, QUIRK_IMPORTS in quirks))
-            contents[j] = bytearray(blob)
+            dlls = _pick_imports(rng, QUIRK_IMPORTS in quirks)
+            contents[j] = bytearray(_build_import_section(va, dlls))
+            # the directory covers the descriptors and their zero terminator
+            dirs[pe_model.DIR_IMPORT] = (va, (len(dlls) + 1) * 20)
         if QUIRK_DEBUG in quirks and debug_section is None and j > 0 and names[j] != b".idata":
             debug_section = j
             off = pe_model.align_up(len(contents[j]), 4)
@@ -426,7 +411,7 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
                 ptr + off + 28,
             )
             contents[j] += entry + blob
-            debug_dir = (va + off, 28)
+            dirs[pe_model.DIR_DEBUG] = (va + off, 28)
         content_len = len(contents[j])
         srd = pe_model.align_up(max(content_len, 1), FILE_ALIGNMENT)
         vs = content_len
@@ -443,11 +428,8 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
         if rng.random() < 0.2:
             ptr += FILE_ALIGNMENT * rng.randrange(1, 3)
 
-    if QUIRK_DEBUG in quirks and debug_section is None:
+    if debug_section is None:
         quirks.discard(QUIRK_DEBUG)
-        debug_dir = (0, 0)
-    elif QUIRK_DEBUG not in quirks:
-        debug_dir = (0, 0)
 
     size_of_image = pe_model.align_up(vas[-1] + max(vss[-1], srds[-1]), SECTION_ALIGNMENT)
     body_end = ptrs[-1] + srds[-1]
@@ -460,18 +442,6 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     timestamp = rng.randrange(*band)
     checksum = rng.randrange(0x1000, 0xFFFF_FFFF) if QUIRK_CHECKSUM in quirks else 0
     entry_point = vas[0] + 0x40
-
-    # The import directory size covers the descriptor table including its
-    # zero terminator; count descriptors back out of the built blob.
-    idata_index = names.index(b".idata")
-    blob = contents[idata_index]
-    descriptor_count = 0
-    while (
-        descriptor_count * 20 + 20 <= len(blob)
-        and blob[descriptor_count * 20 : descriptor_count * 20 + 20] != b"\x00" * 20
-    ):
-        descriptor_count += 1
-    import_dir = (vas[idata_index], (descriptor_count + 1) * 20)
 
     # --- assemble -------------------------------------------------------------
     buf = bytearray(body_end)
@@ -486,12 +456,11 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     buf[e_lfanew : e_lfanew + 4] = pe_model.PE_SIGNATURE
 
     coff_off = e_lfanew + 4
-    buf[coff_off : coff_off + 20] = struct.pack(
-        "<HHIIIHH", 0x14C, n, timestamp, 0, 0, opt_size, 0x0102
+    buf[coff_off : coff_off + 20] = pe_model.COFF_HEADER.pack(
+        0x14C, n, timestamp, 0, 0, opt_size, 0x0102
     )
 
     o = coff_off + 20
-    data_vas = [vas[j] for j in range(1, n)]
     size_of_code = srds[0]
     init_size = sum(srds[1:])
     opt = bytearray()
@@ -500,15 +469,12 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     opt += struct.pack("<I", size_of_code)
     opt += struct.pack("<II", init_size, 0)
     opt += struct.pack("<I", entry_point)
-    opt += struct.pack("<III", vas[0], data_vas[0] if data_vas else 0, IMAGE_BASE)
+    opt += struct.pack("<III", vas[0], vas[1], IMAGE_BASE)  # .idata makes n >= 2
     opt += struct.pack("<II", SECTION_ALIGNMENT, FILE_ALIGNMENT)
     opt += struct.pack("<HHHHHHI", 6, 0, 1, 0, 6, 0, 0)
     opt += struct.pack("<III", size_of_image, size_of_headers, checksum)
     opt += struct.pack("<HHIIIII", 3, 0x8140, 0x100000, 0x1000, 0x100000, 0x1000, 0)
     opt += struct.pack("<I", 16)
-    dirs = [(0, 0)] * 16
-    dirs[pe_model.DIR_IMPORT] = import_dir
-    dirs[pe_model.DIR_DEBUG] = debug_dir
     for rva, size in dirs:
         opt += struct.pack("<II", rva, size)
     if len(opt) != opt_size:
@@ -517,12 +483,8 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
 
     t = o + opt_size
     for j in range(n):
-        name8 = names[j][:8].ljust(8, b"\x00")
-        buf[t : t + 40] = (
-            name8
-            + struct.pack("<IIII", vss[j], vas[j], srds[j], ptrs[j])
-            + b"\x00" * 12
-            + struct.pack("<I", characteristics[j])
+        buf[t : t + 40] = pe_model.SECTION_HEADER.pack(
+            names[j], vss[j], vas[j], srds[j], ptrs[j], bytes(12), characteristics[j]
         )
         t += 40
 

@@ -31,6 +31,9 @@ from .features import (
 )
 
 MAGIC = b"AMGDET01"
+#: magic, kind code, n_features, n_rounds, bias, learning_rate; the stump
+#: arrays follow.
+_HEAD = struct.Struct("<8sBII d d")
 
 #: Margins each detector keeps, least recently used out first.  A full memo of
 #: 32-byte digests and floats takes about 0.7 MB (tracemalloc, CPython 3.11).
@@ -120,14 +123,8 @@ class Detector:
 
     def save(self, path: str | Path) -> None:
         m = self.model
-        head = struct.pack(
-            "<8sBII d d",
-            MAGIC,
-            _KIND_CODE[self.kind],
-            self.n_features,
-            m.n_rounds,
-            m.bias,
-            m.learning_rate,
+        head = _HEAD.pack(
+            MAGIC, _KIND_CODE[self.kind], self.n_features, m.n_rounds, m.bias, m.learning_rate
         )
         body = (
             m.feature.astype("<u4").tobytes()
@@ -140,12 +137,10 @@ class Detector:
     @classmethod
     def load(cls, path: str | Path) -> "Detector":
         blob = Path(path).read_bytes()
-        head_size = struct.calcsize("<8sBII d d")
+        head_size = _HEAD.size
         if len(blob) < head_size:
             raise DetectorFormatError("file is too short to be a detector")
-        magic, code, n_features, n_rounds, bias, lr = struct.unpack(
-            "<8sBII d d", blob[:head_size]
-        )
+        magic, code, n_features, n_rounds, bias, lr = _HEAD.unpack_from(blob)
         if magic != MAGIC:
             raise DetectorFormatError("bad magic; not a detector file")
         if code not in _CODE_KIND:

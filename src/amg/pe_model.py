@@ -10,10 +10,15 @@ Hard problems (bad magic, offsets outside the file, overlapping raw ranges)
 raise.  Soft problems (unsorted sections, misrounded ``size_of_image`` and
 friends) come back as ``Diagnostic`` entries from :func:`check_invariants`,
 which callers run on demand; parsing does not.
+
+Each header's byte layout is stated once, as a ``struct.Struct`` that parse
+and serialize share, and the PE32/PE32+ differences live in one per-magic
+table, :data:`PE_FORMATS`.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -22,9 +27,18 @@ PE_SIGNATURE = b"PE\x00\x00"
 PE32_MAGIC = 0x10B
 PE32PLUS_MAGIC = 0x20B
 
-DOS_HEADER_SIZE = 64
-COFF_HEADER_SIZE = 20
-SECTION_HEADER_SIZE = 40
+# Each header's layout, in the field order of the dataclass that holds it;
+# parse and pack share these.
+DOS_HEADER = struct.Struct("<H58sI")
+COFF_HEADER = struct.Struct("<HHIIIHH")
+SECTION_HEADER = struct.Struct("<8sIIII12sI")
+DATA_DIRECTORY = struct.Struct("<II")
+# lookup table (ILT) RVA, time stamp, forwarder chain, name RVA, address table (IAT) RVA
+IMPORT_DESCRIPTOR = struct.Struct("<5I")
+
+DOS_HEADER_SIZE = DOS_HEADER.size
+COFF_HEADER_SIZE = COFF_HEADER.size
+SECTION_HEADER_SIZE = SECTION_HEADER.size
 
 DIR_EXPORT = 0
 DIR_IMPORT = 1
@@ -39,6 +53,32 @@ ORDINAL_FLAG_64 = 0x8000_0000_0000_0000
 
 _MAX_IMPORT_DESCRIPTORS = 512
 _MAX_IMPORT_THUNKS = 4096
+
+
+@functools.lru_cache(maxsize=2)  # PE32 and PE32+; other widths come from broken edits
+def _optional_fixed(run_e_width: int) -> struct.Struct:
+    """The optional header up to its data directories, for a ``run_e`` of this width."""
+    return struct.Struct(f"<H2sI8sI12sII16sIII{run_e_width}sI")
+
+
+@dataclass(frozen=True)
+class PeFormat:
+    """What differs between PE32 and PE32+."""
+
+    optional_fixed: struct.Struct  # 0x60 bytes PE32, 0x70 PE32+
+    thunk_size: int
+    ordinal_flag: int
+
+
+PE_FORMATS = {
+    PE32_MAGIC: PeFormat(_optional_fixed(24), 4, ORDINAL_FLAG_32),
+    PE32PLUS_MAGIC: PeFormat(_optional_fixed(40), 8, ORDINAL_FLAG_64),
+}
+
+
+def pe_format(magic: int) -> PeFormat:
+    """The format for ``magic``; an unknown magic reads imports as PE32 does."""
+    return PE_FORMATS.get(magic, PE_FORMATS[PE32_MAGIC])
 
 
 class PeError(Exception):
@@ -67,18 +107,6 @@ def align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-def _u16(data: bytes, off: int) -> int:
-    if off + 2 > len(data):
-        raise Truncated(f"u16 read at {off} past end ({len(data)} bytes)")
-    return struct.unpack_from("<H", data, off)[0]
-
-
-def _u32(data: bytes, off: int) -> int:
-    if off + 4 > len(data):
-        raise Truncated(f"u32 read at {off} past end ({len(data)} bytes)")
-    return struct.unpack_from("<I", data, off)[0]
-
-
 def _take(data: bytes, off: int, n: int, what: str) -> bytes:
     if off + n > len(data):
         raise Truncated(f"{what} at {off}..{off + n} past end ({len(data)} bytes)")
@@ -102,7 +130,7 @@ class DosHeader:
     e_lfanew: int
 
     def pack(self) -> bytes:
-        return struct.pack("<H", self.e_magic) + self.reserved + struct.pack("<I", self.e_lfanew)
+        return DOS_HEADER.pack(self.e_magic, self.reserved, self.e_lfanew)
 
 
 @dataclass
@@ -116,15 +144,10 @@ class CoffHeader:
     characteristics: int
 
     def pack(self) -> bytes:
-        return struct.pack(
-            "<HHIIIHH",
-            self.machine,
-            self.number_of_sections,
-            self.time_date_stamp,
-            self.pointer_to_symbol_table,
-            self.number_of_symbols,
-            self.size_of_optional_header,
-            self.characteristics,
+        return COFF_HEADER.pack(
+            self.machine, self.number_of_sections, self.time_date_stamp,
+            self.pointer_to_symbol_table, self.number_of_symbols,
+            self.size_of_optional_header, self.characteristics,
         )
 
 
@@ -141,7 +164,8 @@ class OptionalHeader:
     ``run_a`` .. ``run_e`` hold the byte spans between named fields; their
     widths differ between PE32 and PE32+ only for ``run_e`` (24 vs 40 bytes).
     ``trailing`` keeps any bytes past the data directories that
-    ``size_of_optional_header`` claims.
+    ``size_of_optional_header`` claims.  :meth:`pack` lays the fixed fields out
+    by ``len(run_e)``, not by ``magic``, so a wrong magic still serializes.
     """
 
     magic: int
@@ -159,24 +183,18 @@ class OptionalHeader:
     run_e: bytes  # subsystem through loader_flags (24 bytes PE32, 40 PE32+)
     number_of_rva_and_sizes: int
     data_directories: list[DataDirectory]
-    trailing: bytes = b""
+    trailing: bytes
 
     def pack(self) -> bytes:
         parts = [
-            struct.pack("<H", self.magic),
-            self.run_a,
-            struct.pack("<I", self.size_of_code),
-            self.run_b,
-            struct.pack("<I", self.address_of_entry_point),
-            self.run_c,
-            struct.pack("<II", self.section_alignment, self.file_alignment),
-            self.run_d,
-            struct.pack("<III", self.size_of_image, self.size_of_headers, self.checksum),
-            self.run_e,
-            struct.pack("<I", self.number_of_rva_and_sizes),
+            _optional_fixed(len(self.run_e)).pack(
+                self.magic, self.run_a, self.size_of_code, self.run_b,
+                self.address_of_entry_point, self.run_c, self.section_alignment,
+                self.file_alignment, self.run_d, self.size_of_image, self.size_of_headers,
+                self.checksum, self.run_e, self.number_of_rva_and_sizes,
+            )
         ]
-        for d in self.data_directories:
-            parts.append(struct.pack("<II", d.rva, d.size))
+        parts.extend(DATA_DIRECTORY.pack(d.rva, d.size) for d in self.data_directories)
         parts.append(self.trailing)
         return b"".join(parts)
 
@@ -195,17 +213,9 @@ class Section:
     data: bytes
 
     def pack_header(self) -> bytes:
-        return (
-            self.name
-            + struct.pack(
-                "<IIII",
-                self.virtual_size,
-                self.virtual_address,
-                self.size_of_raw_data,
-                self.pointer_to_raw_data,
-            )
-            + self.reserved
-            + struct.pack("<I", self.characteristics)
+        return SECTION_HEADER.pack(
+            self.name, self.virtual_size, self.virtual_address, self.size_of_raw_data,
+            self.pointer_to_raw_data, self.reserved, self.characteristics,
         )
 
     @property
@@ -307,93 +317,44 @@ def _parse_optional(raw: bytes, off: int, size: int) -> OptionalHeader:
     blob = _take(raw, off, size, "optional header")
     if size < 2:
         raise Truncated("optional header smaller than its magic field")
-    magic = _u16(blob, 0)
-    if magic == PE32_MAGIC:
-        run_e_len, fixed = 24, 0x60
-    elif magic == PE32PLUS_MAGIC:
-        run_e_len, fixed = 40, 0x70
-    else:
+    magic = int.from_bytes(blob[:2], "little")
+    if magic not in PE_FORMATS:
         raise NotPe(f"unsupported optional header magic 0x{magic:x}")
-    if size < fixed:
-        raise Truncated(f"optional header of {size} bytes cannot hold the fixed fields ({fixed})")
-
-    run_a = blob[2:4]
-    size_of_code = _u32(blob, 0x04)
-    run_b = blob[0x08:0x10]
-    aep = _u32(blob, 0x10)
-    run_c = blob[0x14:0x20]
-    section_alignment = _u32(blob, 0x20)
-    file_alignment = _u32(blob, 0x24)
-    run_d = blob[0x28:0x38]
-    size_of_image = _u32(blob, 0x38)
-    size_of_headers = _u32(blob, 0x3C)
-    checksum = _u32(blob, 0x40)
-    run_e = blob[0x44 : 0x44 + run_e_len]
-    n_dirs = _u32(blob, fixed - 4)
-    dirs_end = fixed + n_dirs * 8
+    fixed = PE_FORMATS[magic].optional_fixed
+    if size < fixed.size:
+        raise Truncated(f"optional header of {size} bytes is shorter than its fixed part")
+    fields = fixed.unpack_from(blob)
+    n_dirs = fields[-1]
+    dirs_end = fixed.size + n_dirs * DATA_DIRECTORY.size
     if dirs_end > size:
         raise Truncated(f"{n_dirs} data directories do not fit a {size}-byte optional header")
-    dirs = [
-        DataDirectory(_u32(blob, fixed + i * 8), _u32(blob, fixed + i * 8 + 4))
-        for i in range(n_dirs)
-    ]
-    return OptionalHeader(
-        magic=magic,
-        run_a=run_a,
-        size_of_code=size_of_code,
-        run_b=run_b,
-        address_of_entry_point=aep,
-        run_c=run_c,
-        section_alignment=section_alignment,
-        file_alignment=file_alignment,
-        run_d=run_d,
-        size_of_image=size_of_image,
-        size_of_headers=size_of_headers,
-        checksum=checksum,
-        run_e=run_e,
-        number_of_rva_and_sizes=n_dirs,
-        data_directories=dirs,
-        trailing=blob[dirs_end:],
-    )
+    dirs = [DataDirectory(*d) for d in DATA_DIRECTORY.iter_unpack(blob[fixed.size : dirs_end])]
+    return OptionalHeader(*fields, dirs, blob[dirs_end:])
 
 
 def parse(raw: bytes) -> PeImage:
     """Parse ``raw`` into a :class:`PeImage` or raise a :class:`PeError`."""
-    if len(raw) < 2 or _u16(raw, 0) != MZ_MAGIC:
+    if int.from_bytes(raw[:2], "little") != MZ_MAGIC:
         raise NotPe("missing MZ magic")
-    if len(raw) < DOS_HEADER_SIZE:
-        raise Truncated("file ends inside the DOS header")
-    e_lfanew = _u32(raw, 0x3C)
+    dos = DosHeader(*DOS_HEADER.unpack(_take(raw, 0, DOS_HEADER_SIZE, "DOS header")))
+    e_lfanew = dos.e_lfanew
     if e_lfanew < DOS_HEADER_SIZE:
         raise NotPe(f"e_lfanew {e_lfanew} overlaps the DOS header")
-    sig = _take(raw, e_lfanew, 4, "PE signature")
-    if sig != PE_SIGNATURE:
+    if _take(raw, e_lfanew, 4, "PE signature") != PE_SIGNATURE:
         raise NotPe("missing PE signature at e_lfanew")
-    dos = DosHeader(MZ_MAGIC, bytes(raw[2:0x3C]), e_lfanew)
     dos_stub = bytes(raw[DOS_HEADER_SIZE:e_lfanew])
 
     coff_off = e_lfanew + 4
-    coff_blob = _take(raw, coff_off, COFF_HEADER_SIZE, "COFF header")
-    coff = CoffHeader(*struct.unpack("<HHIIIHH", coff_blob))
+    coff = CoffHeader(*COFF_HEADER.unpack(_take(raw, coff_off, COFF_HEADER_SIZE, "COFF header")))
 
     opt_off = coff_off + COFF_HEADER_SIZE
     optional = _parse_optional(raw, opt_off, coff.size_of_optional_header)
 
     table_off = opt_off + coff.size_of_optional_header
-    table_end = table_off + SECTION_HEADER_SIZE * coff.number_of_sections
-    if table_end > len(raw):
-        raise Truncated("file ends inside the section table")
+    table = _take(raw, table_off, SECTION_HEADER_SIZE * coff.number_of_sections, "section table")
+    sections = [Section(*fields, b"") for fields in SECTION_HEADER.iter_unpack(table)]
 
-    sections: list[Section] = []
-    for i in range(coff.number_of_sections):
-        off = table_off + i * SECTION_HEADER_SIZE
-        name = bytes(raw[off : off + 8])
-        vs, va, srd, ptr = struct.unpack_from("<IIII", raw, off + 8)
-        reserved = bytes(raw[off + 24 : off + 36])
-        characteristics = _u32(raw, off + 36)
-        sections.append(Section(name, vs, va, srd, ptr, reserved, characteristics, b""))
-
-    headers_end = table_end
+    headers_end = table_off + len(table)
     intervals: list[tuple[int, int, int]] = []  # (start, end, section index)
     for i, s in enumerate(sections):
         if not s.has_raw():
@@ -470,6 +431,11 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
         err("dos_header.e_lfanew", "must equal 64 plus the DOS stub length")
     if img.coff.number_of_sections != len(img.sections):
         err("coff.number_of_sections", "must match the section list length")
+    # The header structs pad or cut a byte run silently, so its width is a rule
+    # here; a wrong run_e width shows as the size_of_optional_header mismatch.
+    for run, width in (("run_a", 2), ("run_b", 8), ("run_c", 12), ("run_d", 16)):
+        if len(getattr(opt, run)) != width:
+            err(f"optional.{run}", f"must be {width} bytes")
     if img.coff.size_of_optional_header != len(opt.pack()):
         err("coff.size_of_optional_header", "must match the optional header length")
     if opt.number_of_rva_and_sizes != len(opt.data_directories):
@@ -552,7 +518,7 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
         out.append(Diagnostic("warning", path, rule))
 
     opt = img.optional
-    if opt.magic not in (PE32_MAGIC, PE32PLUS_MAGIC):
+    if opt.magic not in PE_FORMATS:
         err("optional.magic", "must be PE32 (0x10B) or PE32+ (0x20B)")
 
     sa, fa = opt.section_alignment, opt.file_alignment
@@ -596,11 +562,11 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
 
 def _import_table_diagnostics(img: PeImage) -> list[Diagnostic]:
     smap = section_map(img)
-    entry_size = 8 if img.optional.magic == PE32PLUS_MAGIC else 4
+    entry_size = pe_format(img.optional.magic).thunk_size
     descriptors, stop = import_descriptors(img, smap)
     out: list[Diagnostic] = []
     for i, blob in enumerate(descriptors):
-        ilt_rva, _, _, _, iat_rva = struct.unpack("<5I", blob)
+        ilt_rva, _, _, _, iat_rva = IMPORT_DESCRIPTOR.unpack(blob)
         ilt = _read_thunks(smap, ilt_rva, entry_size)
         iat = _read_thunks(smap, iat_rva, entry_size)
         if ilt is None or iat is None:
@@ -764,24 +730,22 @@ def import_descriptors(img: PeImage, smap: SectionMap) -> tuple[list[bytes], str
     d = img.directory(DIR_IMPORT)
     if d.rva == 0:
         return [], "zero"
-    return read_table(smap, d.rva, 20, _MAX_IMPORT_DESCRIPTORS)
+    return read_table(smap, d.rva, IMPORT_DESCRIPTOR.size, _MAX_IMPORT_DESCRIPTORS)
 
 
 def parse_imports(img: PeImage) -> list[ImportDescriptor]:
     """Walk the import directory; tolerant of unmappable tables (returns what it can)."""
     smap = section_map(img)
-    is_plus = img.optional.magic == PE32PLUS_MAGIC
-    entry_size = 8 if is_plus else 4
-    ordinal_flag = ORDINAL_FLAG_64 if is_plus else ORDINAL_FLAG_32
+    fmt = pe_format(img.optional.magic)
     descriptors, _ = import_descriptors(img, smap)
     out: list[ImportDescriptor] = []
     for blob in descriptors:
-        oft, _, _, name_rva, iat_rva = struct.unpack("<5I", blob)
+        oft, _, _, name_rva, iat_rva = IMPORT_DESCRIPTOR.unpack(blob)
         dll = _read_c_string(smap, name_rva) or f"rva:{name_rva:#x}"
         names: list[str] = []
-        for thunk in _read_thunks(smap, oft or iat_rva, entry_size) or []:
+        for thunk in _read_thunks(smap, oft or iat_rva, fmt.thunk_size) or []:
             value = int.from_bytes(thunk, "little")
-            if value & ordinal_flag:
+            if value & fmt.ordinal_flag:
                 names.append(f"ordinal:{value & 0xFFFF}")
                 continue
             name = _read_c_string(smap, (value & 0x7FFF_FFFF) + 2)

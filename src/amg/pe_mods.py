@@ -20,7 +20,6 @@ from .pe_model import (
     DIR_DEBUG,
     DIR_IMPORT,
     DIR_SECURITY,
-    PE32PLUS_MAGIC,
     PeImage,
     align_up,
 )
@@ -410,8 +409,7 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     old_raw = b"".join(pe_model.import_descriptors(out, pe_model.section_map(out))[0])
 
     base = home[0]
-    entry_size = 8 if out.optional.magic == PE32PLUS_MAGIC else 4
-    thunk_fmt = "<Q" if entry_size == 8 else "<I"
+    entry_size = pe_model.pe_format(out.optional.magic).thunk_size
     idt_len = len(old_raw) + 40
     ilt_off = idt_len
     ilt_len = (len(funcs) + 1) * entry_size
@@ -430,9 +428,9 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     name_rva = base + cursor
     names_blob = dll.encode("ascii") + b"\x00"
 
-    thunks = b"".join(struct.pack(thunk_fmt, rva) for rva in hint_rvas)
-    thunks += struct.pack(thunk_fmt, 0)
-    descriptor = struct.pack("<IIIII", base + ilt_off, 0, 0, name_rva, base + iat_off)
+    thunks = b"".join(rva.to_bytes(entry_size, "little") for rva in hint_rvas)
+    thunks += bytes(entry_size)
+    descriptor = pe_model.IMPORT_DESCRIPTOR.pack(base + ilt_off, 0, 0, name_rva, base + iat_off)
     content = old_raw + descriptor + b"\x00" * 20 + thunks + thunks + bytes(hints) + names_blob
 
     delta = _append_section(out, b".idata", content, len(content), 0xC0000040)

@@ -179,24 +179,15 @@ def run_validity_suite(
     backend,
     pool: BenignContentPool,
     seed: int = 0,
-    mutate=None,
 ) -> ValidityRow:
-    """Apply one action to every file and tally how many stay valid.
-
-    ``mutate`` overrides the action application for tests that want to model
-    a deliberately corrupting rewrite; it must map (image, seed) to a
-    :class:`ModResult`.
-    """
+    """Apply one action to every file and tally how many stay valid."""
     valid = 0
     outcomes: dict[str, int] = {}
     failures: list[str] = []
     for file_id, raw in entries:
         img = pe_model.parse(raw)
         action_seed = fanout(seed, "validity", file_id, int(action))
-        if mutate is None:
-            result: ModResult = apply_action(img, action, pool, seed=action_seed)
-        else:
-            result = mutate(img, action_seed)
+        result: ModResult = apply_action(img, action, pool, seed=action_seed)
         outcomes[result.outcome.value] = outcomes.get(result.outcome.value, 0) + 1
         if result.outcome is Outcome.APPLIED:
             modified = pe_model.serialize(result.image)

@@ -219,8 +219,6 @@ def test_negative_file_counts_are_refused(malicious, benign):
     """Refused when the spec is made, so no pool can start for it."""
     with pytest.raises(CorpusError, match="0 or more"):
         CorpusSpec(malicious=malicious, benign=benign, seed=3)
-    with pytest.raises(CorpusError, match="0 or more"):
-        CorpusSpec.from_dict({"malicious": malicious, "benign": benign, "seed": 3})
 
 
 def test_label_counts_and_names(corpus_files):
@@ -302,16 +300,7 @@ def test_write_and_load_round_trip(tmp_path):
         assert e.label == src.label
         assert e.read() == src.data
         assert e.planted == src.planted
-    meta = json.loads((tmp_path / "corpus" / "meta.json").read_text())
-    assert CorpusSpec.from_dict(meta) == SMALL
-
-
-def test_meta_with_the_old_generation_settings_still_loads():
-    """``meta.json`` once also recorded the section, quirk, motif and noise
-    settings that are now constants; such a file loads to the same spec."""
-    old = {**SMALL.to_dict(), "min_sections": 2, "max_sections": 5, "quirks_low": 4,
-           "quirks_high": 6, "motifs_low": 5, "motifs_high": 10, "benign_noise": 0.5}
-    assert CorpusSpec.from_dict(old) == SMALL
+    assert json.loads((tmp_path / "corpus" / "meta.json").read_text()) == SMALL.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,30 @@ def test_serialize_gate_rejects_section_name_width(mal_bytes):
     assert any(d.path == "sections[0].name" for d in check_invariants(img))
 
 
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "header, run",
+    [("optional", f"run_{c}") for c in "abcde"] + [("dos_header", "reserved")],
+)
+def test_serialize_gate_rejects_byte_run_width(mal_bytes, header, run, delta):
+    """The header structs would pad or cut a run of the wrong width, so the
+    gate must catch it before they do."""
+    img = parse(mal_bytes[0])
+    part = getattr(img, header)
+    blob = getattr(part, run)
+    setattr(part, run, blob[:-1] if delta < 0 else blob + b"\x00")
+    _assert_refused_and_reported(img)
+
+
+def test_header_structs_have_the_pe_sizes():
+    assert pe_model.DOS_HEADER.size == pe_model.DOS_HEADER_SIZE == 64
+    assert pe_model.COFF_HEADER.size == pe_model.COFF_HEADER_SIZE == 20
+    assert pe_model.SECTION_HEADER.size == pe_model.SECTION_HEADER_SIZE == 40
+    formats = pe_model.PE_FORMATS
+    assert formats[pe_model.PE32_MAGIC].optional_fixed.size == 0x60
+    assert formats[pe_model.PE32PLUS_MAGIC].optional_fixed.size == 0x70
+
+
 def test_misalignment_serializes_but_reports_error_diagnostic(mal_bytes):
     """Alignment breakage is representable: the writer emits it byte-exactly
     and the invariant checker flags it as an error."""

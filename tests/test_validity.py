@@ -214,8 +214,8 @@ def test_arity_is_enforced():
 # structural backend on real files
 
 
-def corrupting_mutate(img, seed) -> ModResult:
-    """A rewrite that serializes but breaks loadability."""
+def corrupting_mutate(img, action, pool, seed=0) -> ModResult:
+    """A rewrite that serializes but breaks loadability, called as ``apply_action``."""
     out = img.copy()
     out.optional.magic = 0x999
     return ModResult(Outcome.APPLIED, out, 0)
@@ -244,12 +244,10 @@ def test_real_action_keeps_files_valid(corpus_files, pool):
     assert set(row.outcomes) == {"applied"}
 
 
-def test_corrupting_rewrite_fails_every_file(corpus_files, pool):
+def test_corrupting_rewrite_fails_every_file(corpus_files, pool, monkeypatch):
+    monkeypatch.setattr(validity, "apply_action", corrupting_mutate)
     entries = [(f.name, f.data) for f in corpus_files[:30] if f.label == "malicious"]
-    row = run_validity_suite(
-        entries, ActionId.BREAK_CHECKSUM, StructuralBackend(), pool,
-        mutate=corrupting_mutate,
-    )
+    row = run_validity_suite(entries, ActionId.BREAK_CHECKSUM, StructuralBackend(), pool)
     assert row.valid == 0
     assert len(row.failures) == row.total == len(entries)
 

@@ -23,7 +23,10 @@ from .detector import Detector, DetectorKind, Verdict, train_detector
 from .memo import ContentMemo
 from .pe_mods import ACTION_COUNT, BenignContentPool, build_pool
 from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, RewriteEnv
-from .rl.env import OBSERVATION_MEMO_ENTRIES
+
+#: Observations the memo a workflow shares among its envs keeps, least
+#: recently used out first, like the detectors' margin memos.
+OBSERVATION_MEMO_ENTRIES = 4096
 
 
 class EmptyDenominator(ValueError):
@@ -130,8 +133,9 @@ def train_agent(
     observations: ContentMemo | None = None,
 ):
     """Train one agent by sampling episodes over the given files.  Every
-    episode's env takes its states from ``observations``, or keeps its own
-    memo when none is given."""
+    episode's env takes the states met before from ``observations``; with
+    none given, it observes its start and every applied step, counting only
+    the bytes each step changed."""
     agent = make_agent(kind, N_OBSERVATION, ACTION_COUNT, hyper, seed=seed)
     rng = np.random.default_rng(seed)
     config = EnvConfig(max_steps=max_steps, seed=seed)
@@ -195,8 +199,9 @@ def evaluate_policy(
 
     ``EvalResult.queries`` counts the queries of the eligible files' episodes
     only: the screening query that finds an original undetected is made but
-    not counted.  Every env takes its states from ``observations``, or keeps
-    its own memo when none is given.
+    not counted.  Every env takes the states met before from
+    ``observations``; with none given, it observes its start and every
+    applied step, counting only the bytes each step changed.
     """
     config = EnvConfig(max_steps=max_steps, seed=seed)
     result = EvalResult()

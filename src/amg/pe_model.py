@@ -40,9 +40,7 @@ DOS_HEADER_SIZE = DOS_HEADER.size
 COFF_HEADER_SIZE = COFF_HEADER.size
 SECTION_HEADER_SIZE = SECTION_HEADER.size
 
-DIR_EXPORT = 0
 DIR_IMPORT = 1
-DIR_RESOURCE = 2
 # The security directory's first field is a raw file offset, not an RVA;
 # certificates live in the overlay, outside any mapped section.
 DIR_SECURITY = 4
@@ -65,14 +63,19 @@ def _optional_fixed(run_e_width: int) -> struct.Struct:
 class PeFormat:
     """What differs between PE32 and PE32+."""
 
-    optional_fixed: struct.Struct  # 0x60 bytes PE32, 0x70 PE32+
+    run_e_width: int  # 24 bytes PE32, 40 PE32+
     thunk_size: int
     ordinal_flag: int
 
+    @property
+    def optional_fixed(self) -> struct.Struct:
+        """The optional header up to its data directories: 0x60 bytes PE32, 0x70 PE32+."""
+        return _optional_fixed(self.run_e_width)
+
 
 PE_FORMATS = {
-    PE32_MAGIC: PeFormat(_optional_fixed(24), 4, ORDINAL_FLAG_32),
-    PE32PLUS_MAGIC: PeFormat(_optional_fixed(40), 8, ORDINAL_FLAG_64),
+    PE32_MAGIC: PeFormat(24, 4, ORDINAL_FLAG_32),
+    PE32PLUS_MAGIC: PeFormat(40, 8, ORDINAL_FLAG_64),
 }
 
 
@@ -165,7 +168,8 @@ class OptionalHeader:
     widths differ between PE32 and PE32+ only for ``run_e`` (24 vs 40 bytes).
     ``trailing`` keeps any bytes past the data directories that
     ``size_of_optional_header`` claims.  :meth:`pack` lays the fixed fields out
-    by ``len(run_e)``, not by ``magic``, so a wrong magic still serializes.
+    by ``len(run_e)``, not by ``magic``, so an unknown magic still serializes;
+    :func:`serialize` refuses a known magic over a ``run_e`` of the other width.
     """
 
     magic: int
@@ -432,8 +436,12 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     if img.coff.number_of_sections != len(img.sections):
         err("coff.number_of_sections", "must match the section list length")
     # The header structs pad or cut a byte run silently, so its width is a rule
-    # here; a wrong run_e width shows as the size_of_optional_header mismatch.
-    for run, width in (("run_a", 2), ("run_b", 8), ("run_c", 12), ("run_d", 16)):
+    # here.  A known magic fixes run_e's width, which parse reads it by; under
+    # an unknown magic a wrong width shows as the size_of_optional_header mismatch.
+    widths = [("run_a", 2), ("run_b", 8), ("run_c", 12), ("run_d", 16)]
+    if opt.magic in PE_FORMATS:
+        widths.append(("run_e", PE_FORMATS[opt.magic].run_e_width))
+    for run, width in widths:
         if len(getattr(opt, run)) != width:
             err(f"optional.{run}", f"must be {width} bytes")
     if img.coff.size_of_optional_header != len(opt.pack()):

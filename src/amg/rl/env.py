@@ -27,14 +27,10 @@ from ..pe_mods import (
     apply_action,
 )
 from ..seeds import fanout
-from .observation import observe
+from .observation import ByteCounts, observe
 
 REWARD_EVASION = 10.0
 REWARD_STEP = -0.1
-
-#: Observations an observation memo keeps, least recently used out first,
-#: like the detectors' margin memos.
-OBSERVATION_MEMO_ENTRIES = 4096
 
 
 class AlreadyBenign(Exception):
@@ -68,10 +64,12 @@ class Transition:
 class RewriteEnv:
     """One-file episode loop; ``classify`` is any bytes -> Verdict callable.
 
-    Every state comes from ``observations``, a memo of observations by the
-    bytes they encode that may outlive the env and be shared with others;
-    without one the env keeps its own.  The env hashes its own bytes and
-    shares nothing with the classifier.
+    Each state is observed from the byte counts carried from the last state
+    observed, so a step counts only the bytes its rewrite changed; a reset
+    starts from no counts.  ``observations``, a memo of observations by the
+    bytes they encode that may outlive the env and be shared with others,
+    answers states met before; an env given none keeps none and hashes
+    nothing.  The env shares nothing with the classifier.
     """
 
     def __init__(
@@ -86,9 +84,8 @@ class RewriteEnv:
         self._classify = classify
         self._pool = pool
         self.config = config
-        self._observations = (
-            ContentMemo(OBSERVATION_MEMO_ENTRIES) if observations is None else observations
-        )
+        self._observations = observations
+        self._counts = None
         self.queries = 0
         self.episode = -1
         self._img = None
@@ -108,6 +105,7 @@ class RewriteEnv:
             raise AlreadyBenign("starting file is not detected")
         self._steps = 0
         self._done = False
+        self._counts = ByteCounts()
         self._obs = self._observe()
         return self._obs
 
@@ -147,9 +145,13 @@ class RewriteEnv:
         return transition
 
     def _observe(self) -> np.ndarray:
-        """A fresh copy of ``observe`` of the current image, computed only for new bytes."""
+        """A fresh ``observe`` of the current image, or a copy of the memo's."""
         # ``observe`` is the module global, so a patched one sees every miss
-        return self._observations.get(self._bytes, lambda: observe(self._img, self._bytes)).copy()
+        if self._observations is None:
+            return observe(self._img, self._bytes, self._counts)
+        return self._observations.get(
+            self._bytes, lambda: observe(self._img, self._bytes, self._counts)
+        ).copy()
 
     # -- views ----------------------------------------------------------------
 

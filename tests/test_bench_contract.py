@@ -117,9 +117,9 @@ def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monk
     original = observation.observe
     calls = []
 
-    def counting(img, raw):
+    def counting(img, raw, counts=None):
         calls.append(raw)
-        return original(img, raw)
+        return original(img, raw, counts)
 
     for name, module in list(sys.modules.items()):
         if name == "amg" or name.startswith("amg."):

@@ -12,6 +12,7 @@ import pytest
 from amg import harness
 from amg.detector import Verdict
 from amg.harness import (
+    OBSERVATION_MEMO_ENTRIES,
     EmptyDenominator,
     EvalResult,
     evaluate_policy,
@@ -27,10 +28,9 @@ from amg.harness import (
     truncated_percent,
 )
 from amg.agents import AgentHyper, make_agent
-from amg.pe_mods import ACTION_COUNT
+from amg.pe_mods import ACTION_COUNT, Outcome
 from amg.memo import ContentMemo
 from amg.rl import N_OBSERVATION, env as env_module
-from amg.rl.env import OBSERVATION_MEMO_ENTRIES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -133,30 +133,48 @@ def test_evaluate_policy_collects_winning_pairs(world):
         assert classify(rewrite) is Verdict.BENIGN
 
 
-def test_direct_evaluation_observes_each_content_once_per_env(world, monkeypatch):
+def test_direct_evaluation_observes_each_content_once_per_memo(world, monkeypatch):
     """An evaluation passes its caller's memo to every env and builds none
-    itself: without one, each env keeps its own, so a file met twice is
-    encoded twice; with one, it is encoded once and the memo counts the
-    repeats as hits."""
-    original = env_module.observe
-    seen = []
+    itself: without one, each env observes its start and every applied
+    step, so a file met twice is encoded twice; with one, each content is
+    encoded once and the memo counts the repeats as hits."""
+    original_observe, original_apply = env_module.observe, env_module.apply_action
+    original_reset = env_module.RewriteEnv.reset
+    seen = []  # observed digests, with None where an env resets
+    applied = []
 
-    def counting(img, raw):
+    def counting(img, raw, counts=None):
         seen.append(hashlib.sha256(raw).digest())
-        return original(img, raw)
+        return original_observe(img, raw, counts)
+
+    def applying(*args, **kwargs):
+        result = original_apply(*args, **kwargs)
+        applied.append(result.outcome is Outcome.APPLIED)
+        return result
+
+    def resetting(env):
+        seen.append(None)
+        return original_reset(env)
 
     monkeypatch.setattr(env_module, "observe", counting)
+    monkeypatch.setattr(env_module, "apply_action", applying)
+    monkeypatch.setattr(env_module.RewriteEnv, "reset", resetting)
     files = world.mal_test[:3] * 2
-    calls = []
+    calls, steps = [], []
     for memo in (None, ContentMemo(OBSERVATION_MEMO_ENTRIES)):
         seen.clear()
+        applied.clear()
         agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=0)
         evaluate_policy(agent, files, lambda raw: Verdict.MALICIOUS, world.pool,
                         max_steps=3, seed=0, observations=memo)
         calls.append(list(seen))
-    own, shared = calls
+        steps.append(sum(applied))
+    marked, shared = calls[0], [digest for digest in calls[1] if digest is not None]
+    own = [digest for digest in marked if digest is not None]
     starts = [hashlib.sha256(raw).digest() for raw in files]
-    assert [digest for digest in own if digest in starts] == starts  # each env encodes its start
+    # each env encodes its start first
+    assert [marked[i + 1] for i, d in enumerate(marked) if d is None] == starts
+    assert len(own) == len(files) + steps[0]  # and each applied step
     assert shared == list(dict.fromkeys(own))  # one shared memo encodes each content once
     assert len(shared) < len(own)
     assert memo.misses == len(shared) and memo.hits >= len(files) // 2

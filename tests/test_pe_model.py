@@ -125,6 +125,22 @@ def test_serialize_gate_rejects_byte_run_width(mal_bytes, header, run, delta):
     _assert_refused_and_reported(img)
 
 
+@pytest.mark.parametrize(
+    "magic, run_e_width",
+    [(pe_model.PE32PLUS_MAGIC, 24), (pe_model.PE32_MAGIC, 40)],
+    ids=["pe32plus-magic-over-pe32", "pe32-magic-over-pe32plus"],
+)
+def test_serialize_gate_rejects_a_magic_that_disagrees_with_run_e(mal_bytes, magic, run_e_width):
+    """Parse reads ``run_e`` at the width the magic names, so a header of the
+    other width would serialize to bytes that do not parse again."""
+    img = parse(mal_bytes[0])
+    img.optional.magic = magic
+    img.optional.run_e = bytes(run_e_width)
+    img.coff.size_of_optional_header = len(img.optional.pack())
+    _assert_refused_and_reported(img)
+    assert [d.path for d in check_invariants(img) if d.severity == "error"] == ["optional.run_e"]
+
+
 def test_header_structs_have_the_pe_sizes():
     assert pe_model.DOS_HEADER.size == pe_model.DOS_HEADER_SIZE == 64
     assert pe_model.COFF_HEADER.size == pe_model.COFF_HEADER_SIZE == 20

@@ -13,7 +13,7 @@ import pytest
 from amg import pe_model
 from amg.agents import AgentHyper, make_agent
 from amg.detector import Verdict
-from amg.harness import evaluate_policy
+from amg.harness import OBSERVATION_MEMO_ENTRIES, evaluate_policy
 from amg.memo import ContentMemo
 from amg.pe_mods import ACTION_COUNT, ActionId, Outcome, apply_action
 from amg.rl import (
@@ -114,27 +114,48 @@ def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes, pool):
     assert _same_bits(start(), expected)
 
 
-def test_observation_memo_keeps_the_last_entries(mal_bytes, pool, monkeypatch):
-    """An env given no memo keeps its own, bounded by
-    ``OBSERVATION_MEMO_ENTRIES``; the memo's own order and counts are tested
-    in ``test_memo``."""
-    monkeypatch.setattr(env_module, "OBSERVATION_MEMO_ENTRIES", 3)
-    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=6, seed=2))
+def test_env_without_a_memo_keeps_none_and_hashes_nothing(mal_bytes, pool, monkeypatch):
+    """An env given no memo builds none and hashes no bytes: it observes its
+    start and every applied step, even one whose bytes it met before."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an env without a memo used one")
+
+    monkeypatch.setattr(ContentMemo, "__init__", refuse)
+    monkeypatch.setattr(ContentMemo, "get", refuse)  # the memo's only hash
+    original = env_module.observe
+    observed = []
+
+    def recording(img, raw, counts=None):
+        observed.append(raw)
+        return original(img, raw, counts)
+
+    monkeypatch.setattr(env_module, "observe", recording)
+    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=4, seed=2))
     contents = [env.current_bytes]
     env.reset()
-    while not env.done:
-        env.step(ActionId.APPEND_OVERLAY)
+    for action in (ActionId.BREAK_CHECKSUM, ActionId.BREAK_CHECKSUM, ActionId.APPEND_OVERLAY):
+        assert env.step(action).info["outcome"] == "applied"
         contents.append(env.current_bytes)
-    assert len(set(contents)) == 7
-    memo = env._observations
-    assert (memo.entries, len(memo), memo.misses, memo.hits) == (3, 3, 7, 0)
-    env.reset()  # the first content was evicted, so it is observed again
-    assert (memo.misses, memo.hits) == (8, 0)
+    assert contents[1] == contents[2]  # a zero checksum zeroed again
+    assert observed == contents
+    env.reset()
+    assert observed == contents + [mal_bytes[0]]
+
+
+def test_env_module_builds_no_memo_of_its_own():
+    tree = ast.parse((RL_DIR / "env.py").read_text())
+    calls = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "ContentMemo" not in calls
 
 
 def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
     """Envs that share one memo play, state for state, the episodes that
-    envs keeping their own memos play."""
+    envs with no memo play."""
 
     def episodes(observations):
         out = []
@@ -148,11 +169,56 @@ def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
                 action += 3
         return out
 
-    memo = ContentMemo(env_module.OBSERVATION_MEMO_ENTRIES)
+    memo = ContentMemo(OBSERVATION_MEMO_ENTRIES)
     own, shared = episodes(None), episodes(memo)
     assert len(own) == len(shared)
     assert all(_same_bits(a, b) for a, b in zip(own, shared))
     assert 0 < len(memo) < len(shared)
+
+
+def test_property_carried_counts_observe_as_a_full_count(mal_bytes, pool, monkeypatch):
+    """Along long random chains of all ten actions, every state an env
+    observes from its carried counts equals a full count of its bytes: with
+    no memo, with a shared memo whose hits skip counting (so the counts lag
+    behind the state), and across resets."""
+    original_observe, original_apply = env_module.observe, env_module.apply_action
+    details, lagging = [], []
+    episode = {"counted": None, "last_state": None}  # what this episode's counts hold
+
+    def observing(img, raw, counts=None):
+        if episode["counted"] is not None:
+            lagging.append(episode["counted"] != episode["last_state"])
+        episode["counted"] = raw
+        return original_observe(img, raw, counts)
+
+    def applying(img, action, pool, seed=0):
+        result = original_apply(img, action, pool, seed)
+        details.append((ActionId(action), result.outcome, result.detail))
+        return result
+
+    monkeypatch.setattr(env_module, "observe", observing)
+    monkeypatch.setattr(env_module, "apply_action", applying)
+    rng = np.random.default_rng(16)
+    shared = ContentMemo(OBSERVATION_MEMO_ENTRIES)
+    for memo in (None, shared):
+        for raw in mal_bytes[:12]:
+            env = RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=40, seed=7), memo)
+            for _ in range(2):
+                episode["counted"] = None  # a reset starts from no counts
+                states = [env.reset()]
+                contents = [env.current_bytes]
+                while not env.done:
+                    episode["last_state"] = env.current_bytes
+                    states.append(env.step(int(rng.integers(ACTION_COUNT))).next_observation)
+                    contents.append(env.current_bytes)
+                for state, content in zip(states, contents):
+                    assert state.tobytes() == observe(pe_model.parse(content), content).tobytes()
+    applied = {(action, detail.split(" ")[0]) for action, outcome, detail in details
+               if outcome is Outcome.APPLIED}
+    assert {action for action, _ in applied} == set(ActionId)
+    # the overlay cut shrinks the file; the grow path replaces a section's payload
+    assert {(ActionId.REMOVE_CERTIFICATE, "excised"), (ActionId.APPEND_TO_SECTION, "grow")} <= applied
+    assert shared.hits > 0 and any(lagging)  # some counts skipped a state a hit answered
 
 
 # ---------------------------------------------------------------------------

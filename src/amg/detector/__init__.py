@@ -6,7 +6,11 @@ hashed byte-pair frequencies and never looks at structure.  Both expose the
 same surface: ``classify(raw)`` returns a verdict (files that fail to parse
 are rejected as malicious outright), ``score(raw)`` exposes the additive
 margin, positive meaning malicious.  Each detector scores a distinct content
-once: its margins are memoized by SHA-256 of the bytes.
+once: its margins are memoized by SHA-256 of the bytes.  Each detector also
+carries the counts of its last miss, so a miss counts again only the bytes
+that differ from those; its features are the same as counting everything.
+The carried counts belong to that detector alone: ``fresh`` and ``load``
+start without any, and training counts every file in full.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .boost import BoostedStumps, fit_stumps
 from .features import (
     N_FEATURES_BIGRAM,
     N_FEATURES_STRUCTURAL,
+    BigramCounts,
+    StructuralCounts,
     extract_features_bigram,
     extract_features_structural,
 )
@@ -88,6 +94,11 @@ class Detector:
     _memo: ContentMemo = field(
         default_factory=lambda: ContentMemo(MEMO_ENTRIES), init=False, repr=False, compare=False
     )
+    # what the last miss counted, carried to the next one
+    _carry: StructuralCounts | BigramCounts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._carry = StructuralCounts() if self.kind is DetectorKind.STRUCTURAL else BigramCounts()
 
     @property
     def n_features(self) -> int:
@@ -107,7 +118,7 @@ class Detector:
 
     def _margin(self, raw: bytes) -> float:
         try:
-            x = _features(self.kind, raw, pe_model.parse(raw))
+            x = _features(self.kind, raw, pe_model.parse(raw), self._carry)
         except pe_model.PeError:
             return math.inf
         return self.model.margin_one(x)
@@ -116,7 +127,7 @@ class Detector:
         return Verdict.MALICIOUS if self.score(raw) > 0 else Verdict.BENIGN
 
     def fresh(self) -> "Detector":
-        """The same classifier with an empty memo, as ``load`` would give."""
+        """The same classifier with an empty memo and no carried counts, as ``load`` would give."""
         return Detector(self.kind, self.model)
 
     # -- persistence ------------------------------------------------------
@@ -188,11 +199,18 @@ class Detector:
         return det
 
 
-def _features(kind: DetectorKind, raw: bytes, img: pe_model.PeImage | None = None) -> np.ndarray:
-    """``kind``'s feature vector for ``raw``; the structural kind parses it unless given ``img``."""
+def _features(
+    kind: DetectorKind,
+    raw: bytes,
+    img: pe_model.PeImage | None = None,
+    carry: StructuralCounts | BigramCounts | None = None,
+) -> np.ndarray:
+    """``kind``'s feature vector for ``raw``; the structural kind parses it
+    unless given ``img``.  ``carry``, the counts of earlier bytes of that
+    kind, is passed on to the extractor; without it every byte is counted."""
     if kind is DetectorKind.STRUCTURAL:
-        return extract_features_structural(pe_model.parse(raw) if img is None else img, raw)
-    return extract_features_bigram(raw)
+        return extract_features_structural(pe_model.parse(raw) if img is None else img, raw, carry)
+    return extract_features_bigram(raw, carry)
 
 
 def extract_matrix(kind: DetectorKind, files: Iterable[bytes]) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = b"PE\x00\x00"
@@ -301,15 +301,37 @@ class PeImage:
         return [(s.pointer_to_raw_data if s.has_raw() else None, s.data) for s in self.sections]
 
     def copy(self) -> PeImage:
-        """Copy the headers, directories and sections; payload ``bytes`` are shared."""
-        opt = self.optional
-        return replace(
-            self,
-            dos_header=replace(self.dos_header),
-            coff=replace(self.coff),
-            optional=replace(opt, data_directories=[replace(d) for d in opt.data_directories]),
-            sections=[replace(s) for s in self.sections],
-            padding_spans=list(self.padding_spans),
+        """Copy the headers, directories and sections; payload ``bytes`` are shared.
+
+        Each object is built by its own constructor, which is several times
+        faster than ``dataclasses.replace`` and keeps the instance layout
+        that makes later attribute reads fast.
+        """
+        d, c, o = self.dos_header, self.coff, self.optional
+        return PeImage(
+            DosHeader(d.e_magic, d.reserved, d.e_lfanew),
+            self.dos_stub,
+            CoffHeader(
+                c.machine, c.number_of_sections, c.time_date_stamp, c.pointer_to_symbol_table,
+                c.number_of_symbols, c.size_of_optional_header, c.characteristics,
+            ),
+            OptionalHeader(
+                o.magic, o.run_a, o.size_of_code, o.run_b, o.address_of_entry_point, o.run_c,
+                o.section_alignment, o.file_alignment, o.run_d, o.size_of_image,
+                o.size_of_headers, o.checksum, o.run_e, o.number_of_rva_and_sizes,
+                [DataDirectory(x.rva, x.size) for x in o.data_directories],
+                o.trailing,
+            ),
+            [
+                Section(
+                    s.name, s.virtual_size, s.virtual_address, s.size_of_raw_data,
+                    s.pointer_to_raw_data, s.reserved, s.characteristics, s.data,
+                )
+                for s in self.sections
+            ],
+            list(self.padding_spans),
+            self.overlay,
+            self.source_len,
         )
 
 

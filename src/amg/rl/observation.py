@@ -5,8 +5,10 @@ module computes its own byte histogram and entropy (with the neutral
 :mod:`amg.bytestats`) and imports nothing from the detector side, so an agent
 only ever sees generic file statistics, never the quantities the classifiers
 score.  An env carries :class:`ByteCounts` from one state to the next, so
-after a rewrite only the bytes it changed and the sections whose payload it
-replaced are counted again; the state is the same as counting everything.
+after a rewrite only the bytes it changed (the window
+:func:`amg.bytestats.changed_window` finds, the rule the detectors also
+count by) and the sections whose payload it replaced are counted again; the
+state is the same as counting everything.
 Layout (272 values):
 
 * ``[0:256]``   whole-file byte histogram, normalized to sum to one
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .. import pe_model
-from ..bytestats import entropy_of_counts
+from ..bytestats import changed_window, entropy_of_counts
 from ..pe_model import PeImage
 
 N_OBSERVATION = 272
@@ -33,15 +35,6 @@ _N_HISTOGRAM = 256
 
 def _byte_counts(view: np.ndarray) -> np.ndarray:
     return np.bincount(view, minlength=_N_HISTOGRAM)
-
-
-def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
-    """How many leading elements ``a`` and ``b`` (of equal length) share."""
-    if not len(a):
-        return 0
-    differ = a != b
-    first = int(differ.argmax())
-    return first if differ[first] else len(a)
 
 
 class ByteCounts:
@@ -62,18 +55,20 @@ class ByteCounts:
     def update(self, img: PeImage, raw: bytes) -> tuple[np.ndarray, list[float]]:
         """Whole-file byte counts of ``raw`` and the entropy of each non-empty
         section of ``img``, in table order, counting only what differs from
-        the last update; these become the counts carried to the next one."""
+        the last update (or every byte, where :func:`changed_window` says
+        that reads less); these become the counts carried to the next one."""
         new = np.frombuffer(raw, dtype=np.uint8)
         old = self._raw
-        n = min(len(old), len(new))
-        head = _common_prefix(old[:n], new[:n])
-        # the common suffix may not reach into the common prefix
-        tail = _common_prefix(old[len(old) - n + head :][::-1], new[len(new) - n + head :][::-1])
-        counts = (
-            self._counts
-            - _byte_counts(old[head : len(old) - tail])
-            + _byte_counts(new[head : len(new) - tail])
-        )
+        window = changed_window(old, new)
+        if window is None:
+            counts = _byte_counts(new)
+        else:
+            head, tail = window
+            counts = (
+                self._counts
+                - _byte_counts(old[head : len(old) - tail])
+                + _byte_counts(new[head : len(new) - tail])
+            )
         entropies, kept = [], {}
         for s in img.sections:
             if not s.data:

@@ -15,8 +15,12 @@ import hashlib
 import numpy as np
 
 
+#: Length of every motif in :data:`MOTIFS`.
+MOTIF_LEN = 16
+
+
 def _motif(i: int) -> bytes:
-    return hashlib.sha256(f"amg-motif-{i:02d}".encode()).digest()[:16]
+    return hashlib.sha256(f"amg-motif-{i:02d}".encode()).digest()[:MOTIF_LEN]
 
 
 #: 16-byte patterns that essentially never occur by accident.
@@ -70,7 +74,6 @@ COMMON_SECTION_NAMES: tuple[bytes, ...] = (
 SECTION_NAME_VOCAB: tuple[bytes, ...] = COMMON_SECTION_NAMES + SUSPICIOUS_SECTION_NAMES
 
 
-_MOTIF_LEN = 16
 _MOTIF_INDEX = {m: i for i, m in enumerate(MOTIFS)}
 # Indexed by a position's first two bytes (big-endian); the 32 motifs have 32
 # distinct 2-byte prefixes, so only a few positions per file need a full check.
@@ -81,19 +84,24 @@ _PREFIXES[[m[0] << 8 | m[1] for m in MOTIFS]] = True
 def count_motif_hits(data: bytes) -> list[int]:
     """Occurrence count of every motif in ``data``.
 
-    Equal to ``[data.count(m) for m in MOTIFS]``: occurrences of one motif do
-    not overlap and are counted greedily from the left.
+    Equal to ``[data.count(m) for m in MOTIFS]``, which counts occurrences
+    greedily from the left without overlap.  No motif has a border (a proper
+    prefix equal to its suffix), so two occurrences of one motif never
+    overlap and this also counts every position a motif starts at.  That is
+    what lets detector A count a changed file over only the changed window
+    widened by ``MOTIF_LEN - 1`` bytes: an occurrence is either wholly inside
+    the unchanged bytes or wholly inside that widened window, never both.
     """
     hits = [0] * len(MOTIFS)
-    starts = len(data) - _MOTIF_LEN + 1
+    starts = len(data) - MOTIF_LEN + 1
     if starts <= 0:
         return hits
     b = np.frombuffer(data, dtype=np.uint8, count=starts + 1)
     keys = (b[:-1].astype(np.uint16) << 8) | b[1:]
     free = [0] * len(MOTIFS)  # where each motif's next occurrence may start
     for p in np.flatnonzero(_PREFIXES.take(keys)).tolist():
-        i = _MOTIF_INDEX.get(data[p : p + _MOTIF_LEN])
+        i = _MOTIF_INDEX.get(data[p : p + MOTIF_LEN])
         if i is not None and p >= free[i]:
             hits[i] += 1
-            free[i] = p + _MOTIF_LEN
+            free[i] = p + MOTIF_LEN
     return hits

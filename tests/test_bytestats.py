@@ -1,5 +1,6 @@
 """Byte counts by segment: one pass over a file's bytes must give the same
-whole-file counts and section entropies as counting each region on its own."""
+whole-file counts and section entropies as counting each region on its own.
+And the one window rule by which the env and the detectors count again."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from amg import pe_model
-from amg.bytestats import entropy_of_counts, segment_counts
+from amg.bytestats import changed_window, entropy_of_counts, segment_counts
 from amg.rl import observe
 from bytestats_reference import byte_counts, shannon_entropy
 
@@ -98,3 +99,54 @@ def test_observe_rejects_bytes_too_short_for_the_image(mal_bytes):
     end = max(offset + len(data) for offset, data in img.raw_parts() if offset is not None)
     with pytest.raises(ValueError):
         observe(img, raw[: end - 1])
+
+
+def _window(old: bytes, new: bytes):
+    return changed_window(np.frombuffer(old, dtype=np.uint8), np.frombuffer(new, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "old, new, window",
+    [
+        (b"abcdefgh", b"abcXefgh", (3, 4)),
+        (b"abcdefgh", b"abcdefghij", (8, 0)),  # appended
+        (b"abcdefgh", b"abcdef", (6, 0)),  # cut short
+        (b"abcdefgh", b"abcdefgh", (8, 0)),  # nothing changed: an empty window
+        (b"abcdefgh", b"Xbcdefgh", (0, 7)),
+        (b"aaaaaaaa", b"aaaaaaaaa", (8, 0)),  # the suffix stops where the prefix ends
+        (b"abababab", b"abababXab", (6, 2)),
+        (b"abcdefgh", b"abcd", None),  # windows of 4 and 0 bytes, as long as new
+        (b"", b"abc", None),  # nothing counted before: count from scratch
+        (b"abc", b"", None),
+        (b"abcdefgh", b"XXXXefgh", None),  # windows of 4 and 4 bytes, as long as new
+        (b"abcdefgh", b"aXXXXXXh", None),
+        (b"abcdefgh", b"aXXXefgh", (1, 4)),  # windows of 3 and 3 bytes
+    ],
+)
+def test_changed_window(old, new, window):
+    assert _window(old, new) == window
+    if window is not None:
+        head, tail = window
+        assert old[:head] == new[:head] and old[len(old) - tail :] == new[len(new) - tail :]
+        assert head + tail <= min(len(old), len(new))
+
+
+def _naive_window(old: bytes, new: bytes) -> tuple[int, int]:
+    n = min(len(old), len(new))
+    head = next((i for i in range(n) if old[i] != new[i]), n)
+    tail = next((i for i in range(n - head) if old[-1 - i] != new[-1 - i]), n - head)
+    return head, tail
+
+
+@pytest.mark.parametrize("at", [0, 1, 4095, 4096, 4097, 20479, 20480, 20481, 30000, 49999])
+def test_changed_window_finds_a_change_anywhere(at):
+    """Long files are compared in runs; a change at any run edge is found."""
+    old = np.random.default_rng(at).integers(0, 256, 50_000, dtype=np.uint8).tobytes()
+    flipped = old[:at] + bytes([old[at] ^ 1]) + old[at + 1 :]
+    cut = old[:at] + old[at + 7 :]
+    grown = old[:at] + b"\x00" * 9 + old[at:]
+    for new in (flipped, cut, grown):
+        head, tail = _naive_window(old, new)
+        window = _window(old, new)
+        assert window == (None if len(old) + len(new) - 2 * (head + tail) >= len(new) else (head, tail))
+        assert _window(new, old) in (None, (head, tail))

@@ -36,7 +36,7 @@ from amg.detector.features import (
     extract_features_structural,
 )
 from amg.pe_mods import ActionId, apply_action
-from amg.signals import MOTIFS, count_motif_hits
+from amg.signals import MOTIF_LEN, MOTIFS, count_motif_hits
 from boost_reference import margin
 from bytestats_reference import byte_counts, shannon_entropy
 from fuzzing import damaged
@@ -147,6 +147,23 @@ def _motif_inputs(corpus_files):
 def test_motif_scan_matches_bytes_count(corpus_files):
     for data in _motif_inputs(corpus_files):
         assert count_motif_hits(data) == [data.count(m) for m in MOTIFS]
+
+
+def _has_border(motif: bytes) -> bool:
+    """Whether a proper prefix of ``motif`` equals its suffix of the same length."""
+    return any(motif[:k] == motif[-k:] for k in range(1, len(motif)))
+
+
+def test_no_motif_has_a_border():
+    """Two occurrences of one motif overlap only if it has a border, so
+    without one a changed file's motif count can be updated over the
+    changed bytes widened by ``MOTIF_LEN - 1`` (see ``count_motif_hits``)."""
+    assert _has_border(b"ab" + bytes(12) + b"ab")
+    assert _has_border(b"\x05" * MOTIF_LEN)
+    assert _has_border(b"abcab")
+    assert not _has_border(bytes(range(MOTIF_LEN)))
+    assert all(len(m) == MOTIF_LEN for m in MOTIFS)
+    assert [m for m in MOTIFS if _has_border(m)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +329,19 @@ def test_memoized_margins_equal_unmemoized(world, mal_bytes, pool, monkeypatch, 
     assert expected[-1] == math.inf
     assert all(math.isfinite(m) for m in expected[:-1])
 
-    extracted = []
+    extracted, carries = [], []
     features = detector._features
 
-    def counting(kind, raw, img=None):
+    def counting(kind, raw, img=None, carry=None):
         extracted.append(raw)
-        return features(kind, raw, img)
+        carries.append(carry)
+        return features(kind, raw, img, carry)
 
     monkeypatch.setattr(detector, "_features", counting)
     memoized = det.fresh()
     assert [memoized.score(raw) for raw in inputs] == expected
+    # every miss counts from the detector's own carried counts
+    assert carries and all(carry is memoized._carry for carry in carries)
     # one extraction per distinct parsable content; the one-byte changes are new contents
     assert len(extracted) == len(set(inputs[:-1]))
     assert flipped in extracted and appended in extracted

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,42 @@ def test_copy_is_deep_enough_for_rewrites(mal_bytes):
     dup.sections[0].characteristics ^= 0x1
     assert parse(mal_bytes[0]).coff.time_date_stamp == img.coff.time_date_stamp
     assert serialize(img) == mal_bytes[0]
+
+
+def _other(value):
+    """A value of the same type that differs from ``value``."""
+    return value + (b"\x01" if isinstance(value, bytes) else 1)
+
+
+def test_copy_builds_new_headers_and_shares_only_payloads(mal_bytes):
+    raw = next(raw for raw in mal_bytes if parse(raw).padding_spans and parse(raw).overlay)
+    img = parse(raw)
+    dup = img.copy()
+    assert dup == img
+    objects = [(dup.dos_header, img.dos_header), (dup.coff, img.coff), (dup.optional, img.optional)]
+    objects += zip(dup.optional.data_directories, img.optional.data_directories)
+    objects += zip(dup.sections, img.sections)
+    assert len(objects) == 3 + len(img.optional.data_directories) + len(img.sections)
+    for new, old in objects:
+        assert new is not old and type(new) is type(old)
+    for lists in (("sections",), ("padding_spans",), ("optional", "data_directories")):
+        new, old = dup, img
+        for name in lists:
+            new, old = getattr(new, name), getattr(old, name)
+        assert new is not old
+    assert all(a.data is b.data for a, b in zip(dup.sections, img.sections))
+    assert (dup.dos_stub, dup.overlay) == (img.dos_stub, img.overlay)
+    assert dup.dos_stub is img.dos_stub and dup.overlay is img.overlay
+    # every field of every copied object, lists in place, leaves the original as parsed
+    for obj in [o for o, _ in objects] + [dup]:
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, list):
+                value.append(None)
+            elif not dataclasses.is_dataclass(value):
+                setattr(obj, f.name, _other(value))
+    assert img == parse(raw)
+    assert serialize(img) == raw
 
 
 def test_rva_to_offset_and_read_virtual(mal_bytes):

@@ -3,9 +3,11 @@
 Both sides summarize raw bytes the same way, so the arithmetic lives here,
 in a module that imports nothing from either side: the observation code can
 use it without reaching the classifier's features.  That includes the one
-rule by which both sides count a file again after an edit,
-:func:`changed_window`: the env and each detector keep their own counts of
-the last bytes they counted, and share only this rule, never the counts.
+rule by which both sides count a file again after an edit: find the window
+where the bytes changed (:func:`changed_window`), take the old window's
+counts away and add the new one's (:func:`recount`), and keep the counts
+for the next file in a :class:`ByteCounts`.  The env and each detector own
+their own counts; only the rule is shared.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ def entropy_of_counts(counts: np.ndarray, n: int) -> float:
         return 0.0
     p = counts[counts > 0] / n
     return float(-(p * np.log2(p)).sum())
+
+
+def _byte_counts(view: np.ndarray) -> np.ndarray:
+    return np.bincount(view, minlength=256)
 
 
 def changed_window(old: np.ndarray, new: np.ndarray) -> tuple[int, int] | None:
@@ -87,7 +93,7 @@ def segment_counts(raw: bytes, parts: list[tuple[int | None, bytes]]) -> tuple[n
     Raises ``ValueError`` for an in-file part that overlaps another or runs
     past the end of ``raw``; that its bytes match ``raw`` is not checked.
     """
-    each = [np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256) for _, data in parts]
+    each = [_byte_counts(np.frombuffer(data, dtype=np.uint8)) for _, data in parts]
     view, outside, cursor = memoryview(raw), [], 0
     for offset, size in sorted((offset, len(data)) for offset, data in parts if offset is not None):
         if offset < cursor or offset + size > len(raw):
@@ -97,8 +103,68 @@ def segment_counts(raw: bytes, parts: list[tuple[int | None, bytes]]) -> tuple[n
         outside.append(view[cursor:offset])
         cursor = offset + size
     outside.append(view[cursor:])
-    total = np.bincount(np.frombuffer(b"".join(outside), dtype=np.uint8), minlength=256)
+    total = _byte_counts(np.frombuffer(b"".join(outside), dtype=np.uint8))
     for (offset, _), counts in zip(parts, each):
         if offset is not None:
             total += counts
     return total.astype(np.float64), each
+
+
+def recount(counts: np.ndarray, old, new, window: tuple[int, int], count, reach: int) -> np.ndarray:
+    """``count(new)``, given ``counts == count(old)`` and the ``(head, tail)``
+    window :func:`changed_window` found between them.
+
+    ``count`` maps a slice of ``old`` or ``new`` to an array of counts that
+    add up over the items found in it, where an item that touches a changed
+    byte lies within ``reach`` bytes of it: 0 for byte counts, 1 for byte
+    pairs.  Only the window widened by ``reach`` on each side is counted
+    again, in ``old`` and in ``new``.
+    """
+    head, tail = window
+    lo = max(head - reach, 0)
+    return counts - count(old[lo : len(old) - tail + reach]) + count(new[lo : len(new) - tail + reach])
+
+
+class ByteCounts:
+    """Whole-file byte counts and section entropies of the last bytes counted,
+    carried to the next ones.
+
+    :meth:`update` counts again only the window where the bytes changed, and
+    reuses a section's entropy while the payload at the same index equals
+    the one counted last (an image copy shares the payload ``bytes`` of
+    every section a rewrite left alone, so ``==`` returns at the identity
+    check).  A new object starts from nothing, so its first update counts
+    every byte.  After an update, ``raw`` holds the bytes counted,
+    ``counts`` their 256 byte counts (float64) and ``entropies`` the
+    entropy of each section payload in table order (0.0 for an empty one).
+    """
+
+    def __init__(self) -> None:
+        self.raw = b""
+        self.counts = np.zeros(256, dtype=np.float64)
+        self.entropies: list[float] = []
+        self._payloads: list[bytes] = []
+
+    def update(self, raw: bytes, parts: list[tuple[int | None, bytes]]) -> tuple[int, int] | None:
+        """Count ``raw``, whose sections are ``parts`` as
+        :func:`segment_counts` takes them, from the last bytes counted.
+        Returns the window :func:`changed_window` found, or None when every
+        byte was counted."""
+        payloads = [data for _, data in parts]
+        stale = [
+            i for i, data in enumerate(payloads)
+            if i >= len(self._payloads) or self._payloads[i] != data
+        ]
+        old, new = np.frombuffer(self.raw, dtype=np.uint8), np.frombuffer(raw, dtype=np.uint8)
+        window = changed_window(old, new)
+        if window is None:
+            counts, fresh = segment_counts(raw, [parts[i] for i in stale])
+        else:
+            counts = recount(self.counts, old, new, window, _byte_counts, 0)
+            fresh = [_byte_counts(np.frombuffer(payloads[i], dtype=np.uint8)) for i in stale]
+        entropies = self.entropies[: len(payloads)]
+        entropies += [0.0] * (len(payloads) - len(entropies))
+        for i, c in zip(stale, fresh):
+            entropies[i] = entropy_of_counts(c, len(payloads[i]))
+        self.raw, self.counts, self.entropies, self._payloads = raw, counts, entropies, payloads
+        return window

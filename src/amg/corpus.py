@@ -1,20 +1,22 @@
 """Deterministic synthetic PE32 corpus with planted label signals.
 
-Files are assembled byte-by-byte with ``struct.pack`` rather than through
+Headers are assembled byte-by-byte with ``struct.pack`` rather than through
 :mod:`amg.pe_model`, so the parser and the generator act as independent
-witnesses of the format.  "Malicious" files are ordinary structural shells
-carrying a random subset of tells: a nonzero checksum, an implausible
-timestamp, a packer-style section name, a debug blob, an Authenticode-shaped
-certificate, a missing overlay, suspicious import names, planted byte motifs,
-and a data texture whose byte-pair structure is shuffled away (single-byte
-statistics stay identical to the benign text filler, so only pair-aware
-models see it).  Benign files mostly lack the tells and read like text-heavy
-binaries; hot high-byte runs appear in both labels at different rates so no
-histogram summary separates them on its own.  Every signal
-was picked so that some sequence of the rewrite actions can plausibly mask
-it: checksums can be zeroed, timestamps stepped back into the common band,
-sections renamed, debug data and certificates dropped, and densities diluted
-by appending benign content.
+witnesses of the format.  The import table is the exception: it comes from
+:func:`amg.pe_model.pack_import_table`, the one writer the rewrite actions
+also use, which its own tests check against the reader.  "Malicious" files
+are ordinary structural shells carrying a random subset of tells: a nonzero
+checksum, an implausible timestamp, a packer-style section name, a debug
+blob, an Authenticode-shaped certificate, a missing overlay, suspicious
+import names, planted byte motifs, and a data texture whose byte-pair
+structure is shuffled away (single-byte statistics stay identical to the
+benign text filler, so only pair-aware models see it).  Benign files mostly
+lack the tells and read like text-heavy binaries; hot high-byte runs appear
+in both labels at different rates so no histogram summary separates them on
+its own.  Every signal was picked so that some sequence of the rewrite
+actions can plausibly mask it: checksums can be zeroed, timestamps stepped
+back into the common band, sections renamed, debug data and certificates
+dropped, and densities diluted by appending benign content.
 
 Each file derives from a single per-file seed, so any slice of the corpus can
 be regenerated independently.  ``generate`` relies on that: it builds the files
@@ -232,61 +234,6 @@ def _hot_patch(rng: random.Random, content: bytearray, lo: float, hi: float) -> 
     content[start : start + span] = run
 
 
-# ---------------------------------------------------------------------------
-# import table assembly (local to the generator on purpose: the parser and
-# the rewrite actions build their own tables, so each checks the others)
-
-
-def _build_import_section(base_rva: int, dlls: list[tuple[str, list[str]]]) -> bytes:
-    n = len(dlls)
-    idt_len = (n + 1) * 20
-    cursor = base_rva + idt_len
-    ilt_rvas, iat_rvas = [], []
-    thunk_counts = [len(funcs) + 1 for _, funcs in dlls]
-    for count in thunk_counts:
-        ilt_rvas.append(cursor)
-        cursor += count * 4
-    for count in thunk_counts:
-        iat_rvas.append(cursor)
-        cursor += count * 4
-    hint_rvas: list[list[int]] = []
-    hint_blobs: list[bytes] = []
-    for _, funcs in dlls:
-        rvas = []
-        for fn in funcs:
-            if cursor % 2:
-                hint_blobs.append(b"\x00")
-                cursor += 1
-            rvas.append(cursor)
-            blob = struct.pack("<H", 0) + fn.encode("ascii") + b"\x00"
-            hint_blobs.append(blob)
-            cursor += len(blob)
-        hint_rvas.append(rvas)
-    name_rvas = []
-    name_blobs = []
-    for dll, _ in dlls:
-        name_rvas.append(cursor)
-        blob = dll.encode("ascii") + b"\x00"
-        name_blobs.append(blob)
-        cursor += len(blob)
-
-    out = bytearray()
-    for i in range(n):
-        out += struct.pack("<IIIII", ilt_rvas[i], 0, 0, name_rvas[i], iat_rvas[i])
-    out += b"\x00" * 20
-    for rvas in hint_rvas:
-        for rva in rvas:
-            out += struct.pack("<I", rva)
-        out += b"\x00" * 4
-    for rvas in hint_rvas:
-        for rva in rvas:
-            out += struct.pack("<I", rva)
-        out += b"\x00" * 4
-    out += b"".join(hint_blobs)
-    out += b"".join(name_blobs)
-    return bytes(out)
-
-
 def _pick_imports(rng: random.Random, suspicious: bool) -> list[tuple[str, list[str]]]:
     dll_names = list(DLL_CATALOG)
     rng.shuffle(dll_names)
@@ -395,7 +342,8 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
     for j in range(n):
         if names[j] == b".idata":
             dlls = _pick_imports(rng, QUIRK_IMPORTS in quirks)
-            contents[j] = bytearray(_build_import_section(va, dlls))
+            entry_size = pe_model.PE_FORMATS[pe_model.PE32_MAGIC].thunk_size
+            contents[j] = bytearray(pe_model.pack_import_table(va, dlls, entry_size, b""))
             # the directory covers the descriptors and their zero terminator
             dirs[pe_model.DIR_IMPORT] = (va, (len(dlls) + 1) * 20)
         if QUIRK_DEBUG in quirks and debug_section is None and j > 0 and names[j] != b".idata":

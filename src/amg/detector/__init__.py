@@ -71,6 +71,9 @@ _KIND_ALIASES = {
     "b": DetectorKind.BIGRAM,
 }
 
+#: Each kind's carried counts; a new one's first update counts every byte.
+_CARRY = {DetectorKind.STRUCTURAL: StructuralCounts, DetectorKind.BIGRAM: BigramCounts}
+
 _KIND_CODE = {DetectorKind.STRUCTURAL: 0, DetectorKind.BIGRAM: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
@@ -98,7 +101,7 @@ class Detector:
     _carry: StructuralCounts | BigramCounts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._carry = StructuralCounts() if self.kind is DetectorKind.STRUCTURAL else BigramCounts()
+        self._carry = _CARRY[self.kind]()
 
     @property
     def n_features(self) -> int:
@@ -202,19 +205,20 @@ class Detector:
 def _features(
     kind: DetectorKind,
     raw: bytes,
-    img: pe_model.PeImage | None = None,
-    carry: StructuralCounts | BigramCounts | None = None,
+    img: pe_model.PeImage | None,
+    carry: StructuralCounts | BigramCounts,
 ) -> np.ndarray:
-    """``kind``'s feature vector for ``raw``; the structural kind parses it
-    unless given ``img``.  ``carry``, the counts of earlier bytes of that
-    kind, is passed on to the extractor; without it every byte is counted."""
+    """``kind``'s feature vector for ``raw``, counted from ``carry``, the
+    counts of earlier bytes of that kind; the structural kind parses ``raw``
+    when ``img`` is None."""
     if kind is DetectorKind.STRUCTURAL:
         return extract_features_structural(pe_model.parse(raw) if img is None else img, raw, carry)
     return extract_features_bigram(raw, carry)
 
 
 def extract_matrix(kind: DetectorKind, files: Iterable[bytes]) -> np.ndarray:
-    return np.vstack([_features(kind, raw) for raw in files])
+    """One row of features per file, each counted in full."""
+    return np.vstack([_features(kind, raw, None, _CARRY[kind]()) for raw in files])
 
 
 def train_detector(

@@ -9,10 +9,10 @@ appending innocuous content genuinely dilutes them.
 The bigram extractor ignores structure entirely: it hashes consecutive byte
 pairs from the first 64 KiB into 1024 buckets and L1-normalizes the counts.
 
-Each extractor counts everything unless it is handed what it counted last
-time (:class:`StructuralCounts`, :class:`BigramCounts`); then it counts
-again only the bytes in the window where the new bytes differ from the last
-ones (:func:`amg.bytestats.changed_window`), and the features are the same.
+Each extractor is handed what it counted last (:class:`StructuralCounts`,
+:class:`BigramCounts`) and counts again only where the bytes changed, by the
+rule of :mod:`amg.bytestats`; a new carry counts everything, to the same
+features.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .. import pe_model, signals
-from ..bytestats import changed_window, entropy_of_counts, segment_counts
+from ..bytestats import ByteCounts, changed_window, recount
 from ..pe_model import PeImage
 
 N_FEATURES_STRUCTURAL = 128
@@ -38,90 +38,48 @@ TS_NEW_BOUNDARY = 1_751_000_000  # mid-2025
 _MOTIF_REACH = signals.MOTIF_LEN - 1
 
 
-class StructuralCounts:
-    """The byte-derived quantities of the last image counted, carried to the next.
+def _motif_hits(data: bytes) -> np.ndarray:
+    return np.array(signals.count_motif_hits(data))
 
-    Keeps that image's bytes with their whole-file byte counts and motif
-    hits, each section payload with its entropy, and the import walk with
-    all it reads: the optional header's magic, the import directory's RVA
-    and the :func:`pe_model.section_map`.  A new object starts from nothing,
-    so its first :meth:`update` counts every byte.
+
+class StructuralCounts(ByteCounts):
+    """:class:`ByteCounts` of the last image counted, with its motif hits and
+    import walk, carried to the next.
+
+    Motif hits are counted again over the changed window widened by
+    ``MOTIF_LEN - 1`` bytes on each side (exact because no motif has a
+    border, see :func:`signals.count_motif_hits`).  The import walk is
+    kept with all it reads: the optional header's magic, the import
+    directory's RVA and the :func:`pe_model.section_map`.
     """
 
     def __init__(self) -> None:
-        self._raw = b""
-        self._counts = np.zeros(256, dtype=np.float64)
-        self._hits = [0] * len(signals.MOTIFS)
-        self._payloads: list[bytes] = []
-        self._entropies: list[float] = []
+        super().__init__()
+        self.hits = np.zeros(len(signals.MOTIFS), dtype=np.int64)
+        self.imports: list[pe_model.ImportDescriptor] = []
         self._import_key: tuple | None = None
-        self._imports: list[pe_model.ImportDescriptor] = []
 
-    def update(
-        self, img: PeImage, raw: bytes
-    ) -> tuple[list[pe_model.ImportDescriptor], list[int], np.ndarray, list[float]]:
-        """The imports, motif hits, whole-file byte counts (float64) and
-        per-section entropies of ``img`` and its bytes ``raw``, counting only
-        what differs from the last update; they become the ones carried.
-
-        Motif hits are recounted over the changed window widened by
-        ``MOTIF_LEN - 1`` bytes on each side (exact because no motif has a
-        border, see :func:`signals.count_motif_hits`); a section's entropy is
-        reused while its payload equals the same-index payload counted last.
-        """
-        payloads = [s.data for s in img.sections]
-        stale = [
-            i for i, data in enumerate(payloads)
-            if i >= len(self._payloads) or self._payloads[i] != data
-        ]
-        old, new = np.frombuffer(self._raw, dtype=np.uint8), np.frombuffer(raw, dtype=np.uint8)
-        window = changed_window(old, new)
-        if window is None:
-            parts = img.raw_parts()
-            counts, fresh = segment_counts(raw, [parts[i] for i in stale])
-            hits = signals.count_motif_hits(raw)
-        else:
-            head, tail = window
-            counts = (
-                self._counts
-                - np.bincount(old[head : len(old) - tail], minlength=256)
-                + np.bincount(new[head : len(new) - tail], minlength=256)
-            )
-            fresh = [np.bincount(np.frombuffer(payloads[i], dtype=np.uint8), minlength=256) for i in stale]
-            lo = max(head - _MOTIF_REACH, 0)
-            gone = signals.count_motif_hits(self._raw[lo : len(old) - tail + _MOTIF_REACH])
-            came = signals.count_motif_hits(raw[lo : len(raw) - tail + _MOTIF_REACH])
-            hits = [h - g + c for h, g, c in zip(self._hits, gone, came)]
-        entropies = self._entropies[: len(payloads)]
-        entropies += [0.0] * (len(payloads) - len(entropies))
-        for i, c in zip(stale, fresh):
-            entropies[i] = entropy_of_counts(c, len(payloads[i]))
-
+    def count(self, img: PeImage, raw: bytes) -> None:
+        """Update the counts, hits and imports to ``img`` and its bytes ``raw``."""
+        old = self.raw
+        window = self.update(raw, img.raw_parts())
+        self.hits = (
+            _motif_hits(raw) if window is None
+            else recount(self.hits, old, raw, window, _motif_hits, _MOTIF_REACH)
+        )
         key = (img.optional.magic, img.directory(pe_model.DIR_IMPORT).rva, pe_model.section_map(img))
-        imports = self._imports if key == self._import_key else pe_model.parse_imports(img)
-
-        self._raw, self._counts, self._hits = raw, counts, hits
-        self._payloads, self._entropies = payloads, entropies
-        self._import_key, self._imports = key, imports
-        return imports, hits, counts, entropies
+        if key != self._import_key:
+            self.imports, self._import_key = pe_model.parse_imports(img), key
 
 
-def extract_features_structural(
-    img: PeImage, raw: bytes, carry: StructuralCounts | None = None
-) -> np.ndarray:
+def extract_features_structural(img: PeImage, raw: bytes, carry: StructuralCounts) -> np.ndarray:
     """128 structural features for a parsed image and its exact bytes.
 
     ``carry`` holds what was counted for earlier bytes and is updated to
-    ``raw``'s; without it every byte is counted.  Either way the features
-    are the same.
+    ``raw``'s; a new one counts every byte, and the features are the same.
     """
-    if carry is None:
-        imports = pe_model.parse_imports(img)
-        hits = signals.count_motif_hits(raw)
-        counts, section_counts = segment_counts(raw, img.raw_parts())
-        section_entropies = [entropy_of_counts(c, len(s.data)) for c, s in zip(section_counts, img.sections)]
-    else:
-        imports, hits, counts, section_entropies = carry.update(img, raw)
+    carry.count(img, raw)
+    imports, hits, counts, section_entropies = carry.imports, carry.hits, carry.counts, carry.entropies
 
     x = np.zeros(N_FEATURES_STRUCTURAL, dtype=np.float64)
     size = max(len(raw), 1)
@@ -147,8 +105,8 @@ def extract_features_structural(
     x[10] = n_funcs / 64.0
     x[11] = n_susp / n_funcs if n_funcs else 0.0
 
-    x[12] = sum(hits) / (size / 4096.0)
-    x[13] = sum(1 for h in hits if h) / len(hits)
+    x[12] = hits.sum() / (size / 4096.0)
+    x[13] = np.count_nonzero(hits) / len(hits)
 
     entropies = [e for e, s in zip(section_entropies, img.sections) if s.data]
     if entropies:
@@ -175,8 +133,7 @@ def extract_features_structural(
     for d in imports:
         x[52 + (hash_dll(d.dll_name) % 16)] = 1.0
 
-    for i, h in enumerate(hits):
-        x[68 + i] = 1.0 if h else 0.0
+    x[68:100] = hits > 0
 
     coarse = counts.reshape(16, 16).sum(axis=1) / size
     x[100:116] = coarse
@@ -227,8 +184,9 @@ def _bucket_counts(window: np.ndarray) -> np.ndarray:
 class BigramCounts:
     """The 64 KiB window last counted and its bucket counts, carried to the next.
 
-    A new object starts from nothing, so its first :meth:`update` counts
-    every pair.
+    A pair with a changed byte lies within one byte of it, so :meth:`update`
+    counts again only the changed window widened by one byte on each side.
+    A new object starts from nothing, so its first update counts every pair.
     """
 
     def __init__(self) -> None:
@@ -236,34 +194,23 @@ class BigramCounts:
         self._counts = np.zeros(N_FEATURES_BIGRAM, dtype=np.int64)
 
     def update(self, window: np.ndarray) -> np.ndarray:
-        """Bucket counts of the pairs of ``window``, recounting only the pairs
-        with a byte in the changed window, that is the window widened by one
-        byte on each side; they become the counts carried."""
+        """Bucket counts of the pairs of ``window``; they become the counts carried."""
         span = changed_window(self._window, window)
-        if span is None:
-            counts = _bucket_counts(window)
-        else:
-            head, tail = span
-            old, lo = self._window, max(head - 1, 0)
-            counts = (
-                self._counts
-                - _bucket_counts(old[lo : len(old) - tail + 1])
-                + _bucket_counts(window[lo : len(window) - tail + 1])
-            )
-        self._window, self._counts = window, counts
-        return counts
+        self._counts = (
+            _bucket_counts(window) if span is None
+            else recount(self._counts, self._window, window, span, _bucket_counts, 1)
+        )
+        self._window = window
+        return self._counts
 
 
-def extract_features_bigram(raw: bytes, carry: BigramCounts | None = None) -> np.ndarray:
+def extract_features_bigram(raw: bytes, carry: BigramCounts) -> np.ndarray:
     """1024 hashed byte-bigram frequencies over the first 64 KiB.
 
     ``carry`` holds the counts of an earlier window and is updated to
-    ``raw``'s; without it every pair is counted.  Either way the features
-    are the same.
+    ``raw``'s; a new one counts every pair, and the features are the same.
     """
-    window = np.frombuffer(raw[:BIGRAM_WINDOW], dtype=np.uint8)
-    counts = _bucket_counts(window) if carry is None else carry.update(window)
-    x = counts.astype(np.float64)
+    x = carry.update(np.frombuffer(raw[:BIGRAM_WINDOW], dtype=np.uint8)).astype(np.float64)
     total = x.sum()
     if total > 0:
         x /= total

@@ -784,6 +784,39 @@ def parse_imports(img: PeImage) -> list[ImportDescriptor]:
     return out
 
 
+def pack_import_table(base: int, dlls: list[tuple[str, list[str]]], entry_size: int, kept: bytes) -> bytes:
+    """An import table to be mapped at RVA ``base``, as :func:`parse_imports` reads it.
+
+    The raw descriptors ``kept`` come first, copied as they are (the tables
+    they point at stay where they were), then one descriptor per
+    ``(dll, function names)`` of ``dlls`` and the zero descriptor that ends
+    the array.  Behind them lie the new lookup tables, the address tables
+    (equal to them), the hint/name entries, each at an even RVA, and the DLL
+    names.  ``entry_size`` is the thunk width of the image's
+    :data:`PE_FORMATS` entry.
+    """
+    table = base + len(kept) + (len(dlls) + 1) * IMPORT_DESCRIPTOR.size
+    span = sum(len(funcs) + 1 for _, funcs in dlls) * entry_size  # of the lookup tables
+    cursor = table + 2 * span
+    thunks, hints, starts = bytearray(), bytearray(), []
+    for _, funcs in dlls:
+        starts.append(len(thunks))
+        for fn in funcs:
+            if cursor % 2:
+                hints += b"\x00"
+                cursor += 1
+            thunks += cursor.to_bytes(entry_size, "little")
+            entry = bytes(2) + fn.encode("ascii") + b"\x00"  # hint 0, then the name
+            hints += entry
+            cursor += len(entry)
+        thunks += bytes(entry_size)
+    descriptors, names = bytearray(kept), bytearray()
+    for (dll, _), start in zip(dlls, starts):
+        descriptors += IMPORT_DESCRIPTOR.pack(table + start, 0, 0, cursor + len(names), table + span + start)
+        names += dll.encode("ascii") + b"\x00"
+    return bytes(descriptors + bytes(IMPORT_DESCRIPTOR.size) + thunks + thunks + hints + names)
+
+
 def zero_file_range(img: PeImage, offset: int, size: int) -> int:
     """Zero-fill ``size`` bytes at raw file ``offset`` in place, wherever they live.
 

@@ -390,10 +390,10 @@ def decrease_timestamp(img: PeImage, pool: BenignContentPool, seed: int = 0) -> 
 def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
     """Extend the import table with one benign DLL inside a new section.
 
-    The old descriptor array is copied verbatim (its tables stay where they
-    were), a descriptor for the new DLL plus its lookup/address tables and
-    name strings are laid out behind it, and the import directory is pointed
-    at the copy.
+    The section holds a copy of the old descriptors (their tables stay where
+    they were) with the new DLL's table behind it, as
+    :func:`pe_model.pack_import_table` writes them; the import directory
+    points at the copy.
     """
     if not img.sections:
         return ModResult(Outcome.FAILED, img, 0, "image has no sections")
@@ -406,36 +406,12 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     dll, funcs = pool.pick_dll(rng)
     out = img.copy()
 
-    old_raw = b"".join(pe_model.import_descriptors(out, pe_model.section_map(out))[0])
-
-    base = home[0]
+    kept = b"".join(pe_model.import_descriptors(out, pe_model.section_map(out))[0])
     entry_size = pe_model.pe_format(out.optional.magic).thunk_size
-    idt_len = len(old_raw) + 40
-    ilt_off = idt_len
-    ilt_len = (len(funcs) + 1) * entry_size
-    iat_off = ilt_off + ilt_len
-    cursor = iat_off + ilt_len
-    hint_rvas = []
-    hints = bytearray()
-    for fn in funcs:
-        if cursor % 2:
-            hints += b"\x00"
-            cursor += 1
-        hint_rvas.append(base + cursor)
-        blob = struct.pack("<H", 0) + fn.encode("ascii") + b"\x00"
-        hints += blob
-        cursor += len(blob)
-    name_rva = base + cursor
-    names_blob = dll.encode("ascii") + b"\x00"
-
-    thunks = b"".join(rva.to_bytes(entry_size, "little") for rva in hint_rvas)
-    thunks += bytes(entry_size)
-    descriptor = pe_model.IMPORT_DESCRIPTOR.pack(base + ilt_off, 0, 0, name_rva, base + iat_off)
-    content = old_raw + descriptor + b"\x00" * 20 + thunks + thunks + bytes(hints) + names_blob
-
+    content = pe_model.pack_import_table(home[0], [(dll, funcs)], entry_size, kept)
     delta = _append_section(out, b".idata", content, len(content), 0xC0000040)
-    out.directory(DIR_IMPORT).rva = base
-    out.directory(DIR_IMPORT).size = idt_len
+    out.directory(DIR_IMPORT).rva = home[0]
+    out.directory(DIR_IMPORT).size = len(kept) + 2 * pe_model.IMPORT_DESCRIPTOR.size
     return ModResult(Outcome.APPLIED, out, delta, f"{dll} +{len(funcs)} imports")
 
 

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .. import pe_model
+from ..bytestats import ByteCounts
 from ..detector import Verdict
 from ..memo import ContentMemo
 from ..pe_mods import (
@@ -27,7 +28,7 @@ from ..pe_mods import (
     apply_action,
 )
 from ..seeds import fanout
-from .observation import ByteCounts, observe
+from .observation import observe
 
 REWARD_EVASION = 10.0
 REWARD_STEP = -0.1

@@ -17,7 +17,12 @@ import boost_reference
 from amg import pe_model
 from amg.detector import boost
 from amg.detector.boost import fit_stumps
-from amg.detector.features import extract_features_bigram, extract_features_structural
+from amg.detector.features import (
+    BigramCounts,
+    StructuralCounts,
+    extract_features_bigram,
+    extract_features_structural,
+)
 
 FIELDS = ("feature", "threshold", "left_value", "right_value")
 
@@ -138,8 +143,8 @@ def test_all_unsplittable_matrix_gives_no_stumps():
 def test_corpus_feature_rows_match_reference(mal_bytes, ben_bytes):
     rows = mal_bytes[:30] + ben_bytes[:20]
     y = np.array([1.0] * 30 + [0.0] * 20)
-    XB = np.array([extract_features_bigram(r) for r in rows])
-    XA = np.array([extract_features_structural(pe_model.parse(r), r) for r in rows])
+    XB = np.array([extract_features_bigram(r, BigramCounts()) for r in rows])
+    XA = np.array([extract_features_structural(pe_model.parse(r), r, StructuralCounts()) for r in rows])
     for seed in range(3):
         _assert_same_model(XB, y, n_rounds=30, colsample=0.25, seed=seed)
         _assert_same_model(XA, y, n_rounds=30, seed=seed)

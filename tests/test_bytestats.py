@@ -1,15 +1,19 @@
 """Byte counts by segment: one pass over a file's bytes must give the same
 whole-file counts and section entropies as counting each region on its own.
-And the one window rule by which the env and the detectors count again."""
+And the one rule by which the env and the detectors count again: the
+changed window, the recount over it and the carried :class:`ByteCounts`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from amg import pe_model
-from amg.bytestats import changed_window, entropy_of_counts, segment_counts
+from amg import bytestats, pe_model
+from amg.bytestats import ByteCounts, changed_window, entropy_of_counts, recount, segment_counts
+from amg.detector.features import N_FEATURES_BIGRAM, bigram_buckets
+from amg.pe_mods import ActionId, Outcome, apply_action
 from amg.rl import observe
+from amg.signals import MOTIF_LEN, MOTIFS, count_motif_hits
 from bytestats_reference import byte_counts, shannon_entropy
 
 
@@ -98,7 +102,7 @@ def test_observe_rejects_bytes_too_short_for_the_image(mal_bytes):
     img = pe_model.parse(raw)
     end = max(offset + len(data) for offset, data in img.raw_parts() if offset is not None)
     with pytest.raises(ValueError):
-        observe(img, raw[: end - 1])
+        observe(img, raw[: end - 1], ByteCounts())
 
 
 def _window(old: bytes, new: bytes):
@@ -150,3 +154,133 @@ def test_changed_window_finds_a_change_anywhere(at):
         window = _window(old, new)
         assert window == (None if len(old) + len(new) - 2 * (head + tail) >= len(new) else (head, tail))
         assert _window(new, old) in (None, (head, tail))
+
+
+# ---------------------------------------------------------------------------
+# the carried counts: every update equals a full count
+
+
+def _byte_counts(view: np.ndarray) -> np.ndarray:
+    return np.bincount(view, minlength=256)
+
+
+def _motif_hits(data: bytes) -> np.ndarray:
+    return np.array(count_motif_hits(data))
+
+
+def _bucket_counts(view: np.ndarray) -> np.ndarray:
+    return np.bincount(bigram_buckets(view), minlength=N_FEATURES_BIGRAM)
+
+
+def _edits(seed: int) -> tuple[bytes, list[bytes]]:
+    """Random bytes with motifs planted in them, and edits of them that
+    break and make motifs at and around each planted one."""
+    rng = np.random.default_rng(seed)
+    old = bytearray(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
+    spots = [40, 200, 400]
+    for at, m in zip(spots, MOTIFS):
+        old[at : at + MOTIF_LEN] = m
+    old = bytes(old)
+    news = []
+    for at in spots:
+        for k in (-1, 0, 1, MOTIF_LEN - 2, MOTIF_LEN - 1, MOTIF_LEN):
+            p = at + k
+            news.append(old[:p] + bytes([old[p] ^ 0xFF]) + old[p + 1 :])  # a flip
+            news.append(old[:p] + old[p + 1 :])  # a cut
+            news.append(old[:p] + MOTIFS[5][:7] + old[p:])  # an insertion
+    news.append(old + MOTIFS[6])  # appended
+    news.append(old[: spots[-1] + 3])  # cut short inside a motif
+    return old, news
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recount_equals_a_full_count_for_each_reach(seed):
+    """Byte counts (reach 0), bigram buckets (reach 1) and motif hits (reach
+    ``MOTIF_LEN - 1``, counted on ``bytes`` slices) counted again over the
+    changed window each equal a count of the new bytes."""
+    old, news = _edits(seed)
+    recounted = 0
+    for new in news:
+        a, b = np.frombuffer(old, dtype=np.uint8), np.frombuffer(new, dtype=np.uint8)
+        window = changed_window(a, b)
+        if window is None:
+            continue
+        recounted += 1
+        for count, x, y, reach in (
+            (_byte_counts, a, b, 0),
+            (_bucket_counts, a, b, 1),
+            (_motif_hits, old, new, MOTIF_LEN - 1),
+        ):
+            assert np.array_equal(recount(count(x), x, y, window, count, reach), count(y))
+    assert recounted == len(news)
+
+
+def _assert_full(carry: ByteCounts, raw: bytes, img: pe_model.PeImage) -> None:
+    assert carry.raw is raw
+    assert carry.counts.tobytes() == byte_counts(raw).tobytes()
+    assert carry.entropies == [shannon_entropy(s.data) for s in img.sections]
+
+
+def _counted_entropies(monkeypatch) -> list[int]:
+    """The lengths of the payloads whose entropy is computed from now on."""
+    seen = []
+    original = bytestats.entropy_of_counts
+
+    def counting(counts, n):
+        seen.append(n)
+        return original(counts, n)
+
+    monkeypatch.setattr(bytestats, "entropy_of_counts", counting)
+    return seen
+
+
+def test_byte_counts_carried_through_edits_equal_full_counts(mal_bytes, pool, monkeypatch):
+    """One :class:`ByteCounts` carried through an equal payload in a new
+    ``bytes`` object, an appended section, an overlay cut and another file
+    gives, after each update, the counts and entropies of a full count; a
+    section's entropy is computed again only when its payload changed."""
+    raw = _with_padding_and_overlay(mal_bytes)
+    carry, seen = ByteCounts(), _counted_entropies(monkeypatch)
+
+    img = pe_model.parse(raw)
+    assert carry.update(raw, img.raw_parts()) is None  # a new carry counts everything
+    _assert_full(carry, raw, img)
+    assert len(seen) == len(img.sections)
+
+    # equal payloads in new objects: bytes counted again, no entropy
+    copied = img.copy()
+    for s, original in zip(copied.sections, img.sections):
+        s.data = bytes(bytearray(original.data))
+        assert s.data is not original.data or not s.data
+    same = bytes(bytearray(raw))
+    seen.clear()
+    assert carry.update(same, copied.raw_parts()) == (len(raw), 0)
+    _assert_full(carry, same, copied)
+    assert seen == []
+
+    # a new section: only its entropy is computed
+    result = apply_action(copied, ActionId.ADD_NEW_SECTION, pool, seed=0)
+    assert result.outcome is Outcome.APPLIED
+    grown = pe_model.serialize(result.image)
+    seen.clear()
+    carry.update(grown, result.image.raw_parts())
+    _assert_full(carry, grown, result.image)
+    assert seen == [len(result.image.sections[-1].data)]
+
+    # half the overlay cut off: the file's end is the only window
+    assert result.image.overlay
+    cut = grown[: len(grown) - len(result.image.overlay) // 2]
+    cut_img = pe_model.parse(cut)
+    seen.clear()
+    assert carry.update(cut, cut_img.raw_parts()) == (len(cut), 0)
+    _assert_full(carry, cut, cut_img)
+    assert seen == []
+
+    # another file with at least as many sections: every payload differs
+    other = next(
+        r for r in mal_bytes
+        if r != raw and len(pe_model.parse(r).sections) >= len(cut_img.sections)
+    )
+    other_img = pe_model.parse(other)
+    carry.update(other, other_img.raw_parts())
+    _assert_full(carry, other, other_img)

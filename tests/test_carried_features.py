@@ -48,9 +48,9 @@ def _replay(det: Detector, inputs: list[bytes]) -> None:
             assert scorer.score(raw) == math.inf
             if det.kind is DetectorKind.BIGRAM:  # the only extractor that takes unparsed bytes
                 got = extract_features_bigram(raw, carry)
-                assert got.tobytes() == extract_features_bigram(raw).tobytes()
+                assert got.tobytes() == extract_features_bigram(raw, BigramCounts()).tobytes()
             continue
-        full = detector._features(det.kind, raw, img)
+        full = detector._features(det.kind, raw, img, _new_carry(det.kind))
         assert detector._features(det.kind, raw, img, carry).tobytes() == full.tobytes()
         assert scorer.score(raw) == det.model.margin_one(full)
 
@@ -188,7 +188,7 @@ def test_fresh_and_loaded_detectors_carry_nothing(world, mal_bytes, tmp_path):
         img = pe_model.parse(probe)
         assert (
             detector._features(det.kind, probe, img, copy.deepcopy(used._carry)).tobytes()
-            != detector._features(det.kind, probe, img).tobytes()
+            != detector._features(det.kind, probe, img, _new_carry(det.kind)).tobytes()
         )
         used.save(tmp_path / "det.bin")
         expected = {raw: Detector(det.kind, det.model).score(raw) for raw in inputs}

@@ -31,6 +31,8 @@ from amg.detector.features import (
     BIGRAM_WINDOW,
     N_FEATURES_BIGRAM,
     N_FEATURES_STRUCTURAL,
+    BigramCounts,
+    StructuralCounts,
     bigram_buckets,
     extract_features_bigram,
     extract_features_structural,
@@ -49,7 +51,7 @@ from fuzzing import damaged
 def test_structural_feature_vector_shape_and_range(mal_bytes):
     for raw in mal_bytes[:10]:
         img = pe_model.parse(raw)
-        x = extract_features_structural(img, raw)
+        x = extract_features_structural(img, raw, StructuralCounts())
         assert x.shape == (N_FEATURES_STRUCTURAL,)
         assert x.dtype == np.float64
         assert np.all(np.isfinite(x))
@@ -58,7 +60,7 @@ def test_structural_feature_vector_shape_and_range(mal_bytes):
 def test_structural_checksum_and_timestamp_slots(corpus_files):
     for f in corpus_files[:40]:
         img = pe_model.parse(f.data)
-        x = extract_features_structural(img, f.data)
+        x = extract_features_structural(img, f.data, StructuralCounts())
         assert x[0] == (1.0 if img.optional.checksum == 0 else 0.0)
         assert x[1] == pytest.approx(img.coff.time_date_stamp / 2**32)
         assert x[4] == (1.0 if img.directory(6).rva else 0.0)
@@ -66,7 +68,7 @@ def test_structural_checksum_and_timestamp_slots(corpus_files):
 
 
 def test_bigram_histogram_is_l1_normalized(mal_bytes):
-    x = extract_features_bigram(mal_bytes[0])
+    x = extract_features_bigram(mal_bytes[0], BigramCounts())
     assert x.shape == (N_FEATURES_BIGRAM,)
     assert x.sum() == pytest.approx(1.0)
     assert np.all(x >= 0)
@@ -74,26 +76,26 @@ def test_bigram_histogram_is_l1_normalized(mal_bytes):
 
 def test_bigram_window_ignores_bytes_past_64k():
     head = bytes(range(256)) * 300  # > 65,536 bytes
-    a = extract_features_bigram(head)
-    b = extract_features_bigram(head + b"\xAB\xCD" * 5000)
+    a = extract_features_bigram(head, BigramCounts())
+    b = extract_features_bigram(head + b"\xAB\xCD" * 5000, BigramCounts())
     assert np.array_equal(a, b)
     # the final in-window byte (index 65,535) still participates ...
     last_in = head[: BIGRAM_WINDOW - 1] + b"\x00" + head[BIGRAM_WINDOW:]
-    assert not np.array_equal(a, extract_features_bigram(last_in))
+    assert not np.array_equal(a, extract_features_bigram(last_in, BigramCounts()))
     # ... and the first out-of-window byte does not
     first_out = head[:BIGRAM_WINDOW] + b"\x00" + head[BIGRAM_WINDOW + 1 :]
-    assert np.array_equal(a, extract_features_bigram(first_out))
+    assert np.array_equal(a, extract_features_bigram(first_out, BigramCounts()))
 
 
 def test_bigram_bucket_arithmetic():
-    x = extract_features_bigram(b"\x01\x02")
+    x = extract_features_bigram(b"\x01\x02", BigramCounts())
     assert x[((0x01 << 8) | 0x02) % N_FEATURES_BIGRAM] == 1.0
     assert x.sum() == 1.0
 
 
 def test_bigram_of_tiny_input_is_zero_vector():
-    assert extract_features_bigram(b"").sum() == 0.0
-    assert extract_features_bigram(b"A").sum() == 0.0
+    assert extract_features_bigram(b"", BigramCounts()).sum() == 0.0
+    assert extract_features_bigram(b"A", BigramCounts()).sum() == 0.0
 
 
 def _bigram_modulo(raw: bytes) -> np.ndarray:
@@ -121,7 +123,7 @@ def test_bigram_index_equals_the_modulo_formula(corpus_files):
     noise = np.random.default_rng(0).integers(0, 256, BIGRAM_WINDOW + 1, dtype=np.uint8)
     edges = [b"", b"\x07", b"\x07\xff", noise[:BIGRAM_WINDOW].tobytes(), noise.tobytes()]
     for raw in edges + [f.data for f in corpus_files]:
-        assert np.array_equal(extract_features_bigram(raw), _bigram_modulo(raw))
+        assert np.array_equal(extract_features_bigram(raw, BigramCounts()), _bigram_modulo(raw))
 
 
 def test_shannon_entropy_extremes():
@@ -199,7 +201,7 @@ def test_boosting_drives_training_loss_down():
 
 
 def test_margin_one_agrees_with_batch_margin(mal_bytes, ben_bytes):
-    X = np.array([extract_features_bigram(r) for r in mal_bytes[:10] + ben_bytes[:10]])
+    X = np.array([extract_features_bigram(r, BigramCounts()) for r in mal_bytes[:10] + ben_bytes[:10]])
     y = np.array([1.0] * 10 + [0.0] * 10)
     model = fit_stumps(X, y, n_rounds=30, learning_rate=0.2, seed=3)
     batch = margin(model, X)
@@ -210,7 +212,7 @@ def test_margin_one_agrees_with_batch_margin(mal_bytes, ben_bytes):
 def test_margin_matches_independent_stump_walk(mal_bytes, ben_bytes):
     """Recompute the ensemble sum with a plain Python loop over the stump
     table; the vectorized scorer must agree exactly."""
-    X = np.array([extract_features_bigram(r) for r in mal_bytes[:8] + ben_bytes[:8]])
+    X = np.array([extract_features_bigram(r, BigramCounts()) for r in mal_bytes[:8] + ben_bytes[:8]])
     y = np.array([1.0] * 8 + [0.0] * 8)
     model = fit_stumps(X, y, n_rounds=20, learning_rate=0.2, seed=5)
     for row in X:

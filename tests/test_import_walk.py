@@ -9,6 +9,7 @@ observation counts with, must count one descriptor per parsed import.
 
 from __future__ import annotations
 
+import string
 import struct
 
 import pytest
@@ -19,14 +20,17 @@ from amg.pe_model import (
     DIR_IMPORT,
     PE32_MAGIC,
     PE32PLUS_MAGIC,
+    PE_FORMATS,
     DataDirectory,
     ImportDescriptor,
     PeError,
     Section,
     check_invariants,
     import_descriptors,
+    pack_import_table,
     parse,
     parse_imports,
+    read_table,
     rva_to_offset,
     section_map,
 )
@@ -199,3 +203,36 @@ def test_descriptor_pointing_outside_every_section(mal_bytes):
     img = image_with(mal_bytes[0], [(0x1000, 0x100, data)], 0x90000)
     assert parse_imports(img) == []
     assert_walks_agree(img)
+
+
+# ---------------------------------------------------------------------------
+# the one writer, read back
+
+
+_NAME = st.text(string.ascii_letters + string.digits + "_.", min_size=1, max_size=24)
+_DLLS = st.lists(st.tuples(_NAME, st.lists(_NAME, max_size=5)), max_size=3)
+
+
+@pytest.mark.parametrize("magic", [PE32_MAGIC, PE32PLUS_MAGIC], ids=["pe32", "pe32plus"])
+@settings(max_examples=40, deadline=None)
+@given(kept=_DLLS, new=_DLLS.filter(bool), shift=st.integers(0, 3))
+def test_property_written_import_table_reads_back(mal_bytes, magic, kept, new, shift):
+    """A table written behind kept descriptors reads back as the kept imports
+    and then the new ones, each name's hint at an even RVA, with equal lookup
+    and address tables, whatever the section's start."""
+    es = PE_FORMATS[magic].thunk_size
+    old = pack_import_table(0x1000, kept, es, b"")
+    assert len(old) < 0x1000
+    base = 0x2000 + shift
+    table = pack_import_table(base, new, es, old[: 20 * len(kept)])
+    img = image_with(mal_bytes[0], [(0x1000, 0x1000, old), (base, 0x1000, table)], base, magic)
+    got = parse_imports(img)
+    assert [(d.dll_name, d.function_names) for d in got] == kept + new
+    assert_walks_agree(img)
+    smap = section_map(img)
+    for d, (_, funcs) in zip(got[len(kept) :], new):
+        lookup, stop = read_table(smap, d.ilt_rva, es, 64)
+        address, _ = read_table(smap, d.iat_rva, es, 64)
+        assert stop == "zero" and lookup == address and len(lookup) == len(funcs)
+        assert d.ilt_rva != d.iat_rva
+        assert all(int.from_bytes(t, "little") % 2 == 0 for t in lookup)

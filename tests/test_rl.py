@@ -12,6 +12,7 @@ import pytest
 
 from amg import pe_model
 from amg.agents import AgentHyper, make_agent
+from amg.bytestats import ByteCounts
 from amg.detector import Verdict
 from amg.harness import OBSERVATION_MEMO_ENTRIES, evaluate_policy
 from amg.memo import ContentMemo
@@ -36,14 +37,14 @@ RL_DIR = Path(__file__).resolve().parent.parent / "src" / "amg" / "rl"
 
 def test_observation_shape_and_finiteness(mal_bytes):
     for raw in mal_bytes[:10]:
-        obs = observe(pe_model.parse(raw), raw)
+        obs = observe(pe_model.parse(raw), raw, ByteCounts())
         assert obs.shape == (N_OBSERVATION,)
         assert np.all(np.isfinite(obs))
 
 
 def test_byte_histogram_slice_sums_to_one(mal_bytes):
     raw = mal_bytes[0]
-    obs = observe(pe_model.parse(raw), raw)
+    obs = observe(pe_model.parse(raw), raw, ByteCounts())
     assert obs[:256].sum() == pytest.approx(1.0)
     assert np.array_equal(obs[:256], byte_counts(raw) / len(raw))
 
@@ -51,7 +52,7 @@ def test_byte_histogram_slice_sums_to_one(mal_bytes):
 def test_observation_scalar_slots(corpus_files):
     for f in corpus_files[:20]:
         img = pe_model.parse(f.data)
-        obs = observe(img, f.data)
+        obs = observe(img, f.data, ByteCounts())
         assert obs[256] == pytest.approx(len(img.sections) / 16)
         assert obs[258] == len(pe_model.parse_imports(img)) / 16
         assert obs[261] == (1.0 if img.optional.checksum == 0 else 0.0)
@@ -63,10 +64,10 @@ def test_observation_reacts_to_rewrites(mal_bytes, pool):
     from amg.pe_mods import apply_action
 
     img = pe_model.parse(mal_bytes[0])
-    before = observe(img, mal_bytes[0])
+    before = observe(img, mal_bytes[0], ByteCounts())
     res = apply_action(img, ActionId.APPEND_OVERLAY, pool, seed=1)
     out = pe_model.serialize(res.image)
-    after = observe(res.image, out)
+    after = observe(res.image, out, ByteCounts())
     assert not np.array_equal(before, after)
 
 
@@ -81,7 +82,7 @@ def test_observation_of_a_rewrite_is_a_function_of_its_bytes(mal_bytes, ben_byte
     checked = 0
     for raw in mal_bytes[:4] + ben_bytes[:2]:
         img = pe_model.parse(raw)
-        assert _same_bits(observe(img, raw), observe(pe_model.parse(raw), raw))
+        assert _same_bits(observe(img, raw, ByteCounts()), observe(pe_model.parse(raw), raw, ByteCounts()))
         for first in ActionId:
             once = apply_action(img.copy(), first, pool, seed=int(first))
             chains = [once] + [
@@ -92,7 +93,10 @@ def test_observation_of_a_rewrite_is_a_function_of_its_bytes(mal_bytes, ben_byte
                 if result.outcome is not Outcome.APPLIED:
                     continue
                 out = pe_model.serialize(result.image)
-                assert _same_bits(observe(result.image, out), observe(pe_model.parse(out), out))
+                assert _same_bits(
+                    observe(result.image, out, ByteCounts()),
+                    observe(pe_model.parse(out), out, ByteCounts()),
+                )
                 checked += 1
     assert checked > 300
 
@@ -100,7 +104,7 @@ def test_observation_of_a_rewrite_is_a_function_of_its_bytes(mal_bytes, ben_byte
 def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes, pool):
     memo = ContentMemo(4)
     raw = mal_bytes[0]
-    expected = observe(pe_model.parse(raw), raw)
+    expected = observe(pe_model.parse(raw), raw, ByteCounts())
 
     def start() -> np.ndarray:
         return RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=1), memo).reset()
@@ -212,7 +216,8 @@ def test_property_carried_counts_observe_as_a_full_count(mal_bytes, pool, monkey
                     states.append(env.step(int(rng.integers(ACTION_COUNT))).next_observation)
                     contents.append(env.current_bytes)
                 for state, content in zip(states, contents):
-                    assert state.tobytes() == observe(pe_model.parse(content), content).tobytes()
+                    full = observe(pe_model.parse(content), content, ByteCounts())
+                    assert state.tobytes() == full.tobytes()
     applied = {(action, detail.split(" ")[0]) for action, outcome, detail in details
                if outcome is Outcome.APPLIED}
     assert {action for action, _ in applied} == set(ActionId)
@@ -347,7 +352,7 @@ def test_noop_and_failed_actions_still_cost_a_step(corpus_files, pool):
     assert t.info["outcome"] == "failed"
     assert env.steps == 1
     assert env.current_bytes == tight
-    expected = observe(pe_model.parse(env.current_bytes), env.current_bytes)
+    expected = observe(pe_model.parse(env.current_bytes), env.current_bytes, ByteCounts())
     assert np.array_equal(t.next_observation, expected)
     assert t.next_observation is not t.observation
 

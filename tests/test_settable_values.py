@@ -1,0 +1,63 @@
+"""The number of settable values in ``src/amg`` may only fall.
+
+A new option, parameter default or dataclass default has to raise
+:data:`CEILING` in the same diff, where the raise is visible.
+"""
+
+from __future__ import annotations
+
+import textwrap
+from pathlib import Path
+
+from settable_values import settable_values
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
+
+#: The count of ``python3 tests/settable_values.py``.
+CEILING = 85
+
+
+def test_settable_values_stay_under_the_ceiling():
+    found = settable_values(SRC)
+    assert len(found) <= CEILING, "\n".join(found)
+
+
+def test_counter_counts_only_what_a_caller_can_set(tmp_path):
+    (tmp_path / "m.py").write_text(textwrap.dedent('''
+        from dataclasses import dataclass, field
+        from typing import ClassVar
+
+        def public(a, b=1, *, c=2, d):
+            pass
+
+        def _private(a=1):
+            pass
+
+        @dataclass
+        class Config:
+            x: int
+            y: int = 3
+            z: list = field(default_factory=list)
+            hidden: int = field(default=0, init=False)
+            shared: ClassVar[int] = 4
+
+            def method(self, e=5):
+                pass
+
+            def _helper(self, f=6):
+                pass
+
+        class Plain:
+            w: int = 7
+
+            def __init__(self, g=8):
+                pass
+    '''))
+    assert settable_values(tmp_path) == [
+        "m.py:public(b)",
+        "m.py:public(c)",
+        "m.py:Config.y",
+        "m.py:Config.z",
+        "m.py:Config.method(e)",
+        "m.py:Plain.__init__(g)",
+    ]

@@ -2,43 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
 
 
+#: Hidden widths of every agent's tanh trunk.
+HIDDEN = (64, 64)
+
+
 @dataclass
 class AgentHyper:
-    """Hyperparameters understood by every agent; unused fields are ignored."""
+    """The two settings the staged workflow sweeps; everything else about
+    an agent is a constant of its module."""
 
     alpha: float = 1e-3           # Adam learning rate
     gamma: float = 0.9            # discount factor
-    hidden: tuple = (64, 64)
-    # value-learner knobs
-    target_sync: int = 250
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    learn_start: int = 64
-    # policy-gradient knobs
-    episodes_per_update: int = 8
-    clip: float = 0.2
-    ppo_epochs: int = 4
-    minibatch: int = 64
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AgentHyper":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if "hidden" in known:
-            known["hidden"] = tuple(known["hidden"])
-        return cls(**known)
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
 
 def q_update(q: float, reward: float, max_next: float, alpha: float, gamma: float) -> float:

@@ -108,7 +108,7 @@ def load_agent(path: str | Path, seed: int = 0):
         hyper = AgentHyper.from_dict(header["hyper"])
         # Check the header against the body before building anything: the
         # networks' size follows the header, the body's follows the file size.
-        need = _agent_class(kind).state_sizes(obs_dim, n_actions, hyper)
+        need = _agent_class(kind).state_sizes(obs_dim, n_actions)
         have = {name: arr.size for name, arr in arrays.items()}
         if need != have:
             raise CheckpointError(f"arrays {have} do not fit the header, which needs {need}")

@@ -1,23 +1,30 @@
 """Action-value learner: epsilon-greedy exploration, uniform replay, and a
-periodically synced target network for the bootstrap targets."""
+periodically synced target network for the bootstrap targets (the scheme of
+Mnih et al., Nature 2015, at this lab's scale)."""
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .base import AgentHyper
+from .base import HIDDEN, AgentHyper
 from .net import Adam, QNet, td_loss_and_grads
 
 #: Exploration rate in training and evaluation alike: a little stochasticity
 #: keeps a policy from pinning itself to one useless action.
 EPSILON = 0.05
+#: Steps between copies of the learning net into the target net.
+TARGET_SYNC = 250
+#: Transitions held in replay; older ones are overwritten.
+REPLAY_CAPACITY = 10_000
+#: Transitions drawn per TD step.
+BATCH_SIZE = 32
+#: Transitions held before the first TD step (at least ``BATCH_SIZE`` are).
+LEARN_START = 64
 
 
 class DqnAgent:
-    """Replay is a ring of ``replay_capacity`` transitions over a ring of
-    ``2 * replay_capacity`` state rows. A transition holds the row indices
+    """Replay is a ring of ``REPLAY_CAPACITY`` transitions over a ring of
+    ``2 * REPLAY_CAPACITY`` state rows. A transition holds the row indices
     of its two states, so a state equal bit for bit to the row written last
     (the next observation of the step before, in a chained episode) takes
     no second row. The arrays are made on the first ``record``: building or
@@ -25,18 +32,16 @@ class DqnAgent:
 
     kind = "dqn"
 
-    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int = 0):
-        if operator.index(hyper.replay_capacity) < 1:
-            raise ValueError(f"replay_capacity must be positive, got {hyper.replay_capacity}")
+    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
-        self.net = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
-        self.target = QNet(obs_dim, n_actions, hyper.hidden, seed=seed)
+        self.net = QNet(obs_dim, n_actions, HIDDEN, seed=seed)
+        self.target = QNet(obs_dim, n_actions, HIDDEN, seed=seed)
         self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self.total_steps = 0
-        self.transitions = 0  # recorded into replay; the newest replay_capacity are held
+        self.transitions = 0  # recorded into replay; the newest REPLAY_CAPACITY are held
         self.state_rows = 0  # state rows written
         self._states = None
 
@@ -47,7 +52,7 @@ class DqnAgent:
         return int(np.argmax(q))
 
     def record(self, transition) -> None:
-        cap = self.hyper.replay_capacity
+        cap = REPLAY_CAPACITY
         if self._states is None:
             # Each transition writes at most two rows and shares only the row
             # written last, so a held transition's oldest row is at most
@@ -66,9 +71,9 @@ class DqnAgent:
         self._done[slot] = bool(transition.done)
         self.transitions += 1
         self.total_steps += 1
-        if min(self.transitions, cap) >= max(self.hyper.learn_start, self.hyper.batch_size):
+        if min(self.transitions, cap) >= max(LEARN_START, BATCH_SIZE):
             self._learn()
-        if self.total_steps % self.hyper.target_sync == 0:
+        if self.total_steps % TARGET_SYNC == 0:
             self.target.flat[:] = self.net.flat
 
     def _state_row(self, obs) -> int:
@@ -87,14 +92,13 @@ class DqnAgent:
     def _learn(self) -> None:
         """TD step on a uniform batch. Draw ``i`` names the ``i``-th oldest
         held transition, so the same draws give the same batch as a deque."""
-        h = self.hyper
-        held = min(self.transitions, h.replay_capacity)
-        picks = self.rng.integers(held, size=h.batch_size)
-        slots = (self.transitions - held + picks) % h.replay_capacity
+        held = min(self.transitions, REPLAY_CAPACITY)
+        picks = self.rng.integers(held, size=BATCH_SIZE)
+        slots = (self.transitions - held + picks) % REPLAY_CAPACITY
         obs = self._states[self._obs_row[slots]]
         next_obs = self._states[self._next_row[slots]]
         next_q = self.target.q_values(next_obs).max(axis=1)
-        targets = self._rewards[slots] + h.gamma * (1.0 - self._done[slots]) * next_q
+        targets = self._rewards[slots] + self.hyper.gamma * (1.0 - self._done[slots]) * next_q
         _, grads = td_loss_and_grads(self.net, obs, self._actions[slots], targets)
         self.optim.step(grads)
 
@@ -104,8 +108,8 @@ class DqnAgent:
     # -- checkpoint hooks -----------------------------------------------------
 
     @staticmethod
-    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
-        n = QNet.size(obs_dim, n_actions, hyper.hidden)
+    def state_sizes(obs_dim: int, n_actions: int) -> dict[str, int]:
+        n = QNet.size(obs_dim, n_actions, HIDDEN)
         return {"net": n, "target": n, "counters": 1}
 
     def state_arrays(self) -> dict[str, np.ndarray]:

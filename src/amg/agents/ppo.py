@@ -3,25 +3,38 @@
 Episodes accumulate into a batch; each update recomputes state values,
 normalizes advantages (return minus value), and runs several epochs of
 shuffled minibatches against the probabilities the actions were sampled
-under."""
+under (Schulman et al., arXiv:1707.06347)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import AgentHyper, discounted_returns, normalize
+from .base import HIDDEN, AgentHyper, discounted_returns, normalize
 from .net import Adam, PolicyValueNet, log_softmax, ppo_loss_and_grads
+
+#: Episodes buffered per update.
+EPISODES_PER_UPDATE = 8
+#: Half-width of the window the probability ratio is clipped to.
+CLIP = 0.2
+#: Passes over the buffered batch per update.
+EPOCHS = 4
+#: Transitions per gradient step.
+MINIBATCH = 64
+#: Weight of the value loss in the objective.
+VALUE_COEF = 0.5
+#: Weight of the entropy bonus in the objective.
+ENTROPY_COEF = 0.01
 
 
 class PpoAgent:
     kind = "ppo"
 
-    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int = 0):
+    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
-        self.net = PolicyValueNet(obs_dim, n_actions, hyper.hidden, seed=seed)
+        self.net = PolicyValueNet(obs_dim, n_actions, HIDDEN, seed=seed)
         self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self._last_logp = 0.0
         self._episode: list[tuple[np.ndarray, int, float, float]] = []
@@ -58,14 +71,13 @@ class PpoAgent:
             self._batch.append((obs, action, float(g), logp))
         self._episode = []
         self._episodes_buffered += 1
-        if self._episodes_buffered >= self.hyper.episodes_per_update:
+        if self._episodes_buffered >= EPISODES_PER_UPDATE:
             self._update()
             self._batch = []
             self._episodes_buffered = 0
 
     def _update(self) -> None:
         """One learning step on the buffered batch of (obs, action, return, logp)."""
-        h = self.hyper
         obs = np.stack([b[0] for b in self._batch])
         actions = np.array([b[1] for b in self._batch])
         returns = np.array([b[2] for b in self._batch])
@@ -73,10 +85,10 @@ class PpoAgent:
         _, values, _ = self.net.forward(obs)
         advantages = normalize(returns - values)
         n = len(self._batch)
-        for _ in range(h.ppo_epochs):
+        for _ in range(EPOCHS):
             order = self.rng.permutation(n)
-            for start in range(0, n, h.minibatch):
-                pick = order[start : start + h.minibatch]
+            for start in range(0, n, MINIBATCH):
+                pick = order[start : start + MINIBATCH]
                 _, grads = ppo_loss_and_grads(
                     self.net,
                     obs[pick],
@@ -84,17 +96,17 @@ class PpoAgent:
                     old_logp[pick],
                     advantages[pick],
                     returns[pick],
-                    clip=h.clip,
-                    value_coef=h.value_coef,
-                    entropy_coef=h.entropy_coef,
+                    clip=CLIP,
+                    value_coef=VALUE_COEF,
+                    entropy_coef=ENTROPY_COEF,
                 )
                 self.optim.step(grads)
 
     # -- checkpoint hooks -----------------------------------------------------
 
     @staticmethod
-    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
-        return {"net": PolicyValueNet.size(obs_dim, n_actions, hyper.hidden)}
+    def state_sizes(obs_dim: int, n_actions: int) -> dict[str, int]:
+        return {"net": PolicyValueNet.size(obs_dim, n_actions, HIDDEN)}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"net": self.net.flat.copy()}

@@ -10,7 +10,7 @@ from .base import AgentHyper
 class RandomAgent:
     kind = "random"
 
-    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int = 0):
+    def __init__(self, obs_dim: int, n_actions: int, hyper: AgentHyper, seed: int):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hyper = hyper
@@ -26,7 +26,7 @@ class RandomAgent:
         pass
 
     @staticmethod
-    def state_sizes(obs_dim: int, n_actions: int, hyper: AgentHyper) -> dict[str, int]:
+    def state_sizes(obs_dim: int, n_actions: int) -> dict[str, int]:
         return {}
 
     def state_arrays(self) -> dict[str, np.ndarray]:

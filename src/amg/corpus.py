@@ -41,7 +41,7 @@ import os
 import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import pe_model, signals
@@ -143,7 +143,7 @@ class CorpusEntry:
     label: str
     path: Path
     seed: int
-    planted: dict = field(default_factory=dict)
+    planted: dict
 
     def read(self) -> bytes:
         return self.path.read_bytes()

@@ -288,12 +288,8 @@ class PeImage:
         return DataDirectory(0, 0)
 
     def entry_section_index(self) -> int | None:
-        aep = self.optional.address_of_entry_point
-        for i, s in enumerate(self.sections):
-            span = max(s.virtual_size, s.size_of_raw_data)
-            if s.virtual_address <= aep < s.virtual_address + max(span, 1):
-                return i
-        return None
+        """Index of the section that serves the entry point, by the mapping rule."""
+        return _owner(section_map(self), self.optional.address_of_entry_point)
 
     def raw_parts(self) -> list[tuple[int | None, bytes]]:
         """Each section's (file offset, data) in table order; the offset is
@@ -719,23 +715,15 @@ def read_table(smap: SectionMap, rva: int, entry_size: int, cap: int) -> tuple[l
 
 
 def _read_c_string(smap: SectionMap, rva: int) -> str | None:
-    """The NUL-terminated string at ``rva``, looked for in its first 256 bytes.
-
-    Where fewer than 256 bytes are mapped it looks in 128, 64 or 16 instead,
-    and gives up when not even 16 are.
-    """
+    """The NUL-terminated string at ``rva``, looked for in its first 256
+    bytes, or in as many as are mapped from ``rva`` if fewer are."""
     i = _owner(smap, rva)
     if i is None:
         return None
     va, span, data = smap[i]
-    room = va + span - rva
-    for limit in (256, 128, 64, 16):
-        if limit <= room:
-            break
-    else:
-        return None
     lo = rva - va
-    blob = data[lo : lo + limit]  # the zeros past the data would end the string there
+    # The zeros mapped past the data would end the string there.
+    blob = data[lo : lo + min(256, span - lo)]
     end = blob.find(b"\x00")
     if end >= 0:
         blob = blob[:end]

@@ -228,14 +228,14 @@ def _append_section(img: PeImage, name: bytes, data: bytes, virtual_size: int,
 # the ten actions
 
 
-def break_checksum(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def break_checksum(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Zero the optional-header checksum."""
     out = img.copy()
     out.optional.checksum = 0
     return ModResult(Outcome.APPLIED, out, 0)
 
 
-def append_overlay(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def append_overlay(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Append one benign blob after the end of the file."""
     rng = random.Random(seed)
     blob = pool.pick_blob(rng)
@@ -245,7 +245,7 @@ def append_overlay(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModR
     return ModResult(Outcome.APPLIED, out, len(blob))
 
 
-def remove_debug(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Clear the debug directory and zero-fill its data in place."""
     d = img.directory(DIR_DEBUG)
     if d.rva == 0 and d.size == 0:
@@ -271,7 +271,7 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModRes
     return ModResult(Outcome.APPLIED, out, 0, "; ".join(detail))
 
 
-def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Drop the certificate table; the file shrinks when it sits in the overlay."""
     d = img.directory(DIR_SECURITY)
     if d.rva == 0 or d.size == 0:
@@ -297,7 +297,7 @@ def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int = 0) -> 
     return ModResult(Outcome.APPLIED, out, delta, detail)
 
 
-def add_new_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def add_new_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Add a benign data section; needs 40 spare bytes after the section table."""
     if not img.sections:
         return ModResult(Outcome.FAILED, img, 0, "image has no sections")
@@ -313,7 +313,7 @@ def add_new_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> Mod
     return ModResult(Outcome.APPLIED, out, delta)
 
 
-def append_to_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def append_to_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Write benign bytes into the dead space of a section whose virtual size
     exceeds its raw size.
 
@@ -361,7 +361,7 @@ def append_to_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> M
     return ModResult(Outcome.NOOP, img, 0, "eligible sections are boxed in")
 
 
-def rename_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def rename_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Give one randomly chosen section an ordinary name."""
     if not img.sections:
         return ModResult(Outcome.FAILED, img, 0, "image has no sections")
@@ -373,21 +373,21 @@ def rename_section(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModR
     return ModResult(Outcome.APPLIED, out, 0, f"sections[{index}] -> {name.decode()}")
 
 
-def increase_timestamp(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def increase_timestamp(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Move the build timestamp 500 days forward, saturating at the maximum."""
     out = img.copy()
     out.coff.time_date_stamp = min(out.coff.time_date_stamp + TIMESTAMP_STEP, _TS_MAX)
     return ModResult(Outcome.APPLIED, out, 0)
 
 
-def decrease_timestamp(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def decrease_timestamp(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Move the build timestamp 500 days back, saturating at zero."""
     out = img.copy()
     out.coff.time_date_stamp = max(out.coff.time_date_stamp - TIMESTAMP_STEP, 0)
     return ModResult(Outcome.APPLIED, out, 0)
 
 
-def append_new_import(img: PeImage, pool: BenignContentPool, seed: int = 0) -> ModResult:
+def append_new_import(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Extend the import table with one benign DLL inside a new section.
 
     The section holds a copy of the old descriptors (their tables stay where
@@ -435,7 +435,7 @@ def apply_action(
     img: PeImage,
     action: ActionId | int,
     pool: BenignContentPool,
-    seed: int = 0,
+    seed: int,
 ) -> ModResult:
     """Apply one action by id with the given seed."""
     return ACTIONS[ActionId(action)](img, pool, seed)

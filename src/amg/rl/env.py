@@ -11,7 +11,7 @@ would show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,7 @@ class Transition:
     reward: float
     next_observation: np.ndarray
     done: bool
-    info: dict = field(default_factory=dict)
+    info: dict
 
 
 class RewriteEnv:

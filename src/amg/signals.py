@@ -87,10 +87,11 @@ def count_motif_hits(data: bytes) -> list[int]:
     Equal to ``[data.count(m) for m in MOTIFS]``, which counts occurrences
     greedily from the left without overlap.  No motif has a border (a proper
     prefix equal to its suffix), so two occurrences of one motif never
-    overlap and this also counts every position a motif starts at.  That is
-    what lets detector A count a changed file over only the changed window
-    widened by ``MOTIF_LEN - 1`` bytes: an occurrence is either wholly inside
-    the unchanged bytes or wholly inside that widened window, never both.
+    overlap, and counting every position a motif starts at, as this does,
+    gives the same.  That is what lets detector A count a changed file over
+    only the changed window widened by ``MOTIF_LEN - 1`` bytes: an
+    occurrence is either wholly inside the unchanged bytes or wholly inside
+    that widened window, never both.
     """
     hits = [0] * len(MOTIFS)
     starts = len(data) - MOTIF_LEN + 1
@@ -98,10 +99,8 @@ def count_motif_hits(data: bytes) -> list[int]:
         return hits
     b = np.frombuffer(data, dtype=np.uint8, count=starts + 1)
     keys = (b[:-1].astype(np.uint16) << 8) | b[1:]
-    free = [0] * len(MOTIFS)  # where each motif's next occurrence may start
     for p in np.flatnonzero(_PREFIXES.take(keys)).tolist():
         i = _MOTIF_INDEX.get(data[p : p + MOTIF_LEN])
-        if i is not None and p >= free[i]:
+        if i is not None:
             hits[i] += 1
-            free[i] = p + MOTIF_LEN
     return hits

@@ -160,8 +160,8 @@ class ValidityRow:
     action: str
     valid: int
     total: int
-    outcomes: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    outcomes: dict[str, int]
+    failures: list[str]
 
     def to_dict(self) -> dict:
         return {

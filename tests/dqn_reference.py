@@ -3,7 +3,9 @@
 This is the replay ``DqnAgent`` kept before it stored transitions as ring
 arrays, kept verbatim as the oracle the rings must agree with: ``_learn``
 draws ``picks`` over the deque's length and stacks the picked tuples, so the
-same draws must give the same batches, updates and rng state.
+same draws must give the same batches, updates and rng state.  It reads the
+replay constants from :mod:`amg.agents.dqn` when it runs, so a test that
+shrinks them shrinks both.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from amg.agents import dqn
 from amg.agents.dqn import DqnAgent
 from amg.agents.net import td_loss_and_grads
 
@@ -19,7 +22,7 @@ from amg.agents.net import td_loss_and_grads
 class DequeDqnAgent(DqnAgent):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.replay: deque = deque(maxlen=self.hyper.replay_capacity)
+        self.replay: deque = deque(maxlen=dqn.REPLAY_CAPACITY)
 
     def record(self, transition) -> None:
         self.replay.append(
@@ -32,14 +35,13 @@ class DequeDqnAgent(DqnAgent):
             )
         )
         self.total_steps += 1
-        if len(self.replay) >= max(self.hyper.learn_start, self.hyper.batch_size):
+        if len(self.replay) >= max(dqn.LEARN_START, dqn.BATCH_SIZE):
             self._learn()
-        if self.total_steps % self.hyper.target_sync == 0:
+        if self.total_steps % dqn.TARGET_SYNC == 0:
             self.target.flat[:] = self.net.flat
 
     def _learn(self) -> None:
-        h = self.hyper
-        picks = self.rng.integers(len(self.replay), size=h.batch_size)
+        picks = self.rng.integers(len(self.replay), size=dqn.BATCH_SIZE)
         batch = [self.replay[i] for i in picks]
         obs = np.stack([b[0] for b in batch])
         actions = np.array([b[1] for b in batch])
@@ -47,6 +49,6 @@ class DequeDqnAgent(DqnAgent):
         next_obs = np.stack([b[3] for b in batch])
         done = np.array([b[4] for b in batch], dtype=np.float64)
         next_q = self.target.q_values(next_obs).max(axis=1)
-        targets = rewards + h.gamma * (1.0 - done) * next_q
+        targets = rewards + self.hyper.gamma * (1.0 - done) * next_q
         _, grads = td_loss_and_grads(self.net, obs, actions, targets)
         self.optim.step(grads)

@@ -3,7 +3,9 @@
 This is the walk ``pe_model`` used before it read tables as slices, kept
 verbatim as the oracle the slice reader must agree with on every image:
 each 20-byte descriptor and each thunk is looked up on its own, so a table
-runs on into whatever section serves its next entry.
+runs on into whatever section serves its next entry.  One rule changed since:
+a name is read from as many bytes as are mapped from its start, up to 256,
+where the walk once fell back to 128, 64 or 16 and gave up below 16.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ def read_virtual(img: PeImage, rva: int, n: int) -> bytes | None:
 
 
 def read_c_string(img: PeImage, rva: int, limit: int = 256) -> str | None:
-    blob = read_virtual(img, rva, limit)
-    if blob is None:
-        for probe in (128, 64, 16):
-            blob = read_virtual(img, rva, probe)
-            if blob is not None:
-                break
-        if blob is None:
-            return None
+    """The string in the longest mapped window of at most ``limit`` bytes."""
+    for n in range(limit, 0, -1):
+        blob = read_virtual(img, rva, n)
+        if blob is not None:
+            break
+    else:
+        return None
     end = blob.find(b"\x00")
     if end < 0:
         end = len(blob)

@@ -25,6 +25,7 @@ from amg.agents import (
     q_update,
     save_agent,
 )
+from amg.agents import dqn, ppo
 from amg.agents.checkpoint import MAGIC
 from amg.agents.net import Adam, PolicyValueNet, QNet, log_softmax
 from amg.rl import Transition
@@ -168,8 +169,12 @@ def test_adam_step_allocates_less_than_one_parameter_vector():
 # replay
 
 
-REPLAY_HYPER = AgentHyper(hidden=(4,), replay_capacity=5, batch_size=4, learn_start=4,
-                          target_sync=7)
+@pytest.fixture
+def small_replay(monkeypatch):
+    """A DQN small enough that replay wraps and the target syncs within a few episodes."""
+    for name, value in [("HIDDEN", (4,)), ("REPLAY_CAPACITY", 5), ("BATCH_SIZE", 4),
+                        ("LEARN_START", 4), ("TARGET_SYNC", 7)]:
+        monkeypatch.setattr(dqn, name, value)
 
 
 def _replay_segments(rng, obs_dim=3):
@@ -217,9 +222,9 @@ def _learner_state(agent) -> tuple:
             agent.rng.bit_generator.state)
 
 
-def test_replay_rings_learn_as_the_deque_did():
-    agent = make_agent("dqn", 3, 2, REPLAY_HYPER, seed=3)
-    reference = DequeDqnAgent(3, 2, REPLAY_HYPER, seed=3)
+def test_replay_rings_learn_as_the_deque_did(small_replay):
+    agent = make_agent("dqn", 3, 2, seed=3)
+    reference = DequeDqnAgent(3, 2, AgentHyper(), seed=3)
     rows = {}
     for name, episodes in _replay_segments(np.random.default_rng(11)):
         before = agent.state_rows
@@ -236,13 +241,13 @@ def test_replay_rings_learn_as_the_deque_did():
         written, transitions, _ = rows[name]
         assert written == 2 * transitions
     assert rows["no-op"][0] == rows["no-op"][2]
-    cap = REPLAY_HYPER.replay_capacity
+    cap = dqn.REPLAY_CAPACITY
     assert agent.transitions > 2 * cap and agent.state_rows > 2 * (2 * cap)
     assert agent.optim.t > 40
 
 
-def test_replay_shares_a_row_by_its_bits():
-    agent = make_agent("dqn", 3, 2, AgentHyper(hidden=(4,), replay_capacity=5), seed=0)
+def test_replay_shares_a_row_by_its_bits(small_replay):
+    agent = make_agent("dqn", 3, 2, seed=0)
     nan_state = np.array([np.nan, -0.0, 1.0])
     agent.record(Transition(nan_state, 0, 0.0, nan_state.copy(), False, {}))
     assert agent.state_rows == 1
@@ -410,53 +415,50 @@ def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
 
 
 def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
-    """A header written when ``AgentHyper`` still had an epsilon schedule loads."""
+    """Headers written when ``AgentHyper`` still had an epsilon schedule, a
+    replay capacity or hidden widths load, and the agent acts as saved."""
     path = tmp_path / "dqn.agent"
     agent = make_agent("dqn", 4, 2, seed=0)
-    save_agent(path, agent)
-    rewrite_header(path, lambda h: h["hyper"].update(
-        eps_start=1.0, eps_end=0.05, eps_decay_steps=2000))
-    clone = load_agent(path)
-    assert clone.hyper == agent.hyper
-    assert np.array_equal(clone.net.flat, agent.net.flat)
+    for extra in (
+        {"eps_start": 1.0, "eps_end": 0.05, "eps_decay_steps": 2000},
+        {"replay_capacity": 10**12},
+        {"hidden": [8]},
+    ):
+        save_agent(path, agent)
+        rewrite_header(path, lambda h: h["hyper"].update(extra))
+        clone = load_agent(path)
+        assert clone.hyper == agent.hyper
+        assert np.array_equal(clone.net.flat, agent.net.flat)
+        obs = np.ones(4)
+        assert clone.select_action(obs, greedy=True) == agent.select_action(obs, greedy=True)
 
 
-def test_checkpoint_with_a_huge_replay_capacity_loads_and_acts(tmp_path):
-    """Replay arrays are made on the first ``record``, so a header may ask
-    for any capacity without costing memory at load."""
-    path = tmp_path / "dqn.agent"
-    save_agent(path, make_agent("dqn", 4, 2, seed=0))
-    rewrite_header(path, lambda h: h["hyper"].update(replay_capacity=10**12))
-    tracemalloc.start()
-    try:
-        agent = load_agent(path)
-        action = agent.select_action(np.zeros(4), greedy=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert agent.hyper.replay_capacity == 10**12
-    assert action in (0, 1)
-    assert peak < 10 * path.stat().st_size
-
-
-@pytest.mark.parametrize("capacity", [0, -3, 2.5], ids=["zero", "negative", "fractional"])
-def test_checkpoint_rejects_a_replay_capacity_that_is_not_a_positive_integer(tmp_path, capacity):
-    path = tmp_path / "dqn.agent"
-    save_agent(path, make_agent("dqn", 4, 2, seed=0))
-    rewrite_header(path, lambda h: h["hyper"].update(replay_capacity=capacity))
-    with pytest.raises(CheckpointError):
+def test_checkpoint_sized_for_other_hidden_widths_is_rejected(tmp_path):
+    path = tmp_path / "ppo.agent"
+    with pytest.MonkeyPatch.context() as mp:
+        small_nets(mp)
+        save_agent(path, make_agent("ppo", 4, 2, seed=0))
+    with pytest.raises(CheckpointError, match="do not fit the header"):
         load_agent(path)
+
+
+def small_nets(mp: pytest.MonkeyPatch) -> None:
+    """Give both learners one hidden layer of 8, so a checkpoint is a few KB."""
+    for module in (dqn, ppo):
+        mp.setattr(module, "HIDDEN", (8,))
 
 
 @pytest.fixture(scope="module")
 def saved_checkpoints(tmp_path_factory):
     root = tmp_path_factory.mktemp("checkpoint-fuzz")
     blobs = {}
-    for kind in ("dqn", "ppo"):
-        save_agent(root / "agent.bin", make_agent(kind, 6, 3, AgentHyper(hidden=(8,)), seed=0))
-        blob = (root / "agent.bin").read_bytes()
-        (head_len,) = struct.unpack_from("<I", blob, 8)
-        blobs[kind] = (blob, 12 + head_len + 16)
+    with pytest.MonkeyPatch.context() as mp:
+        small_nets(mp)
+        for kind in ("dqn", "ppo"):
+            save_agent(root / "agent.bin", make_agent(kind, 6, 3, seed=0))
+            blob = (root / "agent.bin").read_bytes()
+            (head_len,) = struct.unpack_from("<I", blob, 8)
+            blobs[kind] = (blob, 12 + head_len + 16)
     return root / "agent.bin", blobs
 
 
@@ -467,7 +469,9 @@ def test_property_damaged_checkpoint_loads_or_raises(saved_checkpoints, data, ki
     blob, head = blobs[kind]
     path.write_bytes(data.draw(damaged(blob, head)))
     try:
-        agent = load_agent(path)
+        with pytest.MonkeyPatch.context() as mp:
+            small_nets(mp)
+            agent = load_agent(path)
     except CheckpointError:
         return
     assert agent.state_arrays()

@@ -27,7 +27,7 @@ from amg.harness import (
     transferability,
     truncated_percent,
 )
-from amg.agents import AgentHyper, make_agent
+from amg.agents import dqn, make_agent
 from amg.pe_mods import ACTION_COUNT, Outcome
 from amg.memo import ContentMemo
 from amg.rl import N_OBSERVATION, env as env_module
@@ -408,9 +408,11 @@ def _scrubbed(report: dict) -> dict:
 DQN_UPDATES_SHA256 = "b2b5fce8bd163ad1b1d9932686c2e5b1134eb97445c9c3dc40d901797ed4d88e"
 
 
-def test_dqn_td_updates_and_target_syncs_match_golden(world):
-    """The ``agents.json`` DQN entry stops below ``learn_start``; this run
+def test_dqn_td_updates_and_target_syncs_match_golden(world, monkeypatch):
+    """The ``agents.json`` DQN entry stops below ``LEARN_START``; this run
     learns from replay and syncs its target net twice."""
+    for name, value in [("LEARN_START", 8), ("BATCH_SIZE", 8), ("TARGET_SYNC", 16)]:
+        monkeypatch.setattr(dqn, name, value)
     agent = train_agent(
         "dqn",
         world.mal_train[:6],
@@ -419,7 +421,6 @@ def test_dqn_td_updates_and_target_syncs_match_golden(world):
         max_steps=3,
         episodes=16,
         seed=7,
-        hyper=AgentHyper(learn_start=8, batch_size=8, target_sync=16),
     )
     assert agent.total_steps > 16
     assert _state_sha256(agent) == DQN_UPDATES_SHA256

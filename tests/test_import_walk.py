@@ -13,7 +13,7 @@ import string
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import import_walk_reference as ref
 from amg.pe_model import (
@@ -165,15 +165,15 @@ def test_earlier_section_takes_over_inside_a_later_one(mal_bytes):
 
 def test_names_near_the_end_of_their_section(mal_bytes):
     data = bytearray(0x100)
-    # DLL name 10 bytes before the end: not even 16 bytes are mappable.
+    # DLL name 10 bytes before the end: read through the 10 mapped bytes.
     data[0:20] = struct.pack("<5I", 0x1040, 0, 0, 0x10F6, 0x1040)
     data[0x40:0x48] = struct.pack("<II", 0x10D4, 0)
-    # Function name with 42 mappable bytes: read through a 16-byte window.
+    # Function name with 42 mappable bytes: read whole.
     data[0xD6:0xEC] = b"ThisNameIsLongerThan16"
     data[0xF6:0x100] = b"tail.dll\x00\x00"
     img = image_with(mal_bytes[0], [(0x1000, 0x100, bytes(data))], 0x1000)
     assert parse_imports(img) == [
-        ImportDescriptor("rva:0x10f6", 0x1040, 0x1040, ["ThisNameIsLonger"])
+        ImportDescriptor("tail.dll", 0x1040, 0x1040, ["ThisNameIsLongerThan16"])
     ]
     assert_walks_agree(img)
 
@@ -215,17 +215,21 @@ _DLLS = st.lists(st.tuples(_NAME, st.lists(_NAME, max_size=5)), max_size=3)
 
 @pytest.mark.parametrize("magic", [PE32_MAGIC, PE32PLUS_MAGIC], ids=["pe32", "pe32plus"])
 @settings(max_examples=40, deadline=None)
-@given(kept=_DLLS, new=_DLLS.filter(bool), shift=st.integers(0, 3))
-def test_property_written_import_table_reads_back(mal_bytes, magic, kept, new, shift):
+@given(kept=_DLLS, new=_DLLS.filter(bool), shift=st.integers(0, 3), tight=st.booleans())
+# The section ends 15 bytes after the start of the last DLL name.
+@example(kept=[], new=[("fourteen_c.dll", [])], shift=0, tight=True)
+def test_property_written_import_table_reads_back(mal_bytes, magic, kept, new, shift, tight):
     """A table written behind kept descriptors reads back as the kept imports
     and then the new ones, each name's hint at an even RVA, with equal lookup
-    and address tables, whatever the section's start."""
+    and address tables, whatever the section's start, also in a section that
+    ends where the table does."""
     es = PE_FORMATS[magic].thunk_size
     old = pack_import_table(0x1000, kept, es, b"")
     assert len(old) < 0x1000
     base = 0x2000 + shift
     table = pack_import_table(base, new, es, old[: 20 * len(kept)])
-    img = image_with(mal_bytes[0], [(0x1000, 0x1000, old), (base, 0x1000, table)], base, magic)
+    size = len(table) if tight else 0x1000
+    img = image_with(mal_bytes[0], [(0x1000, 0x1000, old), (base, size, table)], base, magic)
     got = parse_imports(img)
     assert [(d.dll_name, d.function_names) for d in got] == kept + new
     assert_walks_agree(img)

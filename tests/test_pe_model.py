@@ -248,6 +248,22 @@ def test_rva_to_offset_and_read_virtual(mal_bytes):
     assert rva_to_offset(img, 0xFFFF_FF00) is None
 
 
+def test_entry_section_follows_the_mapping_rule(mal_bytes):
+    """The entry point's section is the one that serves its RVA: a section
+    with no bytes on disk spans its virtual size alone, whatever raw size it
+    claims, and an empty section serves nothing."""
+    img = parse(mal_bytes[0])
+    img.sections = [
+        pe_model.Section(b".bss".ljust(8, b"\x00"), 0x100, 0x1000, 0x400, 0, bytes(12), 0, b""),
+        pe_model.Section(b".empty".ljust(8, b"\x00"), 0, 0x2000, 0, 0, bytes(12), 0, b""),
+        pe_model.Section(b".text".ljust(8, b"\x00"), 0x200, 0x1200, 0x200, 0x400, bytes(12), 0,
+                         bytes(0x200)),
+    ]
+    for aep, index in [(0x1000, 0), (0x10FF, 0), (0x1100, None), (0x1300, 2), (0x2000, None)]:
+        img.optional.address_of_entry_point = aep
+        assert img.entry_section_index() == index, hex(aep)
+
+
 def test_parse_imports_lists_dlls(corpus_files):
     for f in corpus_files[:20]:
         img = parse(f.data)

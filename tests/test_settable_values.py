@@ -14,7 +14,7 @@ from settable_values import settable_values
 SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
 
 #: The count of ``python3 tests/settable_values.py``.
-CEILING = 85
+CEILING = 56
 
 
 def test_settable_values_stay_under_the_ceiling():

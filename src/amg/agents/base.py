@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -25,7 +26,13 @@ class AgentHyper:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AgentHyper":
-        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        """The settings in ``d``, ignoring keys this class no longer has; a value
+        that is not a finite number raises here, not at the first update."""
+        kept = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
+        for k, v in kept.items():
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(f"hyper {k} must be a finite number, got {v!r}")
+        return cls(**{k: float(v) for k, v in kept.items()})
 
 
 def q_update(q: float, reward: float, max_next: float, alpha: float, gamma: float) -> float:

@@ -80,7 +80,7 @@ def load_agent(path: str | Path, seed: int = 0):
     offset += 4
     try:
         header = json.loads(blob[offset : offset + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # also an int past Python's digit limit
         raise CheckpointError(f"unreadable checkpoint header: {e}") from None
     offset += head_len
     try:
@@ -116,6 +116,6 @@ def load_agent(path: str | Path, seed: int = 0):
         agent.load_state_arrays(arrays)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"checkpoint header and arrays do not fit: {e!r}") from None
     return agent

@@ -306,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="generate a synthetic corpus")
     p.add_argument("--out", help="output directory (default: workspace/corpus)")
-    p.add_argument("--malicious", type=int, default=700)
-    p.add_argument("--benign", type=int, default=400)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--malicious", type=int, default=CorpusSpec.malicious)
+    p.add_argument("--benign", type=int, default=CorpusSpec.benign)
+    p.add_argument("--seed", type=int, default=CorpusSpec.seed)
     p.set_defaults(func=cmd_corpus)
 
     det = sub.add_parser("detector", help="train or apply a classifier")
@@ -349,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", default="ppo", choices=("dqn", "pg", "ppo", "random"))
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--max-steps", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--gamma", type=float, default=0.9)
+    p.add_argument("--alpha", type=float, default=AgentHyper.alpha)
+    p.add_argument("--gamma", type=float, default=AgentHyper.gamma)
     p.add_argument("--out", help="checkpoint path (default: workspace/agents/<kind>.ckpt)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)

@@ -1,10 +1,13 @@
 """Deterministic synthetic PE32 corpus with planted label signals.
 
-Headers are assembled byte-by-byte with ``struct.pack`` rather than through
-:mod:`amg.pe_model`, so the parser and the generator act as independent
-witnesses of the format.  The import table is the exception: it comes from
-:func:`amg.pe_model.pack_import_table`, the one writer the rewrite actions
-also use, which its own tests check against the reader.  "Malicious" files
+The generator shares three layouts with the parser in :mod:`amg.pe_model`:
+the COFF header (``COFF_HEADER``), the section headers (``SECTION_HEADER``)
+and the import table (:func:`~amg.pe_model.pack_import_table`, which the
+rewrite actions also use and its own tests check against the reader).  A
+fault in one of those is made alike on both sides, so the corpus round-trip
+cannot catch it.  It writes the rest itself with ``struct.pack``: the DOS
+header, the optional header and its data directories, the debug entry and
+the certificate, which the two witness independently.  "Malicious" files
 are ordinary structural shells carrying a random subset of tells: a nonzero
 checksum, an implausible timestamp, a packer-style section name, a debug
 blob, an Authenticode-shaped certificate, a missing overlay, suspicious

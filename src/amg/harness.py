@@ -391,7 +391,8 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
     # are grouped by kind in plan order, best first within each kind.
     sweep, _ = _run_stage(
         world,
-        [(kind, max_steps, 0.001, 0.9) for kind in plan.agents for max_steps in plan.max_steps_grid],
+        [(kind, max_steps, AgentHyper.alpha, AgentHyper.gamma)
+         for kind in plan.agents for max_steps in plan.max_steps_grid],
         plan.sweep_iterations * plan.episodes_per_iteration, seed, "sweep", observations,
     )
     sweep.sort(key=lambda row: plan.agents.index(row.agent_kind))

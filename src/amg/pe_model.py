@@ -11,14 +11,17 @@ raise.  Soft problems (unsorted sections, misrounded ``size_of_image`` and
 friends) come back as ``Diagnostic`` entries from :func:`check_invariants`,
 which callers run on demand; parsing does not.
 
-Each header's byte layout is stated once, as a ``struct.Struct`` that parse
-and serialize share, and the PE32/PE32+ differences live in one per-magic
-table, :data:`PE_FORMATS`.
+Each header's byte layout is stated once, as a ``struct.Struct``, and its
+field order once, in the dataclass that holds it; parse, pack and
+:meth:`PeImage.copy` all read those two.  The PE32/PE32+ differences live in
+one per-magic table, :data:`PE_FORMATS`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -133,7 +136,7 @@ class DosHeader:
     e_lfanew: int
 
     def pack(self) -> bytes:
-        return DOS_HEADER.pack(self.e_magic, self.reserved, self.e_lfanew)
+        return DOS_HEADER.pack(*_DOS_FIELDS(self))
 
 
 @dataclass
@@ -147,11 +150,7 @@ class CoffHeader:
     characteristics: int
 
     def pack(self) -> bytes:
-        return COFF_HEADER.pack(
-            self.machine, self.number_of_sections, self.time_date_stamp,
-            self.pointer_to_symbol_table, self.number_of_symbols,
-            self.size_of_optional_header, self.characteristics,
-        )
+        return COFF_HEADER.pack(*_COFF_FIELDS(self))
 
 
 @dataclass
@@ -190,14 +189,7 @@ class OptionalHeader:
     trailing: bytes
 
     def pack(self) -> bytes:
-        parts = [
-            _optional_fixed(len(self.run_e)).pack(
-                self.magic, self.run_a, self.size_of_code, self.run_b,
-                self.address_of_entry_point, self.run_c, self.section_alignment,
-                self.file_alignment, self.run_d, self.size_of_image, self.size_of_headers,
-                self.checksum, self.run_e, self.number_of_rva_and_sizes,
-            )
-        ]
+        parts = [_optional_fixed(len(self.run_e)).pack(*_OPTIONAL_FIELDS(self))]
         parts.extend(DATA_DIRECTORY.pack(d.rva, d.size) for d in self.data_directories)
         parts.append(self.trailing)
         return b"".join(parts)
@@ -217,10 +209,7 @@ class Section:
     data: bytes
 
     def pack_header(self) -> bytes:
-        return SECTION_HEADER.pack(
-            self.name, self.virtual_size, self.virtual_address, self.size_of_raw_data,
-            self.pointer_to_raw_data, self.reserved, self.characteristics,
-        )
+        return SECTION_HEADER.pack(*_SECTION_FIELDS(self))
 
     @property
     def display_name(self) -> str:
@@ -229,6 +218,19 @@ class Section:
     def has_raw(self) -> bool:
         # A zero raw pointer means "no bytes on disk" even if a size is claimed.
         return self.size_of_raw_data > 0 and self.pointer_to_raw_data > 0
+
+
+def _struct_fields(cls: type, layout: struct.Struct) -> operator.attrgetter:
+    """The leading fields of ``cls`` that ``layout`` packs, as a getter that
+    returns their values in order; the field order is the dataclass's."""
+    count = len(layout.unpack(bytes(layout.size)))
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)[:count]))
+
+
+_DOS_FIELDS = _struct_fields(DosHeader, DOS_HEADER)
+_COFF_FIELDS = _struct_fields(CoffHeader, COFF_HEADER)
+_OPTIONAL_FIELDS = _struct_fields(OptionalHeader, PE_FORMATS[PE32_MAGIC].optional_fixed)
+_SECTION_FIELDS = _struct_fields(Section, SECTION_HEADER)
 
 
 @dataclass
@@ -264,11 +266,6 @@ class PeImage:
         )
 
     @property
-    def first_raw_ptr(self) -> int | None:
-        ptrs = [s.pointer_to_raw_data for s in self.sections if s.has_raw()]
-        return min(ptrs) if ptrs else None
-
-    @property
     def last_raw_end(self) -> int:
         ends = [s.pointer_to_raw_data + s.size_of_raw_data for s in self.sections if s.has_raw()]
         return max(ends, default=self.headers_end)
@@ -276,10 +273,10 @@ class PeImage:
     @property
     def header_slack(self) -> int:
         """Unused bytes between the section table and the first raw data."""
-        first = self.first_raw_ptr
-        if first is None:
-            first = max(self.optional.size_of_headers, self.headers_end)
-        return max(0, first - self.headers_end)
+        end = self.headers_end
+        first = min([s.pointer_to_raw_data for s in self.sections if s.has_raw()],
+                    default=max(self.optional.size_of_headers, end))
+        return max(0, first - end)
 
     def directory(self, index: int) -> DataDirectory:
         dirs = self.optional.data_directories
@@ -303,28 +300,17 @@ class PeImage:
         faster than ``dataclasses.replace`` and keeps the instance layout
         that makes later attribute reads fast.
         """
-        d, c, o = self.dos_header, self.coff, self.optional
+        o = self.optional
         return PeImage(
-            DosHeader(d.e_magic, d.reserved, d.e_lfanew),
+            DosHeader(*_DOS_FIELDS(self.dos_header)),
             self.dos_stub,
-            CoffHeader(
-                c.machine, c.number_of_sections, c.time_date_stamp, c.pointer_to_symbol_table,
-                c.number_of_symbols, c.size_of_optional_header, c.characteristics,
-            ),
+            CoffHeader(*_COFF_FIELDS(self.coff)),
             OptionalHeader(
-                o.magic, o.run_a, o.size_of_code, o.run_b, o.address_of_entry_point, o.run_c,
-                o.section_alignment, o.file_alignment, o.run_d, o.size_of_image,
-                o.size_of_headers, o.checksum, o.run_e, o.number_of_rva_and_sizes,
+                *_OPTIONAL_FIELDS(o),
                 [DataDirectory(x.rva, x.size) for x in o.data_directories],
                 o.trailing,
             ),
-            [
-                Section(
-                    s.name, s.virtual_size, s.virtual_address, s.size_of_raw_data,
-                    s.pointer_to_raw_data, s.reserved, s.characteristics, s.data,
-                )
-                for s in self.sections
-            ],
+            [Section(*_SECTION_FIELDS(s), s.data) for s in self.sections],
             list(self.padding_spans),
             self.overlay,
             self.source_len,
@@ -419,18 +405,6 @@ def parse(raw: bytes) -> PeImage:
 # serialization
 
 
-def _serialize_headers(img: PeImage) -> bytes:
-    parts = [
-        img.dos_header.pack(),
-        img.dos_stub,
-        PE_SIGNATURE,
-        img.coff.pack(),
-        img.optional.pack(),
-    ]
-    parts.extend(s.pack_header() for s in img.sections)
-    return b"".join(parts)
-
-
 def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     """Errors for the rules that decide which bytes :func:`serialize` writes where.
 
@@ -503,7 +477,10 @@ def serialize(img: PeImage) -> bytes:
     broken = _layout_diagnostics(img)
     if broken:
         raise InvariantViolation("; ".join(str(d) for d in broken))
-    headers = _serialize_headers(img)
+    headers = b"".join([
+        img.dos_header.pack(), img.dos_stub, PE_SIGNATURE, img.coff.pack(), img.optional.pack(),
+        *(s.pack_header() for s in img.sections),
+    ])
     if len(headers) != img.headers_end:
         raise InvariantViolation("serialized header length disagrees with the model")
     body_end = img.last_raw_end
@@ -620,15 +597,14 @@ SectionMap = list[tuple[int, int, bytes]]
 
 
 def rva_to_offset(img: PeImage, rva: int) -> int | None:
-    """Map an RVA to a raw file offset, or None if it hits no file bytes."""
-    if 0 <= rva < min(img.optional.size_of_headers, img.headers_end):
-        return rva
-    for s in img.sections:
-        if not s.has_raw():
-            continue
-        if s.virtual_address <= rva < s.virtual_address + s.size_of_raw_data:
-            return s.pointer_to_raw_data + (rva - s.virtual_address)
-    return None
+    """The file offset of the byte the section serving ``rva`` holds there,
+    or None when no section serves it or its byte is not on disk."""
+    i = _owner(section_map(img), rva)
+    if i is None:
+        return None
+    s = img.sections[i]
+    local = rva - s.virtual_address
+    return s.pointer_to_raw_data + local if s.has_raw() and local < s.size_of_raw_data else None
 
 
 def section_map(img: PeImage) -> SectionMap:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import random
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import pe_model
@@ -163,65 +164,46 @@ def _shift_security(img: PeImage, watermark: int, delta: int) -> None:
         d.rva += delta
 
 
-def _consume_header_slack(img: PeImage, old_headers_end: int) -> bool:
-    """Take 40 bytes of padding at ``old_headers_end`` for a new section header."""
-    for k, (off, blob) in enumerate(img.padding_spans):
-        if off == old_headers_end and len(blob) >= pe_model.SECTION_HEADER_SIZE:
-            rest = blob[pe_model.SECTION_HEADER_SIZE :]
-            if rest:
-                img.padding_spans[k] = (off + pe_model.SECTION_HEADER_SIZE, rest)
-            else:
-                del img.padding_spans[k]
-            return True
-    return False
+def _append_section(img: PeImage, content: Callable[[int], tuple[bytes, bytes, str]],
+                    characteristics: int) -> ModResult:
+    """Add a section behind the others with the name, bytes and result
+    detail that ``content(virtual_address)`` gives.
 
-
-def _new_section_home(img: PeImage) -> tuple[int, int] | None:
-    """(virtual address, raw pointer) for a would-be appended section."""
+    FAILED, with the input image, when there is no section to follow, less
+    than 40 bytes of header slack for the new header, or no file-aligned
+    spot for its raw data; ``content`` is called only when none of these hold.
+    """
     if not img.sections:
-        return None
-    sa = img.optional.section_alignment
+        return ModResult(Outcome.FAILED, img, 0, "image has no sections")
+    if img.header_slack < pe_model.SECTION_HEADER_SIZE:
+        return ModResult(Outcome.FAILED, img, 0, f"header slack {img.header_slack} < 40")
     fa = img.optional.file_alignment
-    image_end = max(s.virtual_address + max(s.virtual_size, 1) for s in img.sections)
-    new_va = align_up(max(image_end, img.sections[-1].virtual_address + 1), sa)
     ptr = img.last_raw_end
     if fa <= 0 or ptr % fa:
-        return None
-    return new_va, ptr
-
-
-def _append_section(img: PeImage, name: bytes, data: bytes, virtual_size: int,
-                    characteristics: int) -> int:
-    """Append a section whose placement came from :func:`_new_section_home`.
-
-    Returns the number of file bytes inserted.  The caller has already
-    verified 40 bytes of header slack exist.
-    """
-    home = _new_section_home(img)
-    assert home is not None
-    new_va, ptr = home
-    fa = img.optional.file_alignment
+        return ModResult(Outcome.FAILED, img, 0, "no aligned spot for raw data")
     sa = img.optional.section_alignment
+    image_end = max(s.virtual_address + max(s.virtual_size, 1) for s in img.sections)
+    new_va = align_up(max(image_end, img.sections[-1].virtual_address + 1), sa)
+    name, data, detail = content(new_va)
     srd = align_up(len(data), fa)
-    old_headers_end = img.headers_end
-    section = pe_model.Section(
-        name=name[:8].ljust(8, b"\x00"),
-        virtual_size=virtual_size,
-        virtual_address=new_va,
-        size_of_raw_data=srd,
-        pointer_to_raw_data=ptr,
-        reserved=b"\x00" * 12,
-        characteristics=characteristics,
-        data=data.ljust(srd, b"\x00"),
-    )
-    if not _consume_header_slack(img, old_headers_end):
+    out = img.copy()
+    # The new header takes the first 40 bytes of the padding behind the table.
+    end, size = out.headers_end, pe_model.SECTION_HEADER_SIZE
+    k = next((k for k, (off, blob) in enumerate(out.padding_spans)
+              if off == end and len(blob) >= size), None)
+    if k is None:
         raise pe_model.InvariantViolation("advertised header slack is not backed by padding")
-    img.sections.append(section)
-    img.coff.number_of_sections += 1
-    img.optional.size_of_image = align_up(new_va + max(virtual_size, 1), sa)
-    _shift_security(img, ptr, srd)
-    img.source_len += srd
-    return srd
+    rest = out.padding_spans[k][1][size:]
+    out.padding_spans[k:k + 1] = [(end + size, rest)] if rest else []
+    out.sections.append(pe_model.Section(
+        name[:8].ljust(8, b"\x00"), len(data), new_va, srd, ptr, b"\x00" * 12, characteristics,
+        data.ljust(srd, b"\x00"),
+    ))
+    out.coff.number_of_sections += 1
+    out.optional.size_of_image = align_up(new_va + max(len(data), 1), sa)
+    _shift_security(out, ptr, srd)
+    out.source_len += srd
+    return ModResult(Outcome.APPLIED, out, srd, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +281,12 @@ def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int) -> ModR
 
 def add_new_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Add a benign data section; needs 40 spare bytes after the section table."""
-    if not img.sections:
-        return ModResult(Outcome.FAILED, img, 0, "image has no sections")
-    if img.header_slack < pe_model.SECTION_HEADER_SIZE:
-        return ModResult(Outcome.FAILED, img, 0, f"header slack {img.header_slack} < 40")
-    if _new_section_home(img) is None:
-        return ModResult(Outcome.FAILED, img, 0, "no aligned spot for raw data")
-    rng = random.Random(seed)
-    blob = pool.pick_blob(rng)
-    name = pool.pick_section_name(rng)
-    out = img.copy()
-    delta = _append_section(out, name, blob, len(blob), 0x40000040)
-    return ModResult(Outcome.APPLIED, out, delta)
+    def content(va: int) -> tuple[bytes, bytes, str]:
+        rng = random.Random(seed)
+        blob = pool.pick_blob(rng)
+        return pool.pick_section_name(rng), blob, ""
+
+    return _append_section(img, content, 0x40000040)
 
 
 def append_to_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
@@ -395,24 +371,22 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int) -> ModRe
     :func:`pe_model.pack_import_table` writes them; the import directory
     points at the copy.
     """
-    if not img.sections:
-        return ModResult(Outcome.FAILED, img, 0, "image has no sections")
-    if img.header_slack < pe_model.SECTION_HEADER_SIZE:
-        return ModResult(Outcome.FAILED, img, 0, f"header slack {img.header_slack} < 40")
-    home = _new_section_home(img)
-    if home is None:
-        return ModResult(Outcome.FAILED, img, 0, "no aligned spot for raw data")
-    rng = random.Random(seed)
-    dll, funcs = pool.pick_dll(rng)
-    out = img.copy()
+    kept = b""  # the old descriptors, once the guards have passed
 
-    kept = b"".join(pe_model.import_descriptors(out, pe_model.section_map(out))[0])
-    entry_size = pe_model.pe_format(out.optional.magic).thunk_size
-    content = pe_model.pack_import_table(home[0], [(dll, funcs)], entry_size, kept)
-    delta = _append_section(out, b".idata", content, len(content), 0xC0000040)
-    out.directory(DIR_IMPORT).rva = home[0]
-    out.directory(DIR_IMPORT).size = len(kept) + 2 * pe_model.IMPORT_DESCRIPTOR.size
-    return ModResult(Outcome.APPLIED, out, delta, f"{dll} +{len(funcs)} imports")
+    def content(va: int) -> tuple[bytes, bytes, str]:
+        nonlocal kept
+        dll, funcs = pool.pick_dll(random.Random(seed))
+        kept = b"".join(pe_model.import_descriptors(img, pe_model.section_map(img))[0])
+        entry_size = pe_model.pe_format(img.optional.magic).thunk_size
+        table = pe_model.pack_import_table(va, [(dll, funcs)], entry_size, kept)
+        return b".idata", table, f"{dll} +{len(funcs)} imports"
+
+    res = _append_section(img, content, 0xC0000040)
+    if res.outcome is Outcome.APPLIED:
+        d = res.image.directory(DIR_IMPORT)
+        d.rva = res.image.sections[-1].virtual_address
+        d.size = len(kept) + 2 * pe_model.IMPORT_DESCRIPTOR.size
+    return res
 
 
 ACTIONS = {

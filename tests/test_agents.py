@@ -368,6 +368,15 @@ def test_checkpoint_rejects_deeply_nested_header(tmp_path):
         load_agent(path)
 
 
+def test_checkpoint_rejects_header_with_an_overlong_integer(tmp_path):
+    """json reads an int past Python's digit limit as a plain ValueError."""
+    path = tmp_path / "long.agent"
+    head = b'{"obs_dim": ' + b"9" * 5000 + b"}"
+    path.write_bytes(MAGIC + struct.pack("<I", len(head)) + head + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+        load_agent(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     agent = make_agent("pg", 4, 2, seed=0)
     path = tmp_path / "pg.agent"
@@ -396,8 +405,10 @@ def rewrite_header(path, edit) -> None:
         lambda h: h.update(n_actions="three"),
         lambda h: h.update(hyper=[1, 2]),
         lambda h: h.update(obs_dim=100_000),
+        lambda h: h.update(obs_dim=float("inf")),
     ],
-    ids=["missing-obs-dim", "mis-sized-array", "non-integer-dim", "bad-hyper", "oversized-obs-dim"],
+    ids=["missing-obs-dim", "mis-sized-array", "non-integer-dim", "bad-hyper", "oversized-obs-dim",
+         "infinite-obs-dim"],
 )
 def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
     path = tmp_path / "ppo.agent"
@@ -431,6 +442,21 @@ def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
         assert np.array_equal(clone.net.flat, agent.net.flat)
         obs = np.ones(4)
         assert clone.select_action(obs, greedy=True) == agent.select_action(obs, greedy=True)
+
+
+@pytest.mark.parametrize(
+    "hyper",
+    [{"alpha": "fast", "gamma": [1]}, {"alpha": float("nan")}, {"gamma": float("inf")},
+     {"gamma": True}, {"alpha": 10**400}],
+    ids=["string-and-list", "nan", "infinite", "bool", "past-float-range"],
+)
+def test_checkpoint_rejects_hyper_that_is_not_a_finite_number(tmp_path, hyper):
+    """Such a header is refused at load, not at the agent's first update."""
+    path = tmp_path / "dqn.agent"
+    save_agent(path, make_agent("dqn", 4, 2, seed=0))
+    rewrite_header(path, lambda h: h["hyper"].update(hyper))
+    with pytest.raises(CheckpointError):
+        load_agent(path)
 
 
 def test_checkpoint_sized_for_other_hidden_widths_is_rejected(tmp_path):

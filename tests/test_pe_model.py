@@ -246,6 +246,7 @@ def test_rva_to_offset_and_read_virtual(mal_bytes):
     assert off == s.pointer_to_raw_data
     assert read_virtual(img, s.virtual_address, 8) == s.data[:8]
     assert rva_to_offset(img, 0xFFFF_FF00) is None
+    assert rva_to_offset(img, 0) is None  # the headers belong to no section
 
 
 def test_entry_section_follows_the_mapping_rule(mal_bytes):

@@ -142,6 +142,31 @@ def test_header_slack_governs_failed_outcomes(corpus_files, pool):
             assert failed == (f.planted["slack"] < 40), (f.name, action.name)
 
 
+@pytest.mark.parametrize("action", [ActionId.ADD_NEW_SECTION, ActionId.APPEND_NEW_IMPORT],
+                         ids=lambda a: a.name.lower())
+@pytest.mark.parametrize("guard", ["no-sections", "tight-slack", "unaligned-raw-end"])
+def test_add_section_guards_hand_back_the_input(corpus_files, pool, action, guard):
+    """Both section-adding actions refuse the same three images, with the
+    same detail and the input image itself."""
+    roomy = guard != "tight-slack"
+    img = pe_model.parse(next(f.data for f in corpus_files if (f.planted["slack"] >= 40) == roomy))
+    if guard == "no-sections":
+        img.sections = []
+        want = "image has no sections"
+    elif guard == "tight-slack":
+        assert img.header_slack < 40
+        want = f"header slack {img.header_slack} < 40"
+    else:
+        last = max((s for s in img.sections if s.has_raw()), key=lambda s: s.pointer_to_raw_data)
+        last.size_of_raw_data -= 1
+        last.data = last.data[:-1]
+        assert img.header_slack >= 40 and img.last_raw_end % img.optional.file_alignment
+        want = "no aligned spot for raw data"
+    res = apply_action(img, action, pool, seed=0)
+    assert (res.outcome, res.delta_bytes, res.detail) == (Outcome.FAILED, 0, want)
+    assert res.image is img
+
+
 def test_append_new_import_adds_descriptor(corpus_files, pool):
     for f in corpus_files:
         if f.planted["slack"] >= 40:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -163,7 +164,7 @@ def cmd_mutate(args) -> int:
         return 1
     data = serialize_pe(result.image) if result.outcome is Outcome.APPLIED else raw
     Path(args.out).write_bytes(data)
-    print(f"{name}: {result.outcome.value} ({result.delta_bytes:+d} bytes) -> {args.out}")
+    print(f"{name}: {result.outcome.value} ({len(data) - len(raw):+d} bytes) -> {args.out}")
     return 0
 
 
@@ -193,6 +194,9 @@ def cmd_validate(args) -> int:
 
 def cmd_train(args) -> int:
     _at_least_one(args, "max_steps", "episodes")
+    for name in ("alpha", "gamma"):
+        if not math.isfinite(getattr(args, name)):
+            raise CliError(f"--{name} must be a finite number, got {getattr(args, name)}")
     mal, _, pool = _load_splits(args.corpus)
     files = [raw for _, raw in mal["train"]]
     if not files:

@@ -252,7 +252,6 @@ class PeImage:
     # inter-section gaps), as (absolute offset, bytes) pairs sorted by offset.
     padding_spans: list[tuple[int, bytes]]
     overlay: bytes
-    source_len: int
 
     # -- derived layout ----------------------------------------------------
     @property
@@ -313,7 +312,6 @@ class PeImage:
             [Section(*_SECTION_FIELDS(s), s.data) for s in self.sections],
             list(self.padding_spans),
             self.overlay,
-            self.source_len,
         )
 
 
@@ -397,7 +395,6 @@ def parse(raw: bytes) -> PeImage:
         sections=sections,
         padding_spans=spans,
         overlay=overlay,
-        source_len=len(raw),
     )
 
 
@@ -409,9 +406,9 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     """Errors for the rules that decide which bytes :func:`serialize` writes where.
 
     Every image a parse returns satisfies them; only in-memory edits can
-    break one (length mismatches, overlapping raw ranges or padding), and
-    then the writer cannot lay the file out. :func:`serialize` refuses
-    exactly these, and :func:`check_invariants` reports them first.
+    break one (length mismatches, overlapping raw ranges or padding, padding
+    off the section region), and then the writer cannot lay the file out.
+    :func:`serialize` refuses exactly these; :func:`check_invariants` reports them first.
     """
     out: list[Diagnostic] = []
 
@@ -436,7 +433,10 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     for run, width in widths:
         if len(getattr(opt, run)) != width:
             err(f"optional.{run}", f"must be {width} bytes")
-    if img.coff.size_of_optional_header != len(opt.pack()):
+    # summed from the struct sizes: packing would raise on a field too wide for it
+    opt_len = (_optional_fixed(len(opt.run_e)).size
+               + DATA_DIRECTORY.size * len(opt.data_directories) + len(opt.trailing))
+    if img.coff.size_of_optional_header != opt_len:
         err("coff.size_of_optional_header", "must match the optional header length")
     if opt.number_of_rva_and_sizes != len(opt.data_directories):
         err("optional.number_of_rva_and_sizes", "must match the data directory count")
@@ -465,7 +465,10 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     for (_, b1), (a2, _) in zip(spans, spans[1:]):
         if a2 < b1:
             err("padding_spans", f"span at {a2} overlaps the span before it")
+    body_end = img.last_raw_end
     for a2, b2 in spans:
+        if a2 < headers_end or b2 > body_end:
+            err("padding_spans", f"span at {a2} lies outside [headers_end, last_raw_end)")
         for a1, b1, i1 in intervals:
             if a2 < b1 and a1 < b2:
                 err("padding_spans", f"span at {a2} overlaps sections[{i1}] raw data")
@@ -473,7 +476,8 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
 
 
 def serialize(img: PeImage) -> bytes:
-    """Write the image back to bytes; inverse of :func:`parse` for clean files."""
+    """Write the image back to bytes, ``last_raw_end + len(overlay)`` of them;
+    inverse of :func:`parse` for clean files."""
     broken = _layout_diagnostics(img)
     if broken:
         raise InvariantViolation("; ".join(str(d) for d in broken))
@@ -481,21 +485,14 @@ def serialize(img: PeImage) -> bytes:
         img.dos_header.pack(), img.dos_stub, PE_SIGNATURE, img.coff.pack(), img.optional.pack(),
         *(s.pack_header() for s in img.sections),
     ])
-    if len(headers) != img.headers_end:
-        raise InvariantViolation("serialized header length disagrees with the model")
-    body_end = img.last_raw_end
-    buf = bytearray(body_end)
+    buf = bytearray(img.last_raw_end)
     buf[: len(headers)] = headers
     for s in img.sections:
         if s.has_raw():
             buf[s.pointer_to_raw_data : s.pointer_to_raw_data + s.size_of_raw_data] = s.data
     for off, blob in img.padding_spans:
-        if off < len(headers) or off + len(blob) > body_end:
-            raise InvariantViolation("padding span outside the section region")
         buf[off : off + len(blob)] = blob
     buf += img.overlay
-    if img.source_len != len(buf):
-        raise InvariantViolation(f"source_len {img.source_len} != serialized length {len(buf)}")
     return bytes(buf)
 
 

@@ -28,7 +28,7 @@ from .pe_model import (
 #: 500 days, deliberately not a whole number of years so shifted build dates
 #: do not land on the same calendar day.
 TIMESTAMP_STEP = 43_200_000
-_TS_MAX = 2**32 - 1
+_U32_MAX = 2**32 - 1
 
 #: Name pool used when adding or renaming sections.
 DEFAULT_SECTION_NAMES: tuple[bytes, ...] = (
@@ -100,7 +100,6 @@ class Outcome(enum.Enum):
 class ModResult:
     outcome: Outcome
     image: PeImage
-    delta_bytes: int
     detail: str = ""
 
 
@@ -170,21 +169,28 @@ def _append_section(img: PeImage, content: Callable[[int], tuple[bytes, bytes, s
     detail that ``content(virtual_address)`` gives.
 
     FAILED, with the input image, when there is no section to follow, less
-    than 40 bytes of header slack for the new header, or no file-aligned
-    spot for its raw data; ``content`` is called only when none of these hold.
+    than 40 bytes of header slack for the new header, no file-aligned spot
+    for its raw data, or a new ``size_of_image`` that does not stay below
+    2**32.  ``content`` runs only once the first three pass and an empty
+    section would stay below 2**32.
     """
     if not img.sections:
-        return ModResult(Outcome.FAILED, img, 0, "image has no sections")
+        return ModResult(Outcome.FAILED, img, "image has no sections")
     if img.header_slack < pe_model.SECTION_HEADER_SIZE:
-        return ModResult(Outcome.FAILED, img, 0, f"header slack {img.header_slack} < 40")
+        return ModResult(Outcome.FAILED, img, f"header slack {img.header_slack} < 40")
     fa = img.optional.file_alignment
     ptr = img.last_raw_end
     if fa <= 0 or ptr % fa:
-        return ModResult(Outcome.FAILED, img, 0, "no aligned spot for raw data")
+        return ModResult(Outcome.FAILED, img, "no aligned spot for raw data")
     sa = img.optional.section_alignment
     image_end = max(s.virtual_address + max(s.virtual_size, 1) for s in img.sections)
     new_va = align_up(max(image_end, img.sections[-1].virtual_address + 1), sa)
-    name, data, detail = content(new_va)
+    size_of_image = align_up(new_va + 1, sa)
+    if size_of_image <= _U32_MAX:
+        name, data, detail = content(new_va)
+        size_of_image = align_up(new_va + max(len(data), 1), sa)
+    if size_of_image > _U32_MAX:
+        return ModResult(Outcome.FAILED, img, "no room below 2**32")
     srd = align_up(len(data), fa)
     out = img.copy()
     # The new header takes the first 40 bytes of the padding behind the table.
@@ -200,10 +206,9 @@ def _append_section(img: PeImage, content: Callable[[int], tuple[bytes, bytes, s
         data.ljust(srd, b"\x00"),
     ))
     out.coff.number_of_sections += 1
-    out.optional.size_of_image = align_up(new_va + max(len(data), 1), sa)
+    out.optional.size_of_image = size_of_image
     _shift_security(out, ptr, srd)
-    out.source_len += srd
-    return ModResult(Outcome.APPLIED, out, srd, detail)
+    return ModResult(Outcome.APPLIED, out, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def break_checksum(img: PeImage, pool: BenignContentPool, seed: int) -> ModResul
     """Zero the optional-header checksum."""
     out = img.copy()
     out.optional.checksum = 0
-    return ModResult(Outcome.APPLIED, out, 0)
+    return ModResult(Outcome.APPLIED, out)
 
 
 def append_overlay(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
@@ -223,15 +228,14 @@ def append_overlay(img: PeImage, pool: BenignContentPool, seed: int) -> ModResul
     blob = pool.pick_blob(rng)
     out = img.copy()
     out.overlay += blob
-    out.source_len += len(blob)
-    return ModResult(Outcome.APPLIED, out, len(blob))
+    return ModResult(Outcome.APPLIED, out)
 
 
 def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Clear the debug directory and zero-fill its data in place."""
     d = img.directory(DIR_DEBUG)
     if d.rva == 0 and d.size == 0:
-        return ModResult(Outcome.NOOP, img, 0, "no debug directory")
+        return ModResult(Outcome.NOOP, img, "no debug directory")
     out = img.copy()
     detail = []
     entry_count = d.size // 28
@@ -250,33 +254,27 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
         pe_model.zero_file_range(out, table_off, d.size)
     out.directory(DIR_DEBUG).rva = 0
     out.directory(DIR_DEBUG).size = 0
-    return ModResult(Outcome.APPLIED, out, 0, "; ".join(detail))
+    return ModResult(Outcome.APPLIED, out, "; ".join(detail))
 
 
 def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Drop the certificate table; the file shrinks when it sits in the overlay."""
     d = img.directory(DIR_SECURITY)
     if d.rva == 0 or d.size == 0:
-        return ModResult(Outcome.NOOP, img, 0, "no certificate")
+        return ModResult(Outcome.NOOP, img, "no certificate")
     out = img.copy()
     start, size = d.rva, d.size
     base = out.last_raw_end
     end = min(start + size, base + len(out.overlay))
     if start >= base and end > start:
-        lo = start - base
-        hi = end - base
-        out.overlay = out.overlay[:lo] + out.overlay[hi:]
-        removed = hi - lo
-        out.source_len -= removed
-        delta = -removed
+        out.overlay = out.overlay[: start - base] + out.overlay[end - base :]
         detail = "excised from overlay"
     else:
         pe_model.zero_file_range(out, start, size)
-        delta = 0
         detail = "outside overlay; zero-filled in place"
     out.directory(DIR_SECURITY).rva = 0
     out.directory(DIR_SECURITY).size = 0
-    return ModResult(Outcome.APPLIED, out, delta, detail)
+    return ModResult(Outcome.APPLIED, out, detail)
 
 
 def add_new_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
@@ -299,7 +297,7 @@ def append_to_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModRe
     """
     eligible = [i for i, s in enumerate(img.sections) if s.has_raw() and s.virtual_size > s.size_of_raw_data]
     if not eligible:
-        return ModResult(Outcome.FAILED, img, 0, "no section with virtual_size > size_of_raw_data")
+        return ModResult(Outcome.FAILED, img, "no section with virtual_size > size_of_raw_data")
     rng = random.Random(seed)
     order = rng.sample(eligible, len(eligible))
     fa = img.optional.file_alignment
@@ -322,7 +320,7 @@ def append_to_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModRe
                     data = data[:k] + payload + data[k + fill :]
                 spans.append((off, data))
             out.padding_spans = spans
-            return ModResult(Outcome.APPLIED, out, 0, f"slack-fill {fill}B in sections[{i}]")
+            return ModResult(Outcome.APPLIED, out, f"slack-fill {fill}B in sections[{i}]")
         if raw_end == last_end:
             grow = align_up(want, fa)
             out = img.copy()
@@ -332,35 +330,34 @@ def append_to_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModRe
             t.data += payload
             t.size_of_raw_data += grow
             _shift_security(out, raw_end, grow)
-            out.source_len += grow
-            return ModResult(Outcome.APPLIED, out, grow, f"grow {grow}B in sections[{i}]")
-    return ModResult(Outcome.NOOP, img, 0, "eligible sections are boxed in")
+            return ModResult(Outcome.APPLIED, out, f"grow {grow}B in sections[{i}]")
+    return ModResult(Outcome.NOOP, img, "eligible sections are boxed in")
 
 
 def rename_section(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Give one randomly chosen section an ordinary name."""
     if not img.sections:
-        return ModResult(Outcome.FAILED, img, 0, "image has no sections")
+        return ModResult(Outcome.FAILED, img, "image has no sections")
     rng = random.Random(seed)
     index = rng.randrange(len(img.sections))
     name = pool.pick_section_name(rng)
     out = img.copy()
     out.sections[index].name = name[:8].ljust(8, b"\x00")
-    return ModResult(Outcome.APPLIED, out, 0, f"sections[{index}] -> {name.decode()}")
+    return ModResult(Outcome.APPLIED, out, f"sections[{index}] -> {name.decode()}")
 
 
 def increase_timestamp(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Move the build timestamp 500 days forward, saturating at the maximum."""
     out = img.copy()
-    out.coff.time_date_stamp = min(out.coff.time_date_stamp + TIMESTAMP_STEP, _TS_MAX)
-    return ModResult(Outcome.APPLIED, out, 0)
+    out.coff.time_date_stamp = min(out.coff.time_date_stamp + TIMESTAMP_STEP, _U32_MAX)
+    return ModResult(Outcome.APPLIED, out)
 
 
 def decrease_timestamp(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     """Move the build timestamp 500 days back, saturating at zero."""
     out = img.copy()
     out.coff.time_date_stamp = max(out.coff.time_date_stamp - TIMESTAMP_STEP, 0)
-    return ModResult(Outcome.APPLIED, out, 0)
+    return ModResult(Outcome.APPLIED, out)
 
 
 def append_new_import(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:

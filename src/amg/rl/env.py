@@ -135,12 +135,7 @@ class RewriteEnv:
             reward=reward,
             next_observation=next_obs,
             done=self._done,
-            info={
-                "outcome": result.outcome.value,
-                "evaded": evaded,
-                "steps": self._steps,
-                "delta_bytes": result.delta_bytes,
-            },
+            info={"outcome": result.outcome.value, "evaded": evaded},
         )
         self._obs = next_obs
         return transition

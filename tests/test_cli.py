@@ -10,7 +10,9 @@ import struct
 import pytest
 
 from test_agents import rewrite_header
+from test_pe_mods import at_the_top_of_the_address_space
 
+from amg import pe_model
 from amg.agents import make_agent, save_agent
 from amg.cli import main
 from amg.corpus import CorpusSpec, generate
@@ -90,6 +92,20 @@ def test_mutate_failure_exits_one_without_output(ws, tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["add_new_section", "append_new_import"])
+def test_mutate_a_file_with_no_room_below_2_to_the_32_exits_one(ws, tmp_path, capsys, action):
+    roomy = next(raw for raw in (p.read_bytes() for p in sorted((ws["corpus"] / "files").glob("mal_*")))
+                 if pe_model.parse(raw).header_slack >= 40)
+    src = tmp_path / "top.exe"
+    src.write_bytes(pe_model.serialize(at_the_top_of_the_address_space(roomy)))
+    out = tmp_path / "never.exe"
+    code = main(["mutate", "--action", action, "--in", str(src), "--out", str(out),
+                 "--corpus", str(ws["corpus"])])
+    assert code == 1
+    assert not out.exists()
+    assert "failed (no room below 2**32)" in capsys.readouterr().err
 
 
 def test_mutate_unknown_action_is_usage_error(ws, tmp_path, capsys):
@@ -175,6 +191,20 @@ def test_train_rejects_a_budget_or_episode_count_below_one(ws, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and flag in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_a_hyperparameter_that_is_not_finite(ws, tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr("amg.cli.train_agent", lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "ppo.ckpt"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--detector", str(ws["det_a"]),
+                 "--agent", "ppo", "--episodes", "4", "--max-steps", "2", "--out", str(out),
+                 f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and flag in captured.err and "finite" in captured.err
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ def test_parse_populates_headers_and_sections(corpus_files):
     assert img.optional.magic == 0x10B
     assert img.coff.time_date_stamp == f.planted["timestamp"]
     assert img.header_slack == f.planted["slack"]
-    assert img.source_len == len(f.data) == f.planted["size"]
+    assert img.last_raw_end + len(img.overlay) == len(f.data) == f.planted["size"]
     for s in img.sections:
         assert len(s.data) == s.size_of_raw_data
 
@@ -72,10 +72,12 @@ def test_bad_optional_magic_serializes_but_does_not_reparse(mal_bytes):
 
 
 def _assert_refused_and_reported(img) -> None:
-    """The writer refuses the image and the checker names the same breakage."""
-    with pytest.raises(InvariantViolation):
+    """The writer refuses the image, and each error it names is one the
+    checker reports."""
+    with pytest.raises(InvariantViolation) as refused:
         serialize(img)
-    assert any(d.severity == "error" for d in check_invariants(img))
+    reported = {str(d) for d in check_invariants(img) if d.severity == "error"}
+    assert set(str(refused.value).split("; ")) <= reported
 
 
 def test_serialize_gate_rejects_section_count_mismatch(mal_bytes):
@@ -105,6 +107,25 @@ def test_serialize_gate_rejects_growth_into_padding_or_neighbors(mal_bytes):
     _assert_refused_and_reported(img)
 
 
+def test_serialize_gate_rejects_a_padding_span_inside_the_headers(mal_bytes):
+    img = parse(mal_bytes[0])
+    img.padding_spans.insert(0, (img.headers_end - 4, b"\xcc" * 4))
+    _assert_refused_and_reported(img)
+
+
+def test_serialize_gate_rejects_a_padding_span_past_the_last_raw_end(mal_bytes):
+    img = parse(mal_bytes[0])
+    img.padding_spans.append((img.last_raw_end, b"\xcc" * 4))
+    _assert_refused_and_reported(img)
+
+
+def test_serialize_gate_counts_the_optional_header_trailing_bytes(mal_bytes):
+    img = parse(mal_bytes[0])
+    img.optional.trailing += bytes(8)
+    _assert_refused_and_reported(img)
+    assert [d.path for d in check_invariants(img) if d.severity == "error"] == ["coff.size_of_optional_header"]
+
+
 def test_serialize_gate_rejects_section_name_width(mal_bytes):
     img = parse(mal_bytes[0])
     img.sections[0].name = b".text"
@@ -128,11 +149,13 @@ def test_serialize_gate_rejects_byte_run_width(mal_bytes, header, run, delta):
 
 
 @pytest.mark.parametrize(
-    "magic, run_e_width",
-    [(pe_model.PE32PLUS_MAGIC, 24), (pe_model.PE32_MAGIC, 40)],
+    "magic, run_e_width, errors",
+    [(pe_model.PE32PLUS_MAGIC, 24, ["optional.run_e"]),
+     # the 16 bytes wider header now covers the start of the padding behind the table
+     (pe_model.PE32_MAGIC, 40, ["optional.run_e", "padding_spans"])],
     ids=["pe32plus-magic-over-pe32", "pe32-magic-over-pe32plus"],
 )
-def test_serialize_gate_rejects_a_magic_that_disagrees_with_run_e(mal_bytes, magic, run_e_width):
+def test_serialize_gate_rejects_a_magic_that_disagrees_with_run_e(mal_bytes, magic, run_e_width, errors):
     """Parse reads ``run_e`` at the width the magic names, so a header of the
     other width would serialize to bytes that do not parse again."""
     img = parse(mal_bytes[0])
@@ -140,7 +163,7 @@ def test_serialize_gate_rejects_a_magic_that_disagrees_with_run_e(mal_bytes, mag
     img.optional.run_e = bytes(run_e_width)
     img.coff.size_of_optional_header = len(img.optional.pack())
     _assert_refused_and_reported(img)
-    assert [d.path for d in check_invariants(img) if d.severity == "error"] == ["optional.run_e"]
+    assert [d.path for d in check_invariants(img) if d.severity == "error"] == errors
 
 
 def test_header_structs_have_the_pe_sizes():
@@ -164,7 +187,6 @@ def test_misalignment_serializes_but_reports_error_diagnostic(mal_bytes):
     sec = img.sections[last]
     sec.data = sec.data + b"x"
     sec.size_of_raw_data += 1
-    img.source_len += 1
     data = serialize(img)
     assert len(data) == len(raw) + 1
     diags = check_invariants(parse(data))
@@ -179,11 +201,18 @@ def test_check_invariants_reports_directory_rule(mal_bytes):
     assert any(d.severity == "warning" and "data_directories[7]" in d.path for d in diags)
 
 
-def test_overlay_and_source_len_accounting(ben_bytes):
+def test_check_invariants_reports_a_size_of_image_past_2_to_the_32(mal_bytes):
+    """The optional header's length is summed from struct sizes, not packed,
+    so a field too wide for its struct is reported, not raised."""
+    img = parse(mal_bytes[0])
+    img.optional.size_of_image += 2**32
+    assert [d.path for d in check_invariants(img)] == ["optional.size_of_image"]
+
+
+def test_overlay_grown_with_no_bookkeeping_serializes_to_raw_plus_tail(ben_bytes):
     img = parse(ben_bytes[0])
     grown = img.copy()
     grown.overlay = grown.overlay + b"TAIL"
-    grown.source_len += 4
     data = serialize(grown)
     assert data == ben_bytes[0] + b"TAIL"
     reparsed = parse(data)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from amg import pe_model
+from amg import pe_mods, pe_model
 from amg.pe_mods import (
     ACTION_COUNT,
     ActionId,
@@ -69,7 +69,6 @@ def test_append_overlay_grows_tail_only(mal_bytes, pool):
     out = pe_model.serialize(res.image)
     assert len(out) > len(raw)
     assert out[: len(raw)] == raw
-    assert res.delta_bytes == len(out) - len(raw)
 
 
 def test_remove_debug_clears_directory(corpus_files, pool):
@@ -95,7 +94,6 @@ def test_remove_certificate_excises_overlay_resident_table(corpus_files, pool):
     assert res.outcome is Outcome.APPLIED
     out = pe_model.serialize(res.image)
     assert len(out) == len(raw) - d.size
-    assert res.delta_bytes == -d.size
     cleared = res.image.directory(DIR_SECURITY)
     assert cleared.rva == 0 and cleared.size == 0
     assert raw[d.rva : d.rva + d.size] not in out
@@ -142,15 +140,44 @@ def test_header_slack_governs_failed_outcomes(corpus_files, pool):
             assert failed == (f.planted["slack"] < 40), (f.name, action.name)
 
 
+TOP_VA = 0xFFFFF000
+
+
+def at_the_top_of_the_address_space(raw: bytes, virtual_size: int = 0xE00) -> pe_model.PeImage:
+    """``raw`` with its last section, which holds the import table, moved to
+    virtual address ``TOP_VA`` and given ``virtual_size``.  Sections align to
+    the file alignment, 0x200, so the image stays free of diagnostics; with
+    the default size its image ends at 0xFFFFFE00, the last 0x200-aligned
+    end below 2**32."""
+    img = pe_model.parse(raw)
+    last = img.sections[-1]
+    assert img.directory(DIR_IMPORT).rva == last.virtual_address
+    dlls = [(d.dll_name, d.function_names) for d in pe_model.parse_imports(img)]
+    table = pe_model.pack_import_table(TOP_VA, dlls, pe_model.pe_format(img.optional.magic).thunk_size, b"")
+    last.data = table.ljust(last.size_of_raw_data, b"\x00")
+    last.virtual_address, last.virtual_size = TOP_VA, virtual_size
+    img.directory(DIR_IMPORT).rva = TOP_VA
+    img.optional.section_alignment = img.optional.file_alignment
+    img.optional.size_of_image = pe_model.align_up(TOP_VA + virtual_size, img.optional.file_alignment)
+    assert pe_model.check_invariants(img) == []
+    assert [d.dll_name for d in pe_model.parse_imports(img)] == [dll for dll, _ in dlls]
+    return img
+
+
 @pytest.mark.parametrize("action", [ActionId.ADD_NEW_SECTION, ActionId.APPEND_NEW_IMPORT],
                          ids=lambda a: a.name.lower())
-@pytest.mark.parametrize("guard", ["no-sections", "tight-slack", "unaligned-raw-end"])
+@pytest.mark.parametrize("guard", ["no-sections", "tight-slack", "unaligned-raw-end",
+                                   "top-of-address-space"])
 def test_add_section_guards_hand_back_the_input(corpus_files, pool, action, guard):
-    """Both section-adding actions refuse the same three images, with the
+    """Both section-adding actions refuse the same four images, with the
     same detail and the input image itself."""
     roomy = guard != "tight-slack"
-    img = pe_model.parse(next(f.data for f in corpus_files if (f.planted["slack"] >= 40) == roomy))
-    if guard == "no-sections":
+    raw = next(f.data for f in corpus_files if (f.planted["slack"] >= 40) == roomy)
+    img = pe_model.parse(raw)
+    if guard == "top-of-address-space":
+        img = at_the_top_of_the_address_space(raw)
+        want = "no room below 2**32"
+    elif guard == "no-sections":
         img.sections = []
         want = "image has no sections"
     elif guard == "tight-slack":
@@ -163,8 +190,35 @@ def test_add_section_guards_hand_back_the_input(corpus_files, pool, action, guar
         assert img.header_slack >= 40 and img.last_raw_end % img.optional.file_alignment
         want = "no aligned spot for raw data"
     res = apply_action(img, action, pool, seed=0)
-    assert (res.outcome, res.delta_bytes, res.detail) == (Outcome.FAILED, 0, want)
+    assert (res.outcome, res.detail) == (Outcome.FAILED, want)
     assert res.image is img
+
+
+@pytest.mark.parametrize("virtual_size, size, asked, outcome", [
+    (0xE00, 1, [], Outcome.FAILED),
+    (0x800, 0x600, [0xFFFFF800], Outcome.APPLIED),
+    (0x800, 0x601, [0xFFFFF800], Outcome.FAILED),
+], ids=["no-room-for-an-empty-section", "content-fits", "content-crosses"])
+def test_added_section_must_end_below_2_to_the_32(corpus_files, virtual_size, size, asked, outcome):
+    """Behind an image that ends at 0xFFFFFE00 not even an empty section
+    fits, so no content is built.  Behind one that ends at 0xFFFFF800 an
+    empty section fits, and whether the section is added follows the
+    length of its content."""
+    roomy = next(f.data for f in corpus_files if f.planted["slack"] >= 40)
+    img = at_the_top_of_the_address_space(roomy, virtual_size)
+    seen = []
+
+    def content(va: int) -> tuple[bytes, bytes, str]:
+        seen.append(va)
+        return b".big", b"\x01" * size, ""
+
+    res = pe_mods._append_section(img, content, 0x40000040)
+    assert seen == asked and res.outcome is outcome
+    if outcome is Outcome.FAILED:
+        assert res.image is img and res.detail == "no room below 2**32"
+    else:
+        assert res.image.optional.size_of_image == 0xFFFFFE00
+        assert pe_model.check_invariants(pe_model.parse(pe_model.serialize(res.image))) == []
 
 
 def test_append_new_import_adds_descriptor(corpus_files, pool):
@@ -195,8 +249,9 @@ def test_append_to_section_fills_slack_or_grows_tail(mal_bytes, pool):
             continue
         out = pe_model.serialize(res.image)
         assert pe_model.parse(out).coff.number_of_sections == img.coff.number_of_sections
-        if res.delta_bytes:
-            assert len(out) == len(raw) + res.delta_bytes
+        grown = len(out) - len(raw)
+        if grown:
+            assert grown > 0 and grown % img.optional.file_alignment == 0
             saw_grow = True
         else:
             assert len(out) == len(raw) and out != raw

@@ -1,7 +1,8 @@
-"""The number of settable values in ``src/amg`` may only fall.
+"""The number of settable values in ``src/amg``, and its line count, may only fall.
 
 A new option, parameter default or dataclass default has to raise
-:data:`CEILING` in the same diff, where the raise is visible.
+:data:`CEILING` in the same diff, where the raise is visible; new lines of
+code have to raise :data:`LINE_CEILING` the same way.
 """
 
 from __future__ import annotations
@@ -16,10 +17,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
 #: The count of ``python3 tests/settable_values.py``.
 CEILING = 56
 
+#: The total of ``wc -l src/amg/*.py src/amg/*/*.py``.
+LINE_CEILING = 4992
+
 
 def test_settable_values_stay_under_the_ceiling():
     found = settable_values(SRC)
     assert len(found) <= CEILING, "\n".join(found)
+
+
+def test_source_lines_stay_under_the_ceiling():
+    files = sorted([*SRC.glob("*.py"), *SRC.glob("*/*.py")])
+    lines = sum(path.read_bytes().count(b"\n") for path in files)  # what wc -l counts
+    assert lines <= LINE_CEILING, f"{lines} lines in {len(files)} files"
 
 
 def test_counter_counts_only_what_a_caller_can_set(tmp_path):

@@ -218,7 +218,7 @@ def corrupting_mutate(img, action, pool, seed=0) -> ModResult:
     """A rewrite that serializes but breaks loadability, called as ``apply_action``."""
     out = img.copy()
     out.optional.magic = 0x999
-    return ModResult(Outcome.APPLIED, out, 0)
+    return ModResult(Outcome.APPLIED, out)
 
 
 def test_structural_backend_reports_are_stable(mal_bytes):

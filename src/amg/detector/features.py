@@ -152,7 +152,7 @@ def extract_features_structural(img: PeImage, raw: bytes, carry: StructuralCount
     )
     name_lens = [len(s.name.rstrip(b"\x00")) for s in img.sections]
     x[122] = (sum(name_lens) / len(name_lens)) / 8.0 if name_lens else 0.0
-    x[123] = opt.number_of_rva_and_sizes / 16.0
+    x[123] = len(opt.data_directories) / 16.0
     x[124] = opt.size_of_image / 2.0**24
     x[125] = opt.size_of_headers / 4096.0
     x[126] = len(img.dos_stub) / 1024.0

@@ -12,9 +12,11 @@ friends) come back as ``Diagnostic`` entries from :func:`check_invariants`,
 which callers run on demand; parsing does not.
 
 Each header's byte layout is stated once, as a ``struct.Struct``, and its
-field order once, in the dataclass that holds it; parse, pack and
-:meth:`PeImage.copy` all read those two.  The PE32/PE32+ differences live in
-one per-magic table, :data:`PE_FORMATS`.
+field order once, in the dataclass that holds it; parse, the one header
+writer and :meth:`PeImage.copy` all read those two.  Values the rest of the
+image fixes (``e_magic``, ``e_lfanew``, both counts, the optional header's
+size) are not stored.  The PE32/PE32+ differences live in one per-magic
+table, :data:`PE_FORMATS`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ PE_SIGNATURE = b"PE\x00\x00"
 PE32_MAGIC = 0x10B
 PE32PLUS_MAGIC = 0x20B
 
-# Each header's layout, in the field order of the dataclass that holds it;
-# parse and pack share these.
+# Each header's layout, in the field order of the dataclass that holds it
+# with the derived values in between; parse and the header writer share these.
 DOS_HEADER = struct.Struct("<H58sI")
 COFF_HEADER = struct.Struct("<HHIIIHH")
 SECTION_HEADER = struct.Struct("<8sIIII12sI")
@@ -130,27 +132,14 @@ class Diagnostic:
 
 
 @dataclass
-class DosHeader:
-    e_magic: int
-    reserved: bytes  # the 58 bytes between e_magic and e_lfanew, kept verbatim
-    e_lfanew: int
-
-    def pack(self) -> bytes:
-        return DOS_HEADER.pack(*_DOS_FIELDS(self))
-
-
-@dataclass
 class CoffHeader:
+    """The COFF header less its section count and optional-header size."""
+
     machine: int
-    number_of_sections: int
     time_date_stamp: int
     pointer_to_symbol_table: int
     number_of_symbols: int
-    size_of_optional_header: int
     characteristics: int
-
-    def pack(self) -> bytes:
-        return COFF_HEADER.pack(*_COFF_FIELDS(self))
 
 
 @dataclass
@@ -165,9 +154,10 @@ class OptionalHeader:
 
     ``run_a`` .. ``run_e`` hold the byte spans between named fields; their
     widths differ between PE32 and PE32+ only for ``run_e`` (24 vs 40 bytes).
-    ``trailing`` keeps any bytes past the data directories that
-    ``size_of_optional_header`` claims.  :meth:`pack` lays the fixed fields out
-    by ``len(run_e)``, not by ``magic``, so an unknown magic still serializes;
+    ``trailing`` keeps any bytes the file's optional header holds past the
+    data directories.  The header's size and directory count are not stored:
+    the writer lays the fixed fields out by ``len(run_e)``, not by ``magic``,
+    and counts ``data_directories``, so an unknown magic still serializes;
     :func:`serialize` refuses a known magic over a ``run_e`` of the other width.
     """
 
@@ -184,15 +174,8 @@ class OptionalHeader:
     size_of_headers: int
     checksum: int
     run_e: bytes  # subsystem through loader_flags (24 bytes PE32, 40 PE32+)
-    number_of_rva_and_sizes: int
     data_directories: list[DataDirectory]
     trailing: bytes
-
-    def pack(self) -> bytes:
-        parts = [_optional_fixed(len(self.run_e)).pack(*_OPTIONAL_FIELDS(self))]
-        parts.extend(DATA_DIRECTORY.pack(d.rva, d.size) for d in self.data_directories)
-        parts.append(self.trailing)
-        return b"".join(parts)
 
 
 @dataclass
@@ -208,9 +191,6 @@ class Section:
     characteristics: int
     data: bytes
 
-    def pack_header(self) -> bytes:
-        return SECTION_HEADER.pack(*_SECTION_FIELDS(self))
-
     @property
     def display_name(self) -> str:
         return self.name.rstrip(b"\x00").decode("latin-1")
@@ -220,17 +200,15 @@ class Section:
         return self.size_of_raw_data > 0 and self.pointer_to_raw_data > 0
 
 
-def _struct_fields(cls: type, layout: struct.Struct) -> operator.attrgetter:
-    """The leading fields of ``cls`` that ``layout`` packs, as a getter that
-    returns their values in order; the field order is the dataclass's."""
-    count = len(layout.unpack(bytes(layout.size)))
+def _fields(cls: type, count: int | None = None) -> operator.attrgetter:
+    """A getter for the values of the first ``count`` fields of ``cls`` (all
+    of them by default), in the dataclass's order."""
     return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)[:count]))
 
 
-_DOS_FIELDS = _struct_fields(DosHeader, DOS_HEADER)
-_COFF_FIELDS = _struct_fields(CoffHeader, COFF_HEADER)
-_OPTIONAL_FIELDS = _struct_fields(OptionalHeader, PE_FORMATS[PE32_MAGIC].optional_fixed)
-_SECTION_FIELDS = _struct_fields(Section, SECTION_HEADER)
+_COFF_FIELDS = _fields(CoffHeader)
+_OPTIONAL_FIELDS = _fields(OptionalHeader, -2)  # the fixed part less the directory count
+_SECTION_FIELDS = _fields(Section, -1)  # the header, without the data
 
 
 @dataclass
@@ -243,8 +221,8 @@ class ImportDescriptor:
 
 @dataclass
 class PeImage:
-    dos_header: DosHeader
-    dos_stub: bytes
+    dos_reserved: bytes  # the 58 bytes between e_magic and e_lfanew, kept verbatim
+    dos_stub: bytes  # the bytes from the DOS header's end to e_lfanew
     coff: CoffHeader
     optional: OptionalHeader
     sections: list[Section]
@@ -256,18 +234,13 @@ class PeImage:
     # -- derived layout ----------------------------------------------------
     @property
     def headers_end(self) -> int:
-        return (
-            self.dos_header.e_lfanew
-            + len(PE_SIGNATURE)
-            + COFF_HEADER_SIZE
-            + self.coff.size_of_optional_header
-            + SECTION_HEADER_SIZE * len(self.sections)
-        )
+        return (DOS_HEADER_SIZE + len(self.dos_stub) + len(PE_SIGNATURE) + COFF_HEADER_SIZE
+                + _optional_size(self.optional) + SECTION_HEADER_SIZE * len(self.sections))
 
     @property
     def last_raw_end(self) -> int:
         ends = [s.pointer_to_raw_data + s.size_of_raw_data for s in self.sections if s.has_raw()]
-        return max(ends, default=self.headers_end)
+        return max(ends) if ends else self.headers_end
 
     @property
     def header_slack(self) -> int:
@@ -301,7 +274,7 @@ class PeImage:
         """
         o = self.optional
         return PeImage(
-            DosHeader(*_DOS_FIELDS(self.dos_header)),
+            self.dos_reserved,
             self.dos_stub,
             CoffHeader(*_COFF_FIELDS(self.coff)),
             OptionalHeader(
@@ -335,15 +308,14 @@ def _parse_optional(raw: bytes, off: int, size: int) -> OptionalHeader:
     if dirs_end > size:
         raise Truncated(f"{n_dirs} data directories do not fit a {size}-byte optional header")
     dirs = [DataDirectory(*d) for d in DATA_DIRECTORY.iter_unpack(blob[fixed.size : dirs_end])]
-    return OptionalHeader(*fields, dirs, blob[dirs_end:])
+    return OptionalHeader(*fields[:-1], dirs, blob[dirs_end:])
 
 
 def parse(raw: bytes) -> PeImage:
     """Parse ``raw`` into a :class:`PeImage` or raise a :class:`PeError`."""
     if int.from_bytes(raw[:2], "little") != MZ_MAGIC:
         raise NotPe("missing MZ magic")
-    dos = DosHeader(*DOS_HEADER.unpack(_take(raw, 0, DOS_HEADER_SIZE, "DOS header")))
-    e_lfanew = dos.e_lfanew
+    _, dos_reserved, e_lfanew = DOS_HEADER.unpack(_take(raw, 0, DOS_HEADER_SIZE, "DOS header"))
     if e_lfanew < DOS_HEADER_SIZE:
         raise NotPe(f"e_lfanew {e_lfanew} overlaps the DOS header")
     if _take(raw, e_lfanew, 4, "PE signature") != PE_SIGNATURE:
@@ -351,13 +323,15 @@ def parse(raw: bytes) -> PeImage:
     dos_stub = bytes(raw[DOS_HEADER_SIZE:e_lfanew])
 
     coff_off = e_lfanew + 4
-    coff = CoffHeader(*COFF_HEADER.unpack(_take(raw, coff_off, COFF_HEADER_SIZE, "COFF header")))
+    machine, n_sections, stamp, symbols_at, n_symbols, opt_size, characteristics = COFF_HEADER.unpack(
+        _take(raw, coff_off, COFF_HEADER_SIZE, "COFF header"))
+    coff = CoffHeader(machine, stamp, symbols_at, n_symbols, characteristics)
 
     opt_off = coff_off + COFF_HEADER_SIZE
-    optional = _parse_optional(raw, opt_off, coff.size_of_optional_header)
+    optional = _parse_optional(raw, opt_off, opt_size)
 
-    table_off = opt_off + coff.size_of_optional_header
-    table = _take(raw, table_off, SECTION_HEADER_SIZE * coff.number_of_sections, "section table")
+    table_off = opt_off + opt_size
+    table = _take(raw, table_off, SECTION_HEADER_SIZE * n_sections, "section table")
     sections = [Section(*fields, b"") for fields in SECTION_HEADER.iter_unpack(table)]
 
     headers_end = table_off + len(table)
@@ -388,7 +362,7 @@ def parse(raw: bytes) -> PeImage:
     overlay = bytes(raw[last_raw_end:])
 
     return PeImage(
-        dos_header=dos,
+        dos_reserved=dos_reserved,
         dos_stub=dos_stub,
         coff=coff,
         optional=optional,
@@ -402,12 +376,39 @@ def parse(raw: bytes) -> PeImage:
 # serialization
 
 
-def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
-    """Errors for the rules that decide which bytes :func:`serialize` writes where.
+def _optional_size(opt: OptionalHeader) -> int:
+    """The optional header's length, summed from struct sizes."""
+    return (_optional_fixed(len(opt.run_e)).size
+            + DATA_DIRECTORY.size * len(opt.data_directories) + len(opt.trailing))
+
+
+def _pack_headers(img: PeImage) -> bytes:
+    """Every header byte in file order: the DOS header and stub, the signature,
+    the COFF and optional headers, the directories, the trailing bytes and the
+    section table, with the values the rest of the image fixes filled in.
+    Raises ``struct.error`` for a value that does not fit its field."""
+    coff, opt, sections = img.coff, img.optional, img.sections
+    return b"".join([
+        DOS_HEADER.pack(MZ_MAGIC, img.dos_reserved, DOS_HEADER_SIZE + len(img.dos_stub)),
+        img.dos_stub,
+        PE_SIGNATURE,
+        COFF_HEADER.pack(coff.machine, len(sections), coff.time_date_stamp, coff.pointer_to_symbol_table,
+                         coff.number_of_symbols, _optional_size(opt), coff.characteristics),
+        _optional_fixed(len(opt.run_e)).pack(*_OPTIONAL_FIELDS(opt), len(opt.data_directories)),
+        *[DATA_DIRECTORY.pack(d.rva, d.size) for d in opt.data_directories],
+        opt.trailing,
+        *[SECTION_HEADER.pack(*_SECTION_FIELDS(s)) for s in sections],
+    ])
+
+
+def _layout(img: PeImage) -> tuple[list[Diagnostic], bytes]:
+    """Errors for the rules that decide which bytes :func:`serialize` writes
+    where, and the header bytes it writes (empty if they do not pack).
 
     Every image a parse returns satisfies them; only in-memory edits can
-    break one (length mismatches, overlapping raw ranges or padding, padding
-    off the section region), and then the writer cannot lay the file out.
+    break one (byte runs of the wrong width, length mismatches, overlapping
+    raw ranges or padding, padding off the section region, a header integer
+    too wide for its field), and then the writer cannot lay the file out.
     :func:`serialize` refuses exactly these; :func:`check_invariants` reports them first.
     """
     out: list[Diagnostic] = []
@@ -415,31 +416,23 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
     def err(path: str, rule: str) -> None:
         out.append(Diagnostic("error", path, rule))
 
-    dos, opt = img.dos_header, img.optional
-    if dos.e_magic != MZ_MAGIC:
-        err("dos_header.e_magic", "must equal 0x5A4D")
-    if len(dos.reserved) != DOS_HEADER_SIZE - 6:
-        err("dos_header.reserved", "must be 58 bytes")
-    if dos.e_lfanew != DOS_HEADER_SIZE + len(img.dos_stub):
-        err("dos_header.e_lfanew", "must equal 64 plus the DOS stub length")
-    if img.coff.number_of_sections != len(img.sections):
-        err("coff.number_of_sections", "must match the section list length")
+    opt = img.optional
+    if len(img.dos_reserved) != DOS_HEADER_SIZE - 6:
+        err("dos_reserved", "must be 58 bytes")
     # The header structs pad or cut a byte run silently, so its width is a rule
     # here.  A known magic fixes run_e's width, which parse reads it by; under
-    # an unknown magic a wrong width shows as the size_of_optional_header mismatch.
+    # an unknown magic parse refuses the file whatever the width.
     widths = [("run_a", 2), ("run_b", 8), ("run_c", 12), ("run_d", 16)]
     if opt.magic in PE_FORMATS:
         widths.append(("run_e", PE_FORMATS[opt.magic].run_e_width))
     for run, width in widths:
         if len(getattr(opt, run)) != width:
             err(f"optional.{run}", f"must be {width} bytes")
-    # summed from the struct sizes: packing would raise on a field too wide for it
-    opt_len = (_optional_fixed(len(opt.run_e)).size
-               + DATA_DIRECTORY.size * len(opt.data_directories) + len(opt.trailing))
-    if img.coff.size_of_optional_header != opt_len:
-        err("coff.size_of_optional_header", "must match the optional header length")
-    if opt.number_of_rva_and_sizes != len(opt.data_directories):
-        err("optional.number_of_rva_and_sizes", "must match the data directory count")
+    try:
+        headers = _pack_headers(img)
+    except struct.error as e:
+        headers = b""
+        err("headers", f"a value does not fit its struct field ({e})")
 
     headers_end = img.headers_end
     intervals = []
@@ -472,19 +465,15 @@ def _layout_diagnostics(img: PeImage) -> list[Diagnostic]:
         for a1, b1, i1 in intervals:
             if a2 < b1 and a1 < b2:
                 err("padding_spans", f"span at {a2} overlaps sections[{i1}] raw data")
-    return out
+    return out, headers
 
 
 def serialize(img: PeImage) -> bytes:
     """Write the image back to bytes, ``last_raw_end + len(overlay)`` of them;
     inverse of :func:`parse` for clean files."""
-    broken = _layout_diagnostics(img)
+    broken, headers = _layout(img)
     if broken:
         raise InvariantViolation("; ".join(str(d) for d in broken))
-    headers = b"".join([
-        img.dos_header.pack(), img.dos_stub, PE_SIGNATURE, img.coff.pack(), img.optional.pack(),
-        *(s.pack_header() for s in img.sections),
-    ])
     buf = bytearray(img.last_raw_end)
     buf[: len(headers)] = headers
     for s in img.sections:
@@ -509,7 +498,7 @@ def check_invariants(img: PeImage) -> list[Diagnostic]:
     value and import-table rules below do not block it, so
     broken-but-representable states still round-trip and stay visible here.
     """
-    out = _layout_diagnostics(img)
+    out, _ = _layout(img)
 
     def err(path: str, rule: str) -> None:
         out.append(Diagnostic("error", path, rule))
@@ -647,9 +636,9 @@ def read_table(smap: SectionMap, rva: int, entry_size: int, cap: int) -> tuple[l
     Returns the entries before the stop and why the walk stopped: ``"zero"``
     at an all-zero entry, ``"cap"`` after ``cap`` entries, ``"unmapped"`` at
     an entry :func:`read_mapped` cannot read.  Each entry maps as it would on
-    its own, so a table may run on into another section.  The data is sliced
-    in runs that double in length, so the cost follows the table's length,
-    never the section's.
+    its own, so a table may run on into another section.  Each entry is
+    sliced on its own, so the cost follows the table's length, never the
+    section's.
     """
     zero = bytes(entry_size)
     out: list[bytes] = []
@@ -666,22 +655,12 @@ def read_table(smap: SectionMap, rva: int, entry_size: int, cap: int) -> tuple[l
                 run_end = v  # an earlier section serves the RVAs from v on
         whole = (end - at) // entry_size  # entries that end inside the span
         starts = -(-(run_end - at) // entry_size)  # entries that start before run_end
-        take = min(whole, starts, cap - len(out))
-        lo = at - va
-        batch = 16
-        while take > 0:
-            k = min(batch, take)
-            blob = data[lo : lo + k * entry_size]
-            if len(blob) < k * entry_size:
-                blob += bytes(k * entry_size - len(blob))
-            for off in range(0, len(blob), entry_size):
-                entry = blob[off : off + entry_size]
-                if entry == zero:
-                    return out, "zero"
-                out.append(entry)
-            lo += k * entry_size
-            take -= k
-            batch *= 2
+        first = at - va
+        for lo in range(first, first + min(whole, starts, cap - len(out)) * entry_size, entry_size):
+            entry = data[lo : lo + entry_size].ljust(entry_size, b"\x00")
+            if entry == zero:
+                return out, "zero"
+            out.append(entry)
         if whole < starts and len(out) < cap:
             return out, "unmapped"  # the next entry runs past the end of the span
     return out, "cap"

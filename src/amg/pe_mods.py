@@ -205,7 +205,6 @@ def _append_section(img: PeImage, content: Callable[[int], tuple[bytes, bytes, s
         name[:8].ljust(8, b"\x00"), len(data), new_va, srd, ptr, b"\x00" * 12, characteristics,
         data.ljust(srd, b"\x00"),
     ))
-    out.coff.number_of_sections += 1
     out.optional.size_of_image = size_of_image
     _shift_security(out, ptr, srd)
     return ModResult(Outcome.APPLIED, out, detail)
@@ -375,7 +374,11 @@ def append_new_import(img: PeImage, pool: BenignContentPool, seed: int) -> ModRe
         dll, funcs = pool.pick_dll(random.Random(seed))
         kept = b"".join(pe_model.import_descriptors(img, pe_model.section_map(img))[0])
         entry_size = pe_model.pe_format(img.optional.magic).thunk_size
-        table = pe_model.pack_import_table(va, [(dll, funcs)], entry_size, kept)
+        # The length follows only the base's parity, so the table at va % 2 tells
+        # whether the one at va ends below 2**32, where each of its RVAs fits.
+        table = pe_model.pack_import_table(va % 2, [(dll, funcs)], entry_size, kept)
+        if va + len(table) <= 2**32:
+            table = pe_model.pack_import_table(va, [(dll, funcs)], entry_size, kept)
         return b".idata", table, f"{dll} +{len(funcs)} imports"
 
     res = _append_section(img, content, 0xC0000040)

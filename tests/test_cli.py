@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from test_agents import rewrite_header
-from test_pe_mods import at_the_top_of_the_address_space
+from test_pe_mods import MANY_DLLS, at_the_top_of_the_address_space
 
 from amg import pe_model
 from amg.agents import make_agent, save_agent
@@ -94,12 +94,17 @@ def test_mutate_failure_exits_one_without_output(ws, tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("action", ["add_new_section", "append_new_import"])
-def test_mutate_a_file_with_no_room_below_2_to_the_32_exits_one(ws, tmp_path, capsys, action):
+@pytest.mark.parametrize("action, top", [
+    pytest.param(action, top, id=action + suffix)
+    for suffix, top in [("", ()), ("-48-dlls", (0x1C00, 0xFFFFE000, MANY_DLLS))]
+    for action in ["add_new_section", "append_new_import"]
+])
+def test_mutate_a_file_with_no_room_below_2_to_the_32_exits_one(ws, tmp_path, capsys, action, top):
+    """Behind the 48-DLL image an empty section still fits below 2**32."""
     roomy = next(raw for raw in (p.read_bytes() for p in sorted((ws["corpus"] / "files").glob("mal_*")))
                  if pe_model.parse(raw).header_slack >= 40)
     src = tmp_path / "top.exe"
-    src.write_bytes(pe_model.serialize(at_the_top_of_the_address_space(roomy)))
+    src.write_bytes(pe_model.serialize(at_the_top_of_the_address_space(roomy, *top)))
     out = tmp_path / "never.exe"
     code = main(["mutate", "--action", action, "--in", str(src), "--out", str(out),
                  "--corpus", str(ws["corpus"])])

@@ -57,7 +57,7 @@ def _walk_offsets(raw: bytes) -> list[int]:
     """File offsets of the section headers' VA/size/pointer fields, the
     descriptor table, both thunk tables of each descriptor and every name."""
     img = parse(raw)
-    table = img.dos_header.e_lfanew + 4 + 20 + img.coff.size_of_optional_header
+    table = img.headers_end - 40 * len(img.sections)
     offsets = {table + 40 * i + k for i in range(len(img.sections)) for k in range(8, 24)}
 
     def cover(rva: int, n: int) -> None:

@@ -33,7 +33,7 @@ def test_round_trip_identity_on_whole_corpus(corpus_files):
 def test_parse_populates_headers_and_sections(corpus_files):
     f = corpus_files[0]
     img = parse(f.data)
-    assert img.coff.number_of_sections == len(img.sections) == f.planted["sections"]
+    assert len(img.sections) == f.planted["sections"]
     assert img.optional.magic == 0x10B
     assert img.coff.time_date_stamp == f.planted["timestamp"]
     assert img.header_slack == f.planted["slack"]
@@ -80,12 +80,6 @@ def _assert_refused_and_reported(img) -> None:
     assert set(str(refused.value).split("; ")) <= reported
 
 
-def test_serialize_gate_rejects_section_count_mismatch(mal_bytes):
-    img = parse(mal_bytes[0])
-    img.coff.number_of_sections += 1
-    _assert_refused_and_reported(img)
-
-
 def test_serialize_gate_rejects_overlapping_raw_ranges(mal_bytes):
     img = parse(mal_bytes[0])
     assert len(img.sections) >= 2
@@ -119,11 +113,77 @@ def test_serialize_gate_rejects_a_padding_span_past_the_last_raw_end(mal_bytes):
     _assert_refused_and_reported(img)
 
 
+def _stated_counts(data: bytes) -> tuple[int, int, int, int]:
+    """``e_lfanew``, the section count, the optional header's size and the
+    directory count, as the file states them."""
+    e_lfanew = int.from_bytes(data[0x3C:0x40], "little")
+    _, n_sections, _, _, _, opt_size, _ = pe_model.COFF_HEADER.unpack_from(data, e_lfanew + 4)
+    opt_off = e_lfanew + 4 + pe_model.COFF_HEADER_SIZE
+    fixed = pe_model.PE_FORMATS[int.from_bytes(data[opt_off : opt_off + 2], "little")].optional_fixed
+    return e_lfanew, n_sections, opt_size, fixed.unpack_from(data, opt_off)[-1]
+
+
+def _with_header_padding(mal_bytes, at_least: int):
+    """The first malicious file whose first padding span starts at the end
+    of the headers and holds more than ``at_least`` bytes, and its image."""
+    for raw in mal_bytes:
+        img = parse(raw)
+        if img.padding_spans and img.padding_spans[0][0] == img.headers_end:
+            if len(img.padding_spans[0][1]) > at_least:
+                return raw, img
+    raise AssertionError("no file with enough header padding")
+
+
+def _shift_first_padding(img, n: int) -> None:
+    """Give the first ``n`` bytes of the padding behind the headers to the headers."""
+    off, blob = img.padding_spans[0]
+    img.padding_spans[0] = (off + n, blob[n:])
+
+
 def test_serialize_gate_counts_the_optional_header_trailing_bytes(mal_bytes):
-    img = parse(mal_bytes[0])
-    img.optional.trailing += bytes(8)
+    """Trailing bytes lengthen the optional header: 8 more cover the start of
+    the padding behind the table, and with that padding 8 bytes shorter they
+    serialize under a size 8 higher."""
+    raw, img = _with_header_padding(mal_bytes, 8)
+    img.optional.trailing += b"\xcc" * 8
     _assert_refused_and_reported(img)
-    assert [d.path for d in check_invariants(img) if d.severity == "error"] == ["coff.size_of_optional_header"]
+    assert [d.path for d in check_invariants(img) if d.severity == "error"] == ["padding_spans"]
+    _shift_first_padding(img, 8)
+    data = serialize(img)
+    assert parse(data) == img
+    e_lfanew, n_sections, opt_size, n_dirs = _stated_counts(raw)
+    assert _stated_counts(data) == (e_lfanew, n_sections, opt_size + 8, n_dirs)
+
+
+def test_section_appended_with_no_bookkeeping_reparses_with_one_more(mal_bytes):
+    """The section count is the section list's length: a header appended to
+    the list, with 40 bytes taken off the padding behind the table, is
+    written and counted with no other edit."""
+    raw, img = _with_header_padding(mal_bytes, 40)
+    top = max(s.virtual_address + s.virtual_size for s in img.sections)
+    img.sections.append(pe_model.Section(b".new".ljust(8, b"\x00"), 0x100, pe_model.align_up(top, 0x1000),
+                                         0, 0, bytes(12), 0xC0000080, b""))
+    _shift_first_padding(img, 40)
+    data = serialize(img)
+    assert len(data) == len(raw)
+    reparsed = parse(data)
+    assert len(reparsed.sections) == len(parse(raw).sections) + 1
+    assert reparsed == img
+    e_lfanew, n_sections, opt_size, n_dirs = _stated_counts(raw)
+    assert _stated_counts(data) == (e_lfanew, n_sections + 1, opt_size, n_dirs)
+
+
+def test_dos_stub_grown_with_no_bookkeeping_moves_e_lfanew(mal_bytes):
+    """``e_lfanew`` follows the DOS stub: 8 more stub bytes, with 8 bytes
+    taken off the padding behind the table, move every header 8 bytes on."""
+    raw, img = _with_header_padding(mal_bytes, 8)
+    img.dos_stub += b"\xcc" * 8
+    _shift_first_padding(img, 8)
+    data = serialize(img)
+    assert len(data) == len(raw)
+    assert parse(data) == img
+    e_lfanew, n_sections, opt_size, n_dirs = _stated_counts(raw)
+    assert _stated_counts(data) == (e_lfanew + 8, n_sections, opt_size, n_dirs)
 
 
 def test_serialize_gate_rejects_section_name_width(mal_bytes):
@@ -136,13 +196,13 @@ def test_serialize_gate_rejects_section_name_width(mal_bytes):
 @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
 @pytest.mark.parametrize(
     "header, run",
-    [("optional", f"run_{c}") for c in "abcde"] + [("dos_header", "reserved")],
+    [("optional", f"run_{c}") for c in "abcde"] + [pytest.param("", "dos_reserved", id="dos_reserved")],
 )
 def test_serialize_gate_rejects_byte_run_width(mal_bytes, header, run, delta):
     """The header structs would pad or cut a run of the wrong width, so the
     gate must catch it before they do."""
     img = parse(mal_bytes[0])
-    part = getattr(img, header)
+    part = getattr(img, header) if header else img
     blob = getattr(part, run)
     setattr(part, run, blob[:-1] if delta < 0 else blob + b"\x00")
     _assert_refused_and_reported(img)
@@ -161,7 +221,6 @@ def test_serialize_gate_rejects_a_magic_that_disagrees_with_run_e(mal_bytes, mag
     img = parse(mal_bytes[0])
     img.optional.magic = magic
     img.optional.run_e = bytes(run_e_width)
-    img.coff.size_of_optional_header = len(img.optional.pack())
     _assert_refused_and_reported(img)
     assert [d.path for d in check_invariants(img) if d.severity == "error"] == errors
 
@@ -202,11 +261,53 @@ def test_check_invariants_reports_directory_rule(mal_bytes):
 
 
 def test_check_invariants_reports_a_size_of_image_past_2_to_the_32(mal_bytes):
-    """The optional header's length is summed from struct sizes, not packed,
-    so a field too wide for its struct is reported, not raised."""
+    """A field too wide for its struct is reported, not raised: as the
+    header writer's error, and as a size_of_image that does not match the
+    sections."""
     img = parse(mal_bytes[0])
     img.optional.size_of_image += 2**32
-    assert [d.path for d in check_invariants(img)] == ["optional.size_of_image"]
+    assert [(d.severity, d.path) for d in check_invariants(img)] == [
+        ("error", "headers"), ("warning", "optional.size_of_image")]
+    _assert_refused_and_reported(img)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda img: setattr(img.optional, "checksum", 2**32),
+    lambda img: setattr(img.coff, "time_date_stamp", -1),
+    lambda img: setattr(img.optional.data_directories[DIR_SECURITY], "rva", 2**32),
+], ids=["checksum", "time_date_stamp", "directory_rva"])
+def test_a_header_integer_too_wide_for_its_field_is_reported_and_refused(mal_bytes, edit):
+    img = parse(mal_bytes[0])
+    edit(img)
+    assert [(d.severity, d.path) for d in check_invariants(img)] == [("error", "headers")]
+    _assert_refused_and_reported(img)
+
+
+def _header_integers(img) -> list[tuple[object, str]]:
+    """(header object, field name) for every integer the COFF and optional
+    headers, the data directories and the section headers hold."""
+    objects = [img.coff, img.optional, *img.optional.data_directories, *img.sections]
+    return [(o, f.name) for o in objects for f in dataclasses.fields(o) if type(getattr(o, f.name)) is int]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pick=st.integers(0, 10**9), which=st.integers(0, 10**9),
+       value=st.sampled_from([-1, 2**16, 2**32, 2**64]))
+def test_property_a_header_integer_out_of_range_is_refused_or_written(mal_bytes, pick, which, value):
+    """Any header integer set to a value that may not fit its field either
+    serializes or is refused with errors the checker reports; a value no
+    field holds is always refused."""
+    img = parse(mal_bytes[pick % len(mal_bytes)])
+    fields = _header_integers(img)
+    obj, name = fields[which % len(fields)]
+    setattr(obj, name, value)
+    try:
+        serialize(img)
+    except InvariantViolation as refused:
+        reported = {str(d) for d in check_invariants(img) if d.severity == "error"}
+        assert set(str(refused).split("; ")) <= reported
+    else:
+        assert value in (2**16, 2**32)
 
 
 def test_overlay_grown_with_no_bookkeeping_serializes_to_raw_plus_tail(ben_bytes):
@@ -242,10 +343,10 @@ def test_copy_builds_new_headers_and_shares_only_payloads(mal_bytes):
     img = parse(raw)
     dup = img.copy()
     assert dup == img
-    objects = [(dup.dos_header, img.dos_header), (dup.coff, img.coff), (dup.optional, img.optional)]
+    objects = [(dup.coff, img.coff), (dup.optional, img.optional)]
     objects += zip(dup.optional.data_directories, img.optional.data_directories)
     objects += zip(dup.sections, img.sections)
-    assert len(objects) == 3 + len(img.optional.data_directories) + len(img.sections)
+    assert len(objects) == 2 + len(img.optional.data_directories) + len(img.sections)
     for new, old in objects:
         assert new is not old and type(new) is type(old)
     for lists in (("sections",), ("padding_spans",), ("optional", "data_directories")):
@@ -254,7 +355,8 @@ def test_copy_builds_new_headers_and_shares_only_payloads(mal_bytes):
             new, old = getattr(new, name), getattr(old, name)
         assert new is not old
     assert all(a.data is b.data for a, b in zip(dup.sections, img.sections))
-    assert (dup.dos_stub, dup.overlay) == (img.dos_stub, img.overlay)
+    assert (dup.dos_reserved, dup.dos_stub, dup.overlay) == (img.dos_reserved, img.dos_stub, img.overlay)
+    assert dup.dos_reserved is img.dos_reserved
     assert dup.dos_stub is img.dos_stub and dup.overlay is img.overlay
     # every field of every copied object, lists in place, leaves the original as parsed
     for obj in [o for o, _ in objects] + [dup]:

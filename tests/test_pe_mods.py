@@ -123,7 +123,6 @@ def test_add_new_section_appends_header_and_data(corpus_files, pool):
     res = apply_action(img, ActionId.ADD_NEW_SECTION, pool, seed=4)
     assert res.outcome is Outcome.APPLIED
     assert len(res.image.sections) == n + 1
-    assert res.image.coff.number_of_sections == n + 1
     out = pe_model.serialize(res.image)
     reparsed = pe_model.parse(out)
     assert len(reparsed.sections) == n + 1
@@ -141,24 +140,33 @@ def test_header_slack_governs_failed_outcomes(corpus_files, pool):
 
 
 TOP_VA = 0xFFFFF000
+#: 48 DLLs of one function each, whose import table fills 0xA33 bytes.
+MANY_DLLS = [(f"LIB{i:02}.dll", ["Func"]) for i in range(48)]
 
 
-def at_the_top_of_the_address_space(raw: bytes, virtual_size: int = 0xE00) -> pe_model.PeImage:
-    """``raw`` with its last section, which holds the import table, moved to
-    virtual address ``TOP_VA`` and given ``virtual_size``.  Sections align to
-    the file alignment, 0x200, so the image stays free of diagnostics; with
-    the default size its image ends at 0xFFFFFE00, the last 0x200-aligned
-    end below 2**32."""
+def at_the_top_of_the_address_space(raw: bytes, virtual_size: int = 0xE00, va: int = TOP_VA,
+                                    dlls: list | None = None) -> pe_model.PeImage:
+    """``raw`` with its last section, which holds the import table and ends
+    the raw data, moved to virtual address ``va`` and given ``virtual_size``,
+    its import table rewritten there for ``dlls`` (the file's own by default)
+    and its raw size grown to hold that table.  Sections align to the file
+    alignment, 0x200, so the image stays free of diagnostics; with the
+    default address and size its image ends at 0xFFFFFE00, the last
+    0x200-aligned end below 2**32."""
     img = pe_model.parse(raw)
     last = img.sections[-1]
     assert img.directory(DIR_IMPORT).rva == last.virtual_address
-    dlls = [(d.dll_name, d.function_names) for d in pe_model.parse_imports(img)]
-    table = pe_model.pack_import_table(TOP_VA, dlls, pe_model.pe_format(img.optional.magic).thunk_size, b"")
-    last.data = table.ljust(last.size_of_raw_data, b"\x00")
-    last.virtual_address, last.virtual_size = TOP_VA, virtual_size
-    img.directory(DIR_IMPORT).rva = TOP_VA
-    img.optional.section_alignment = img.optional.file_alignment
-    img.optional.size_of_image = pe_model.align_up(TOP_VA + virtual_size, img.optional.file_alignment)
+    assert img.last_raw_end == last.pointer_to_raw_data + last.size_of_raw_data
+    if dlls is None:
+        dlls = [(d.dll_name, d.function_names) for d in pe_model.parse_imports(img)]
+    fa = img.optional.file_alignment
+    table = pe_model.pack_import_table(va, dlls, pe_model.pe_format(img.optional.magic).thunk_size, b"")
+    last.data = table.ljust(max(last.size_of_raw_data, pe_model.align_up(len(table), fa)), b"\x00")
+    last.size_of_raw_data = len(last.data)
+    last.virtual_address, last.virtual_size = va, virtual_size
+    img.directory(DIR_IMPORT).rva = va
+    img.optional.section_alignment = fa
+    img.optional.size_of_image = pe_model.align_up(va + virtual_size, fa)
     assert pe_model.check_invariants(img) == []
     assert [d.dll_name for d in pe_model.parse_imports(img)] == [dll for dll, _ in dlls]
     return img
@@ -167,15 +175,20 @@ def at_the_top_of_the_address_space(raw: bytes, virtual_size: int = 0xE00) -> pe
 @pytest.mark.parametrize("action", [ActionId.ADD_NEW_SECTION, ActionId.APPEND_NEW_IMPORT],
                          ids=lambda a: a.name.lower())
 @pytest.mark.parametrize("guard", ["no-sections", "tight-slack", "unaligned-raw-end",
-                                   "top-of-address-space"])
+                                   "top-of-address-space", "content-past-2-to-the-32"])
 def test_add_section_guards_hand_back_the_input(corpus_files, pool, action, guard):
-    """Both section-adding actions refuse the same four images, with the
-    same detail and the input image itself."""
+    """Both section-adding actions refuse the same five images, with the
+    same detail and the input image itself.  Behind the last image an empty
+    section fits below 2**32 but neither new section does, and the new
+    import table's RVAs would pass 2**32."""
     roomy = guard != "tight-slack"
     raw = next(f.data for f in corpus_files if (f.planted["slack"] >= 40) == roomy)
     img = pe_model.parse(raw)
     if guard == "top-of-address-space":
         img = at_the_top_of_the_address_space(raw)
+        want = "no room below 2**32"
+    elif guard == "content-past-2-to-the-32":
+        img = at_the_top_of_the_address_space(raw, 0x1C00, 0xFFFFE000, MANY_DLLS)
         want = "no room below 2**32"
     elif guard == "no-sections":
         img.sections = []
@@ -248,7 +261,7 @@ def test_append_to_section_fills_slack_or_grows_tail(mal_bytes, pool):
         if res.outcome is not Outcome.APPLIED:
             continue
         out = pe_model.serialize(res.image)
-        assert pe_model.parse(out).coff.number_of_sections == img.coff.number_of_sections
+        assert len(pe_model.parse(out).sections) == len(img.sections)
         grown = len(out) - len(raw)
         if grown:
             assert grown > 0 and grown % img.optional.file_alignment == 0

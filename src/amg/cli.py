@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .agents import AgentHyper, CheckpointError, load_agent, save_agent
+from .agents import AGENT_KINDS, AgentHyper, CheckpointError, load_agent, save_agent
 from .corpus import CorpusError, CorpusSpec, generate, load_corpus, write_corpus
 from .detector import (
     DegenerateCorpus,
@@ -122,18 +122,17 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_detector_train(args) -> int:
-    kind = parse_kind(args.kind)
     mal, ben, _ = _load_splits(args.corpus)
     train = [(raw, 1) for _, raw in mal["train"]] + [(raw, 0) for _, raw in ben["train"]]
-    det = train_detector(kind, train, seed=args.seed)
-    out = Path(args.out) if args.out else _workspace() / "detectors" / f"{kind.value}.det"
+    det = train_detector(args.kind, train, seed=args.seed)
+    out = Path(args.out) if args.out else _workspace() / "detectors" / f"{args.kind.value}.det"
     out.parent.mkdir(parents=True, exist_ok=True)
     det.save(out)
     for split in ("val", "test"):
         held = [(raw, 1) for _, raw in mal[split]] + [(raw, 0) for _, raw in ben[split]]
         if held:
             print(f"{split} accuracy: {evaluate_accuracy(det, held):.3f}")
-    print(f"saved {kind.value} model: {out}")
+    print(f"saved {args.kind.value} model: {out}")
     return 0
 
 
@@ -257,8 +256,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    result = _eval_from_args(args, args.detector_a, collect_pairs=True)
     det_b = Detector.load(args.detector_b)
+    result = _eval_from_args(args, args.detector_a, collect_pairs=True)
     try:
         percent_a = result.percent
     except EmptyDenominator:
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = det_sub.add_parser("train", help="fit a classifier on the corpus train split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--kind", required=True, help="structural|bigram (aliases: a|b)")
+    p.add_argument("--kind", required=True, type=parse_kind, help="structural|bigram (aliases: a|b)")
     p.add_argument("--out", help="model path (default: workspace/detectors/<kind>.det)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_detector_train)
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a rewriting agent")
     p.add_argument("--corpus", required=True)
     p.add_argument("--detector", required=True, help="saved classifier model")
-    p.add_argument("--agent", default="ppo", choices=("dqn", "pg", "ppo", "random"))
+    p.add_argument("--agent", default="ppo", choices=sorted(AGENT_KINDS))
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--max-steps", type=int, default=10)
     p.add_argument("--alpha", type=float, default=AgentHyper.alpha)

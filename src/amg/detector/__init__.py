@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ MAGIC = b"AMGDET01"
 #: magic, kind code, n_features, n_rounds, bias, learning_rate; the stump
 #: arrays follow.
 _HEAD = struct.Struct("<8sBII d d")
+
+#: The stump arrays after the head, in file order, each ``n_rounds`` values
+#: of its stored dtype.
+_ARRAYS = (("feature", "<u4"), ("threshold", "<f8"), ("left_value", "<f8"), ("right_value", "<f8"))
 
 #: Margins each detector keeps, least recently used out first.  A full memo of
 #: 32-byte digests and floats takes about 0.7 MB (tracemalloc, CPython 3.11).
@@ -64,30 +68,34 @@ class DetectorKind(str, Enum):
     BIGRAM = "bigram"
 
 
-_KIND_ALIASES = {
-    "structural": DetectorKind.STRUCTURAL,
-    "a": DetectorKind.STRUCTURAL,
-    "bigram": DetectorKind.BIGRAM,
-    "b": DetectorKind.BIGRAM,
-}
+class _Kind(NamedTuple):
+    alias: str  # what ``parse_kind`` also accepts
+    code: int  # the kind's byte in a saved file
+    n_features: int
+    counts: type  # what a miss carries; a new one's first update counts every byte
+    fit: dict  # ``fit_stumps``' settings, but the seed
 
-#: Each kind's carried counts; a new one's first update counts every byte.
-_CARRY = {DetectorKind.STRUCTURAL: StructuralCounts, DetectorKind.BIGRAM: BigramCounts}
 
-_KIND_CODE = {DetectorKind.STRUCTURAL: 0, DetectorKind.BIGRAM: 1}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
-_TRAIN_DEFAULTS = {
-    DetectorKind.STRUCTURAL: dict(n_rounds=200, learning_rate=0.1, l2=1.0, colsample=1.0),
-    DetectorKind.BIGRAM: dict(n_rounds=250, learning_rate=0.1, l2=1.0, colsample=0.25),
+#: Everything that differs between the kinds but the feature extractor, which
+#: ``_features`` looks up by name at each call, so that rebinding it takes effect.
+_KINDS = {
+    DetectorKind.STRUCTURAL: _Kind(
+        "a", 0, N_FEATURES_STRUCTURAL, StructuralCounts,
+        dict(n_rounds=200, learning_rate=0.1, l2=1.0, colsample=1.0),
+    ),
+    DetectorKind.BIGRAM: _Kind(
+        "b", 1, N_FEATURES_BIGRAM, BigramCounts,
+        dict(n_rounds=250, learning_rate=0.1, l2=1.0, colsample=0.25),
+    ),
 }
 
 
 def parse_kind(name: str) -> DetectorKind:
-    try:
-        return _KIND_ALIASES[name.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown detector kind {name!r}") from None
+    key = name.strip().lower()
+    for kind, facts in _KINDS.items():
+        if key in (kind.value, facts.alias):
+            return kind
+    raise ValueError(f"unknown detector kind {name!r}")
 
 
 @dataclass
@@ -101,15 +109,7 @@ class Detector:
     _carry: StructuralCounts | BigramCounts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._carry = _CARRY[self.kind]()
-
-    @property
-    def n_features(self) -> int:
-        return (
-            N_FEATURES_STRUCTURAL
-            if self.kind is DetectorKind.STRUCTURAL
-            else N_FEATURES_BIGRAM
-        )
+        self._carry = _KINDS[self.kind].counts()
 
     def score(self, raw: bytes) -> float:
         """Additive margin; +inf when the file cannot be parsed.
@@ -136,70 +136,49 @@ class Detector:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        m = self.model
-        head = _HEAD.pack(
-            MAGIC, _KIND_CODE[self.kind], self.n_features, m.n_rounds, m.bias, m.learning_rate
-        )
-        body = (
-            m.feature.astype("<u4").tobytes()
-            + m.threshold.astype("<f8").tobytes()
-            + m.left_value.astype("<f8").tobytes()
-            + m.right_value.astype("<f8").tobytes()
-        )
+        m, facts = self.model, _KINDS[self.kind]
+        head = _HEAD.pack(MAGIC, facts.code, facts.n_features, m.n_rounds, m.bias, m.learning_rate)
+        body = b"".join(getattr(m, name).astype(dtype).tobytes() for name, dtype in _ARRAYS)
         Path(path).write_bytes(head + body)
 
     @classmethod
     def load(cls, path: str | Path) -> "Detector":
         blob = Path(path).read_bytes()
-        head_size = _HEAD.size
-        if len(blob) < head_size:
+        if len(blob) < _HEAD.size:
             raise DetectorFormatError("file is too short to be a detector")
         magic, code, n_features, n_rounds, bias, lr = _HEAD.unpack_from(blob)
         if magic != MAGIC:
             raise DetectorFormatError("bad magic; not a detector file")
-        if code not in _CODE_KIND:
+        kind = next((k for k, facts in _KINDS.items() if facts.code == code), None)
+        if kind is None:
             raise DetectorFormatError(f"unknown detector kind code {code}")
-        expect = head_size + n_rounds * (4 + 8 + 8 + 8)
+        expect = _HEAD.size + n_rounds * sum(np.dtype(dtype).itemsize for _, dtype in _ARRAYS)
         if len(blob) != expect:
             raise DetectorFormatError(
                 f"detector payload is {len(blob)} bytes, expected {expect}"
             )
-        off = head_size
-        feature = np.frombuffer(blob, dtype="<u4", count=n_rounds, offset=off)
+        arrays, off = {}, _HEAD.size
+        for name, dtype in _ARRAYS:
+            arrays[name] = np.frombuffer(blob, dtype=dtype, count=n_rounds, offset=off).copy()
+            off += arrays[name].nbytes
+        feature = arrays["feature"]
         if n_rounds and feature.max() >= n_features:
             raise DetectorFormatError(
                 f"stump feature index {feature.max()} out of range for {n_features} features"
             )
-        feature = feature.astype(np.int32)
-        off += 4 * n_rounds
-        threshold = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
-        off += 8 * n_rounds
-        left = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
-        off += 8 * n_rounds
-        right = np.frombuffer(blob, dtype="<f8", count=n_rounds, offset=off).copy()
-        if not all(np.isfinite(a).all() for a in ((bias, lr), threshold, left, right)):
+        arrays["feature"] = feature.astype(np.int32)
+        if not all(np.isfinite(a).all() for a in ((bias, lr), *arrays.values())):
             raise DetectorFormatError("non-finite bias, learning rate, threshold or leaf value")
         # The largest margin any row can reach, summed as margin_one sums it:
         # if this is finite, no score overflows.
+        left, right = arrays["left_value"], arrays["right_value"]
         with np.errstate(over="ignore"):
             reach = abs(bias) + abs(lr) * np.maximum(np.abs(left), np.abs(right)).sum()
         if not np.isfinite(reach):
             raise DetectorFormatError("detector margins can overflow")
-        kind = _CODE_KIND[code]
-        det = cls(
-            kind,
-            BoostedStumps(
-                bias=bias,
-                learning_rate=lr,
-                feature=feature,
-                threshold=threshold,
-                left_value=left,
-                right_value=right,
-            ),
-        )
-        if det.n_features != n_features:
+        if _KINDS[kind].n_features != n_features:
             raise DetectorFormatError("feature count disagrees with the detector kind")
-        return det
+        return cls(kind, BoostedStumps(bias=bias, learning_rate=lr, **arrays))
 
 
 def _features(
@@ -216,26 +195,21 @@ def _features(
     return extract_features_bigram(raw, carry)
 
 
-def extract_matrix(kind: DetectorKind, files: Iterable[bytes]) -> np.ndarray:
-    """One row of features per file, each counted in full."""
-    return np.vstack([_features(kind, raw, None, _CARRY[kind]()) for raw in files])
-
-
 def train_detector(
     kind: DetectorKind,
     samples: Sequence[tuple[bytes, int]],
     seed: int = 0,
 ) -> Detector:
-    """Fit a detector on (bytes, label) pairs; label 1 marks malicious."""
+    """Fit a detector on (bytes, label) pairs, each counted in full; label 1 marks malicious."""
     labels = {label for _, label in samples}
     if labels != {0, 1}:
         raise DegenerateCorpus(
             f"training data must contain both labels, got {sorted(labels)}"
         )
-    X = extract_matrix(kind, (raw for raw, _ in samples))
+    facts = _KINDS[kind]
+    X = np.vstack([_features(kind, raw, None, facts.counts()) for raw, _ in samples])
     y = np.array([label for _, label in samples], dtype=np.float64)
-    model = fit_stumps(X, y, seed=seed, **_TRAIN_DEFAULTS[kind])
-    return Detector(kind, model)
+    return Detector(kind, fit_stumps(X, y, seed=seed, **facts.fit))
 
 
 def evaluate_accuracy(det: Detector, samples: Sequence[tuple[bytes, int]]) -> float:

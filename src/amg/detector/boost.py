@@ -18,7 +18,7 @@ of the best gains in (position, column) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,10 @@ BLOCK = 8192
 class BoostedStumps:
     bias: float
     learning_rate: float
-    feature: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
-    threshold: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    left_value: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    right_value: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    feature: np.ndarray
+    threshold: np.ndarray
+    left_value: np.ndarray
+    right_value: np.ndarray
 
     @property
     def n_rounds(self) -> int:
@@ -89,11 +89,12 @@ def _split_gains(
 def fit_stumps(
     X: np.ndarray,
     y: np.ndarray,
-    n_rounds: int = 200,
-    learning_rate: float = 0.1,
-    l2: float = 1.0,
-    colsample: float = 1.0,
-    seed: int = 0,
+    *,
+    n_rounds: int,
+    learning_rate: float,
+    l2: float,
+    colsample: float,
+    seed: int,
 ) -> BoostedStumps:
     """Fit a boosted-stump classifier to rows ``X`` and 0/1 labels ``y``."""
     X = np.asarray(X, dtype=np.float64)

@@ -1,40 +1,40 @@
 """Shared fixtures: a small deterministic corpus and a prepared world.
 
 Session scope keeps generation and detector training to one pass for the
-whole suite; every consumer treats the fixtures as read-only.
+whole suite; every consumer treats the fixtures as read-only.  Each fixture
+returns the object ``session_data`` builds once, which a hypothesis test
+reads in its body instead.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from amg.corpus import CorpusSpec, generate
-from amg.harness import World, prepare_world
-from amg.pe_mods import BenignContentPool, build_pool
-
-UNIT_SPEC = CorpusSpec(malicious=140, benign=80, seed=7)
+import session_data
+from amg.harness import World
+from amg.pe_mods import BenignContentPool
 
 
 @pytest.fixture(scope="session")
 def corpus_files():
-    return generate(UNIT_SPEC)
+    return session_data.corpus_files()
 
 
 @pytest.fixture(scope="session")
-def mal_bytes(corpus_files) -> list[bytes]:
-    return [f.data for f in corpus_files if f.label == "malicious"]
+def mal_bytes() -> list[bytes]:
+    return session_data.mal_bytes()
 
 
 @pytest.fixture(scope="session")
-def ben_bytes(corpus_files) -> list[bytes]:
-    return [f.data for f in corpus_files if f.label == "benign"]
+def ben_bytes() -> list[bytes]:
+    return session_data.ben_bytes()
 
 
 @pytest.fixture(scope="session")
-def pool(ben_bytes) -> BenignContentPool:
-    return build_pool(ben_bytes)
+def pool() -> BenignContentPool:
+    return session_data.pool()
 
 
 @pytest.fixture(scope="session")
-def world(mal_bytes, ben_bytes) -> World:
-    return prepare_world(mal_bytes, ben_bytes, seed=1)
+def world() -> World:
+    return session_data.world()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import boost_reference
+from boost_reference import FIT
 from amg import pe_model
 from amg.detector import boost
 from amg.detector.boost import fit_stumps
@@ -28,6 +29,7 @@ FIELDS = ("feature", "threshold", "left_value", "right_value")
 
 
 def _assert_same_model(X, y, **kw):
+    kw = FIT | kw
     new = fit_stumps(X, y, **kw)
     ref = boost_reference.fit_stumps(X, y, **kw)
     assert np.float64(new.bias).tobytes() == np.float64(ref.bias).tobytes()
@@ -159,18 +161,18 @@ def test_non_finite_features_are_refused(bad):
     X, y = _mixed(0)
     X[3, 4] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        fit_stumps(X, y, n_rounds=3)
+        fit_stumps(X, y, **FIT | dict(n_rounds=3))
 
 
 @pytest.mark.parametrize("colsample", [0.0, -0.5, 1.5, math.nan])
 def test_colsample_outside_unit_interval_is_refused(colsample):
     X, y = _mixed(0)
     with pytest.raises(ValueError, match="colsample"):
-        fit_stumps(X, y, n_rounds=3, colsample=colsample)
+        fit_stumps(X, y, **FIT | dict(n_rounds=3, colsample=colsample))
 
 
 @pytest.mark.parametrize("l2", [-1e-9, -1.0, math.nan])
 def test_negative_l2_is_refused(l2):
     X, y = _mixed(0)
     with pytest.raises(ValueError, match="l2"):
-        fit_stumps(X, y, n_rounds=3, l2=l2)
+        fit_stumps(X, y, **FIT | dict(n_rounds=3, l2=l2))

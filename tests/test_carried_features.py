@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import session_data
 from amg import detector, pe_model
 from amg.detector import Detector, DetectorKind
 from amg.detector.features import (
@@ -80,13 +81,13 @@ def _chain(raw: bytes, actions: list[int], pool, seed: int) -> list[bytes]:
         max_size=4,
     )
 )
-def test_property_carried_features_equal_full_counts(world, mal_bytes, ben_bytes, pool, kind, chains):
-    files = mal_bytes + ben_bytes
+def test_property_carried_features_equal_full_counts(kind, chains):
+    world, files = session_data.world(), session_data.mal_bytes() + session_data.ben_bytes()
     det = world.detector_a if kind is DetectorKind.STRUCTURAL else world.detector_b
     inputs = []
     for pick, actions, seed, junk in chains:
         raw = files[pick % len(files)]
-        inputs += [raw] + _chain(raw, actions, pool, seed) + junk
+        inputs += [raw] + _chain(raw, actions, session_data.pool(), seed) + junk
     _replay(det, inputs)
 
 

@@ -12,7 +12,7 @@ import pytest
 from test_agents import rewrite_header
 from test_pe_mods import MANY_DLLS, at_the_top_of_the_address_space
 
-from amg import pe_model
+from amg import cli, pe_model
 from amg.agents import make_agent, save_agent
 from amg.cli import main
 from amg.corpus import CorpusSpec, generate
@@ -171,6 +171,29 @@ def test_transfer_prints_both_rates(ws, capsys):
     out = capsys.readouterr().out
     assert "source evasion:" in out
     assert "transfer" in out
+
+
+def test_transfer_with_a_missing_second_detector_queries_nothing(ws, tmp_path, capsys, monkeypatch):
+    """Both classifiers and the agent load before the first query."""
+    calls = []
+    evaluate = cli.evaluate_policy
+    monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    assert main(["transfer", "--corpus", str(ws["corpus"]),
+                 "--detector-a", str(ws["det_a"]), "--detector-b", str(tmp_path / "nope.det"),
+                 "--agent", str(ws["agent"]), "--split", "val", "--max-steps", "2"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_detector_train_with_an_unknown_kind_is_a_usage_error(ws, tmp_path, capsys):
+    out = tmp_path / "c.det"
+    with pytest.raises(SystemExit) as exc:
+        main(["detector", "train", "--corpus", str(ws["corpus"]), "--kind", "c", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--kind" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_corpus_rejects_a_negative_count(tmp_path, capsys):

@@ -31,7 +31,7 @@ from amg.corpus import (
 )
 from amg.signals import MOTIFS
 import corpus_reference
-from conftest import UNIT_SPEC
+from session_data import UNIT_SPEC
 from fuzzing import damaged, json_values
 
 SMALL = CorpusSpec(malicious=12, benign=8, seed=3)

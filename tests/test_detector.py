@@ -39,7 +39,8 @@ from amg.detector.features import (
 )
 from amg.pe_mods import ActionId, apply_action
 from amg.signals import MOTIF_LEN, MOTIFS, count_motif_hits
-from boost_reference import margin
+import session_data
+from boost_reference import FIT, margin
 from bytestats_reference import byte_counts, shannon_entropy
 from fuzzing import damaged
 
@@ -177,7 +178,7 @@ def test_stump_fit_on_hand_separable_column():
     stump must split between 2 and 3 and vote negative left, positive right."""
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    model = fit_stumps(X, y, n_rounds=1, learning_rate=1.0, l2=0.0)
+    model = fit_stumps(X, y, **FIT | dict(n_rounds=1, learning_rate=1.0, l2=0.0))
     assert model.feature[0] == 0
     assert model.threshold[0] == pytest.approx(2.5)
     assert model.left_value[0] < 0 < model.right_value[0]
@@ -193,7 +194,7 @@ def test_boosting_drives_training_loss_down():
         return float(np.mean(np.log1p(np.exp(-np.where(y > 0, m, -m)))))
 
     losses = [
-        logloss(fit_stumps(X, y, n_rounds=r, learning_rate=0.3, seed=1))
+        logloss(fit_stumps(X, y, **FIT | dict(n_rounds=r, learning_rate=0.3, seed=1)))
         for r in (1, 5, 25, 100)
     ]
     assert losses == sorted(losses, reverse=True)
@@ -203,7 +204,7 @@ def test_boosting_drives_training_loss_down():
 def test_margin_one_agrees_with_batch_margin(mal_bytes, ben_bytes):
     X = np.array([extract_features_bigram(r, BigramCounts()) for r in mal_bytes[:10] + ben_bytes[:10]])
     y = np.array([1.0] * 10 + [0.0] * 10)
-    model = fit_stumps(X, y, n_rounds=30, learning_rate=0.2, seed=3)
+    model = fit_stumps(X, y, **FIT | dict(n_rounds=30, learning_rate=0.2, seed=3))
     batch = margin(model, X)
     singles = np.array([model.margin_one(row) for row in X])
     assert np.allclose(batch, singles)
@@ -214,7 +215,7 @@ def test_margin_matches_independent_stump_walk(mal_bytes, ben_bytes):
     table; the vectorized scorer must agree exactly."""
     X = np.array([extract_features_bigram(r, BigramCounts()) for r in mal_bytes[:8] + ben_bytes[:8]])
     y = np.array([1.0] * 8 + [0.0] * 8)
-    model = fit_stumps(X, y, n_rounds=20, learning_rate=0.2, seed=5)
+    model = fit_stumps(X, y, **FIT | dict(n_rounds=20, learning_rate=0.2, seed=5))
     for row in X:
         expected = model.bias
         for f, th, lv, rv in zip(
@@ -388,7 +389,7 @@ def test_load_rejects_out_of_range_stump_index(world, tmp_path):
     world.detector_a.save(good)
     blob = good.read_bytes()
     head_size = struct.calcsize("<8sBII d d")
-    for index in (world.detector_a.n_features, 0xFFFF_FFFF):
+    for index in (N_FEATURES_STRUCTURAL, 0xFFFF_FFFF):
         bad = tmp_path / f"index-{index}.det"
         bad.write_bytes(blob[:head_size] + struct.pack("<I", index) + blob[head_size + 4 :])
         with pytest.raises(DetectorFormatError, match="out of range"):
@@ -397,12 +398,11 @@ def test_load_rejects_out_of_range_stump_index(world, tmp_path):
 
 @pytest.fixture(scope="module")
 def saved_detectors(world, tmp_path_factory):
+    """A directory holding detectors A and B, fresh, as ``0.det`` and ``1.det``."""
     root = tmp_path_factory.mktemp("detector-fuzz")
-    blobs = []
-    for det in (world.detector_a, world.detector_b):
-        det.fresh().save(root / "det.bin")
-        blobs.append((root / "det.bin").read_bytes())
-    return root / "det.bin", blobs
+    for which, det in enumerate((world.detector_a, world.detector_b)):
+        det.fresh().save(root / f"{which}.det")
+    return root
 
 
 def _at(values: np.ndarray, index: int, value: float) -> np.ndarray:
@@ -443,12 +443,12 @@ def test_load_rejects_non_finite_or_overflowing_models(world, tmp_path, changes,
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), which=st.integers(0, 1))
-def test_property_damaged_detector_loads_or_raises(saved_detectors, mal_bytes, data, which):
-    path, blobs = saved_detectors
-    blob = blobs[which]
+def test_property_damaged_detector_loads_or_raises(saved_detectors, data, which):
+    blob = (saved_detectors / f"{which}.det").read_bytes()
+    path = saved_detectors / "damaged.det"
     path.write_bytes(data.draw(damaged(blob, struct.calcsize("<8sBII d d") + 8)))
     try:
         loaded = Detector.load(path)
     except DetectorFormatError:
         return
-    assert loaded.classify(mal_bytes[0]) in (Verdict.MALICIOUS, Verdict.BENIGN)
+    assert loaded.classify(session_data.mal_bytes()[0]) in (Verdict.MALICIOUS, Verdict.BENIGN)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import string
 import struct
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import import_walk_reference as ref
+import session_data
 from amg.pe_model import (
     DIR_IMPORT,
     PE32_MAGIC,
@@ -79,9 +81,10 @@ def _walk_offsets(raw: bytes) -> list[int]:
     return sorted(offsets)
 
 
-@pytest.fixture(scope="module")
-def flip_sites(mal_bytes, ben_bytes):
-    return [(raw, _walk_offsets(raw)) for raw in mal_bytes[:16] + ben_bytes[:8]]
+@cache
+def _flip_sites() -> list[tuple[bytes, list[int]]]:
+    files = session_data.mal_bytes()[:16] + session_data.ben_bytes()[:8]
+    return [(raw, _walk_offsets(raw)) for raw in files]
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,7 +92,8 @@ def flip_sites(mal_bytes, ben_bytes):
     pick=st.integers(0, 10**9),
     flips=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), min_size=1, max_size=6),
 )
-def test_byte_flipped_walks_agree(flip_sites, pick, flips):
+def test_byte_flipped_walks_agree(pick, flips):
+    flip_sites = _flip_sites()
     raw, sites = flip_sites[pick % len(flip_sites)]
     buf = bytearray(raw)
     for where, value in flips:
@@ -218,7 +222,7 @@ _DLLS = st.lists(st.tuples(_NAME, st.lists(_NAME, max_size=5)), max_size=3)
 @given(kept=_DLLS, new=_DLLS.filter(bool), shift=st.integers(0, 3), tight=st.booleans())
 # The section ends 15 bytes after the start of the last DLL name.
 @example(kept=[], new=[("fourteen_c.dll", [])], shift=0, tight=True)
-def test_property_written_import_table_reads_back(mal_bytes, magic, kept, new, shift, tight):
+def test_property_written_import_table_reads_back(magic, kept, new, shift, tight):
     """A table written behind kept descriptors reads back as the kept imports
     and then the new ones, each name's hint at an even RVA, with equal lookup
     and address tables, whatever the section's start, also in a section that
@@ -229,7 +233,8 @@ def test_property_written_import_table_reads_back(mal_bytes, magic, kept, new, s
     base = 0x2000 + shift
     table = pack_import_table(base, new, es, old[: 20 * len(kept)])
     size = len(table) if tight else 0x1000
-    img = image_with(mal_bytes[0], [(0x1000, 0x1000, old), (base, size, table)], base, magic)
+    raw = session_data.mal_bytes()[0]
+    img = image_with(raw, [(0x1000, 0x1000, old), (base, size, table)], base, magic)
     got = parse_imports(img)
     assert [(d.dll_name, d.function_names) for d in got] == kept + new
     assert_walks_agree(img)

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import session_data
 from amg import pe_model
 from amg.pe_model import (
     Diagnostic,
@@ -293,10 +294,11 @@ def _header_integers(img) -> list[tuple[object, str]]:
 @settings(max_examples=80, deadline=None)
 @given(pick=st.integers(0, 10**9), which=st.integers(0, 10**9),
        value=st.sampled_from([-1, 2**16, 2**32, 2**64]))
-def test_property_a_header_integer_out_of_range_is_refused_or_written(mal_bytes, pick, which, value):
+def test_property_a_header_integer_out_of_range_is_refused_or_written(pick, which, value):
     """Any header integer set to a value that may not fit its field either
     serializes or is refused with errors the checker reports; a value no
     field holds is always refused."""
+    mal_bytes = session_data.mal_bytes()
     img = parse(mal_bytes[pick % len(mal_bytes)])
     fields = _header_integers(img)
     obj, name = fields[which % len(fields)]
@@ -426,7 +428,8 @@ def test_zero_file_range_zeroes_across_regions(mal_bytes):
 
 @settings(max_examples=40, deadline=None)
 @given(tail=st.binary(min_size=1, max_size=300), pick=st.integers(0, 10**9))
-def test_property_appended_tail_round_trips(corpus_files, tail, pick):
+def test_property_appended_tail_round_trips(tail, pick):
+    corpus_files = session_data.corpus_files()
     raw = corpus_files[pick % len(corpus_files)].data
     grown = raw + tail
     img = parse(grown)
@@ -436,8 +439,9 @@ def test_property_appended_tail_round_trips(corpus_files, tail, pick):
 
 @settings(max_examples=120, deadline=None)
 @given(pos=st.integers(0, 10**9), value=st.integers(0, 255), pick=st.integers(0, 10**9))
-def test_property_byte_flip_parses_losslessly_or_raises(corpus_files, pos, value, pick):
+def test_property_byte_flip_parses_losslessly_or_raises(pos, value, pick):
     """Strict-but-lossless: whatever still parses must reserialize identically."""
+    corpus_files = session_data.corpus_files()
     raw = bytearray(corpus_files[pick % len(corpus_files)].data)
     raw[pos % len(raw)] = value
     raw = bytes(raw)

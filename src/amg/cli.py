@@ -26,6 +26,7 @@ from .detector import (
     DegenerateCorpus,
     Detector,
     DetectorFormatError,
+    DetectorKind,
     Verdict,
     evaluate_accuracy,
     parse_kind,
@@ -66,6 +67,14 @@ class CliError(Exception):
 
 def _workspace() -> Path:
     return Path(os.environ.get("AMG_WORKSPACE", "amg-workspace"))
+
+
+def _kind(name: str) -> DetectorKind:
+    """:func:`parse_kind` for argparse, which shows an ``ArgumentTypeError``'s own message."""
+    try:
+        return parse_kind(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_labeled(corpus_dir: str) -> tuple[list[tuple[str, bytes]], list[tuple[str, bytes]]]:
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = det_sub.add_parser("train", help="fit a classifier on the corpus train split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--kind", required=True, type=parse_kind, help="structural|bigram (aliases: a|b)")
+    p.add_argument("--kind", required=True, type=_kind, help="structural|bigram (aliases: a|b)")
     p.add_argument("--out", help="model path (default: workspace/detectors/<kind>.det)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_detector_train)

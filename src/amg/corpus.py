@@ -1,25 +1,24 @@
 """Deterministic synthetic PE32 corpus with planted label signals.
 
-The generator shares three layouts with the parser in :mod:`amg.pe_model`:
-the COFF header (``COFF_HEADER``), the section headers (``SECTION_HEADER``)
-and the import table (:func:`~amg.pe_model.pack_import_table`, which the
-rewrite actions also use and its own tests check against the reader).  A
-fault in one of those is made alike on both sides, so the corpus round-trip
-cannot catch it.  It writes the rest itself with ``struct.pack``: the DOS
-header, the optional header and its data directories, the debug entry and
-the certificate, which the two witness independently.  "Malicious" files
-are ordinary structural shells carrying a random subset of tells: a nonzero
-checksum, an implausible timestamp, a packer-style section name, a debug
-blob, an Authenticode-shaped certificate, a missing overlay, suspicious
-import names, planted byte motifs, and a data texture whose byte-pair
-structure is shuffled away (single-byte statistics stay identical to the
-benign text filler, so only pair-aware models see it).  Benign files mostly
-lack the tells and read like text-heavy binaries; hot high-byte runs appear
-in both labels at different rates so no histogram summary separates them on
-its own.  Every signal was picked so that some sequence of the rewrite
-actions can plausibly mask it: checksums can be zeroed, timestamps stepped
-back into the common band, sections renamed, debug data and certificates
-dropped, and densities diluted by appending benign content.
+Each file is built as a :class:`~amg.pe_model.PeImage` and written by
+:func:`~amg.pe_model.serialize`, the writer the rewrite actions use, so the
+corpus states no header layout of its own.  A fault in a shared layout would
+be made alike on the writing and the reading side, where the round trip
+cannot see it; the golden digest and a test that reads the headers at the PE
+specification's offsets pin the bytes.
+
+"Malicious" files are ordinary structural shells carrying a random subset of
+tells: a nonzero checksum, an implausible timestamp, a packer-style section
+name, a debug blob, an Authenticode-shaped certificate, a missing overlay,
+suspicious import names, planted byte motifs, and a data texture whose
+byte-pair structure is shuffled away (single-byte statistics stay identical
+to the benign text filler, so only pair-aware models see it).  Benign files
+mostly lack the tells and read like text-heavy binaries; hot high-byte runs
+appear in both labels at different rates so no histogram summary separates
+them on its own.  Every signal was picked so that some sequence of the
+rewrite actions can plausibly mask it: checksums can be zeroed, timestamps
+stepped back into the common band, sections renamed, debug data and
+certificates dropped, and densities diluted by appending benign content.
 
 Each file derives from a single per-file seed, so any slice of the corpus can
 be regenerated independently.  ``generate`` relies on that: it builds the files
@@ -48,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import pe_model, signals
+from .pe_model import DataDirectory, Section
 from .pe_mods import DLL_CATALOG
 from .seeds import fanout
 
@@ -329,121 +329,58 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
 
     # --- lay out headers ---------------------------------------------------
     n = len(names)
-    opt_size = 0x60 + 16 * 8
+    fmt = pe_model.PE_FORMATS[pe_model.PE32_MAGIC]
+    dirs = [DataDirectory(0, 0) for _ in range(16)]
+    opt_size = fmt.optional_fixed.size + len(dirs) * pe_model.DATA_DIRECTORY.size
     stub_len = 64 + rng.randrange(0, 64)
-    headers_end0 = pe_model.DOS_HEADER_SIZE + stub_len + 4 + 20 + opt_size + 40 * n
+    headers_end0 = pe_model.headers_length(stub_len, opt_size, n)
     size_of_headers = pe_model.align_up(headers_end0 + slack, FILE_ALIGNMENT)
     stub_len += size_of_headers - slack - headers_end0
-    e_lfanew = pe_model.DOS_HEADER_SIZE + stub_len
 
     # --- assign addresses ---------------------------------------------------
-    vas, ptrs, srds, vss = [], [], [], []
+    sections: list[Section] = []
     va = SECTION_ALIGNMENT
     ptr = size_of_headers
-    debug_section = None
-    dirs = [(0, 0)] * 16
+    debug = pe_model.DEBUG_DIRECTORY
     for j in range(n):
         if names[j] == b".idata":
             dlls = _pick_imports(rng, QUIRK_IMPORTS in quirks)
-            entry_size = pe_model.PE_FORMATS[pe_model.PE32_MAGIC].thunk_size
-            contents[j] = bytearray(pe_model.pack_import_table(va, dlls, entry_size, b""))
+            contents[j] = bytearray(pe_model.pack_import_table(va, dlls, fmt.thunk_size, b""))
             # the directory covers the descriptors and their zero terminator
-            dirs[pe_model.DIR_IMPORT] = (va, (len(dlls) + 1) * 20)
-        if QUIRK_DEBUG in quirks and debug_section is None and j > 0 and names[j] != b".idata":
-            debug_section = j
+            size = (len(dlls) + 1) * pe_model.IMPORT_DESCRIPTOR.size
+            dirs[pe_model.DIR_IMPORT] = DataDirectory(va, size)
+        if QUIRK_DEBUG in quirks and not dirs[pe_model.DIR_DEBUG].size and j > 0 and names[j] != b".idata":
             off = pe_model.align_up(len(contents[j]), 4)
             contents[j] += b"\x00" * (off - len(contents[j]))
             blob = b"RSDS" + rng.randbytes(16) + struct.pack("<I", 1) + b"build\\app.pdb\x00"
-            entry = struct.pack(
-                "<IIHHIIII",
-                0, 0, 0, 0, 2,
-                len(blob),
-                va + off + 28,
-                ptr + off + 28,
-            )
-            contents[j] += entry + blob
-            dirs[pe_model.DIR_DEBUG] = (va + off, 28)
-        content_len = len(contents[j])
-        srd = pe_model.align_up(max(content_len, 1), FILE_ALIGNMENT)
-        vs = content_len
+            at = off + debug.size  # the blob sits right behind its entry
+            contents[j] += debug.pack(0, 0, 0, 0, 2, len(blob), va + at, ptr + at) + blob
+            dirs[pe_model.DIR_DEBUG] = DataDirectory(va + off, debug.size)
+        vs = len(contents[j])
+        srd = pe_model.align_up(max(vs, 1), FILE_ALIGNMENT)
         if j == n - 1 or rng.random() < 0.25:
             # Leave memory-only tail space so the section-append action has
             # something to work with.
             vs = srd + rng.randrange(0x100, 0x600)
-        vas.append(va)
-        ptrs.append(ptr)
-        srds.append(srd)
-        vss.append(vs)
+        sections.append(Section(names[j].ljust(8, b"\x00"), vs, va, srd, ptr, bytes(12),
+                                characteristics[j], bytes(contents[j]).ljust(srd, b"\x00")))
         va = pe_model.align_up(va + max(vs, srd), SECTION_ALIGNMENT)
         ptr += srd
         if rng.random() < 0.2:
             ptr += FILE_ALIGNMENT * rng.randrange(1, 3)
 
-    if debug_section is None:
+    if not dirs[pe_model.DIR_DEBUG].size:
         quirks.discard(QUIRK_DEBUG)
 
-    size_of_image = pe_model.align_up(vas[-1] + max(vss[-1], srds[-1]), SECTION_ALIGNMENT)
-    body_end = ptrs[-1] + srds[-1]
-
-    # --- header fields -------------------------------------------------------
-    if QUIRK_TIMESTAMP in quirks:
-        band = rng.choice((TS_PAST, TS_FUTURE))
-    else:
-        band = TS_COMMON
+    # --- header fields and DOS stub -------------------------------------------
+    band = rng.choice((TS_PAST, TS_FUTURE)) if QUIRK_TIMESTAMP in quirks else TS_COMMON
     timestamp = rng.randrange(*band)
     checksum = rng.randrange(0x1000, 0xFFFF_FFFF) if QUIRK_CHECKSUM in quirks else 0
-    entry_point = vas[0] + 0x40
-
-    # --- assemble -------------------------------------------------------------
-    buf = bytearray(body_end)
-    buf[0:2] = struct.pack("<H", pe_model.MZ_MAGIC)
-    dos_reserved = bytearray(_text_filler(rng, 58))
-    dos_reserved[0:4] = b"\x90\x00\x03\x00"
-    buf[2:60] = dos_reserved
-    buf[0x3C:0x40] = struct.pack("<I", e_lfanew)
-    stub = bytearray(_text_filler(rng, stub_len))
-    stub[: min(stub_len, 26)] = b"This build runs nowhere.\r\n"[: min(stub_len, 26)]
-    buf[64:e_lfanew] = stub
-    buf[e_lfanew : e_lfanew + 4] = pe_model.PE_SIGNATURE
-
-    coff_off = e_lfanew + 4
-    buf[coff_off : coff_off + 20] = pe_model.COFF_HEADER.pack(
-        0x14C, n, timestamp, 0, 0, opt_size, 0x0102
-    )
-
-    o = coff_off + 20
-    size_of_code = srds[0]
-    init_size = sum(srds[1:])
-    opt = bytearray()
-    opt += struct.pack("<H", pe_model.PE32_MAGIC)
-    opt += bytes([14, 0])
-    opt += struct.pack("<I", size_of_code)
-    opt += struct.pack("<II", init_size, 0)
-    opt += struct.pack("<I", entry_point)
-    opt += struct.pack("<III", vas[0], vas[1], IMAGE_BASE)  # .idata makes n >= 2
-    opt += struct.pack("<II", SECTION_ALIGNMENT, FILE_ALIGNMENT)
-    opt += struct.pack("<HHHHHHI", 6, 0, 1, 0, 6, 0, 0)
-    opt += struct.pack("<III", size_of_image, size_of_headers, checksum)
-    opt += struct.pack("<HHIIIII", 3, 0x8140, 0x100000, 0x1000, 0x100000, 0x1000, 0)
-    opt += struct.pack("<I", 16)
-    for rva, size in dirs:
-        opt += struct.pack("<II", rva, size)
-    if len(opt) != opt_size:
-        raise CorpusError(f"optional header came out {len(opt)} bytes, wanted {opt_size}")
-    buf[o : o + opt_size] = opt
-
-    t = o + opt_size
-    for j in range(n):
-        buf[t : t + 40] = pe_model.SECTION_HEADER.pack(
-            names[j], vss[j], vas[j], srds[j], ptrs[j], bytes(12), characteristics[j]
-        )
-        t += 40
-
-    for j in range(n):
-        data = bytes(contents[j]).ljust(srds[j], b"\x00")
-        buf[ptrs[j] : ptrs[j] + srds[j]] = data
+    dos_reserved = b"\x90\x00\x03\x00" + _text_filler(rng, 58)[4:]
+    stub = b"This build runs nowhere.\r\n" + _text_filler(rng, stub_len)[26:]
 
     # --- overlay and certificate ----------------------------------------------
+    body_end = sections[-1].pointer_to_raw_data + sections[-1].size_of_raw_data
     overlay = bytearray()
     if malicious:
         if QUIRK_NO_OVERLAY not in quirks:
@@ -453,17 +390,34 @@ def _build_file(file_seed: int, label: str, index: int) -> GeneratedFile:
             overlay += _text_filler(rng, int(body_end * rng.uniform(0.15, 0.45)))
 
     if QUIRK_CERTIFICATE in quirks:
-        pad = (-(body_end + len(overlay))) % 8
-        overlay += b"\x00" * pad
-        cert_off = body_end + len(overlay)
+        overlay += b"\x00" * ((-(body_end + len(overlay))) % 8)
         cert_body = rng.randbytes(8 * rng.randrange(32, 96))
         cert = struct.pack("<IHH", 8 + len(cert_body), 0x0200, 0x0002) + cert_body
+        dirs[pe_model.DIR_SECURITY] = DataDirectory(body_end + len(overlay), len(cert))
         overlay += cert
-        sec_off = pe_model.DIR_SECURITY * 8
-        base = o + opt_size - 16 * 8
-        buf[base + sec_off : base + sec_off + 8] = struct.pack("<II", cert_off, len(cert))
 
-    data = bytes(buf) + bytes(overlay)
+    # --- assemble -------------------------------------------------------------
+    coff = pe_model.CoffHeader(0x14C, timestamp, 0, 0, 0x0102)
+    optional = pe_model.OptionalHeader(
+        magic=pe_model.PE32_MAGIC,
+        run_a=bytes([14, 0]),
+        size_of_code=sections[0].size_of_raw_data,
+        run_b=struct.pack("<II", sum(s.size_of_raw_data for s in sections[1:]), 0),
+        address_of_entry_point=sections[0].virtual_address + 0x40,
+        # base of code, base of data (.idata makes n >= 2), image base
+        run_c=struct.pack("<III", sections[0].virtual_address, sections[1].virtual_address, IMAGE_BASE),
+        section_alignment=SECTION_ALIGNMENT,
+        file_alignment=FILE_ALIGNMENT,
+        run_d=struct.pack("<HHHHHHI", 6, 0, 1, 0, 6, 0, 0),
+        size_of_image=va,  # the last section's end, section-aligned
+        size_of_headers=size_of_headers,
+        checksum=checksum,
+        run_e=struct.pack("<HHIIIII", 3, 0x8140, 0x100000, 0x1000, 0x100000, 0x1000, 0),
+        data_directories=dirs,
+        trailing=b"",
+    )
+    img = pe_model.PeImage(dos_reserved, stub, coff, optional, sections, [], bytes(overlay))
+    data = pe_model.serialize(img)
 
     planted = {
         "quirks": sorted(quirks),

@@ -95,7 +95,8 @@ def parse_kind(name: str) -> DetectorKind:
     for kind, facts in _KINDS.items():
         if key in (kind.value, facts.alias):
             return kind
-    raise ValueError(f"unknown detector kind {name!r}")
+    accepted = ", ".join(n for kind, facts in _KINDS.items() for n in (kind.value, facts.alias))
+    raise ValueError(f"unknown detector kind {name!r}; expected one of {accepted}")
 
 
 @dataclass

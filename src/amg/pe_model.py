@@ -40,6 +40,9 @@ SECTION_HEADER = struct.Struct("<8sIIII12sI")
 DATA_DIRECTORY = struct.Struct("<II")
 # lookup table (ILT) RVA, time stamp, forwarder chain, name RVA, address table (IAT) RVA
 IMPORT_DESCRIPTOR = struct.Struct("<5I")
+# characteristics, time stamp, major and minor version, type, size of data,
+# address of raw data (an RVA), pointer to raw data (a file offset)
+DEBUG_DIRECTORY = struct.Struct("<IIHHIIII")
 
 DOS_HEADER_SIZE = DOS_HEADER.size
 COFF_HEADER_SIZE = COFF_HEADER.size
@@ -234,8 +237,7 @@ class PeImage:
     # -- derived layout ----------------------------------------------------
     @property
     def headers_end(self) -> int:
-        return (DOS_HEADER_SIZE + len(self.dos_stub) + len(PE_SIGNATURE) + COFF_HEADER_SIZE
-                + _optional_size(self.optional) + SECTION_HEADER_SIZE * len(self.sections))
+        return headers_length(len(self.dos_stub), _optional_size(self.optional), len(self.sections))
 
     @property
     def last_raw_end(self) -> int:
@@ -374,6 +376,12 @@ def parse(raw: bytes) -> PeImage:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def headers_length(stub_len: int, optional_size: int, n_sections: int) -> int:
+    """Where a table of ``n_sections`` headers ends, behind a stub and an optional header this long."""
+    return (DOS_HEADER_SIZE + stub_len + len(PE_SIGNATURE) + COFF_HEADER_SIZE
+            + optional_size + SECTION_HEADER_SIZE * n_sections)
 
 
 def _optional_size(opt: OptionalHeader) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import random
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -236,15 +235,16 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     if d.rva == 0 and d.size == 0:
         return ModResult(Outcome.NOOP, img, "no debug directory")
     out = img.copy()
-    detail = []
-    entry_count = d.size // 28
+    detail = ""
+    entry = pe_model.DEBUG_DIRECTORY
     smap = pe_model.section_map(out)
-    for i in range(entry_count):
-        blob = pe_model.read_mapped(smap, d.rva + i * 28, 28)
+    for i in range(d.size // entry.size):
+        blob = pe_model.read_mapped(smap, d.rva + i * entry.size, entry.size)
         if blob is None:
-            detail.append(f"entry {i} not mappable")
-            continue
-        size_of_data, _, pointer = struct.unpack_from("<III", blob, 16)
+            # The size is a header field: walk what the sections map, not what it claims.
+            detail = f"entry {i} not mappable; the rest not read"
+            break
+        *_, size_of_data, _, pointer = entry.unpack(blob)
         if pointer and size_of_data and pe_model.zero_file_range(out, pointer, size_of_data):
             # The zeroed range may hold later entries; read them as they now are.
             smap = pe_model.section_map(out)
@@ -253,7 +253,7 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
         pe_model.zero_file_range(out, table_off, d.size)
     out.directory(DIR_DEBUG).rva = 0
     out.directory(DIR_DEBUG).size = 0
-    return ModResult(Outcome.APPLIED, out, "; ".join(detail))
+    return ModResult(Outcome.APPLIED, out, detail)
 
 
 def remove_certificate(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:

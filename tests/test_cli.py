@@ -193,6 +193,9 @@ def test_detector_train_with_an_unknown_kind_is_a_usage_error(ws, tmp_path, caps
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--kind" in err and "Traceback" not in err
+    # the message names the accepted kinds, not the function that parses them
+    assert all(name in err for name in ("structural", "bigram", "'c'"))
+    assert "expected one of structural, a, bigram, b" in err
     assert not out.exists()
 
 

@@ -145,6 +145,52 @@ def test_corpus_matches_golden(corpus_files):
     assert _golden_record(corpus_files) == json.loads(GOLDEN.read_text())
 
 
+def _u(data: bytes, off: int, n: int) -> int:
+    return int.from_bytes(data[off : off + n], "little")
+
+
+def test_headers_sit_at_the_pe_spec_offsets(corpus_files):
+    """Each field read at its PE/COFF specification offset with
+    ``int.from_bytes``, not through ``pe_model``'s structs, which the corpus
+    writes with and the parser reads with: a fault in one of them is made
+    alike on both sides, and the round trip cannot see it."""
+    for f in corpus_files:
+        data, quirks = f.data, f.planted["quirks"]
+        assert data[:2] == b"MZ", f.name
+        pe = _u(data, 0x3C, 4)  # e_lfanew
+        assert data[pe : pe + 4] == b"PE\0\0", f.name
+        coff, n = pe + 4, f.planted["sections"]
+        assert (_u(data, coff, 2), _u(data, coff + 2, 2)) == (0x14C, n), f.name
+        assert _u(data, coff + 4, 4) == f.planted["timestamp"], f.name
+        assert _u(data, coff + 16, 2) == 0xE0, f.name  # SizeOfOptionalHeader
+        opt = coff + 20
+        assert _u(data, opt, 2) == 0x10B, f.name
+        assert (_u(data, opt + 64, 4) != 0) == ("checksum" in quirks), f.name
+        assert _u(data, opt + 92, 4) == 16, f.name  # NumberOfRvaAndSizes
+        table = opt + 0xE0
+        assert data[table : table + 8] == b".text\0\0\0", f.name
+        first_va, first_ptr = _u(data, table + 12, 4), _u(data, table + 20, 4)
+        assert _u(data, opt + 16, 4) == first_va + 0x40, f.name  # AddressOfEntryPoint
+        # SizeOfHeaders: the first section's raw data, behind the slack
+        assert _u(data, opt + 60, 4) == first_ptr == table + 40 * n + f.planted["slack"], f.name
+        security = opt + 96 + 4 * 8
+        cert_at, cert_size = _u(data, security, 4), _u(data, security + 4, 4)
+        assert (cert_size != 0) == ("certificate" in quirks), f.name
+        if cert_size:
+            assert cert_at + cert_size == len(data) == f.planted["size"], f.name
+        debug_rva, debug_size = _u(data, opt + 96 + 6 * 8, 4), _u(data, opt + 96 + 6 * 8 + 4, 4)
+        assert debug_size == (28 if "debug" in quirks else 0), f.name
+        if debug_size:  # the entry's file offset, through the section table
+            entry = next(_u(data, s + 20, 4) + debug_rva - _u(data, s + 12, 4)
+                         for s in range(table, table + 40 * n, 40)
+                         if 0 <= debug_rva - _u(data, s + 12, 4) < _u(data, s + 16, 4))
+            # SizeOfData at +16, AddressOfRawData at +20, PointerToRawData at +24
+            blob_size, blob_ptr = _u(data, entry + 16, 4), _u(data, entry + 24, 4)
+            assert _u(data, entry + 20, 4) - debug_rva == blob_ptr - entry == 28, f.name
+            assert data[blob_ptr : blob_ptr + 4] == b"RSDS", f.name
+            assert data[blob_ptr + blob_size - 14 : blob_ptr + blob_size] == b"build\\app.pdb\0", f.name
+
+
 # ---------------------------------------------------------------------------
 # the worker pool
 

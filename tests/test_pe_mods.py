@@ -85,6 +85,31 @@ def test_remove_debug_clears_directory(corpus_files, pool):
     assert res.outcome is Outcome.NOOP
 
 
+def test_remove_debug_walks_no_further_than_the_sections_map(corpus_files, pool, monkeypatch):
+    """The debug directory's size is an untrusted header field: a size of
+    28 million bytes claims a million entries, but the walk stops at the
+    first entry the sections do not map and says so once."""
+    img = pe_model.parse(_first_with(corpus_files, "debug", True))
+    d = img.directory(DIR_DEBUG)
+    entry_size = 28  # IMAGE_DEBUG_DIRECTORY, by the PE specification
+    d.size = 10**6 * entry_size
+    calls = []
+    read_mapped = pe_model.read_mapped
+
+    def counting(smap, rva, n):
+        calls.append(rva)
+        return read_mapped(smap, rva, n)
+
+    monkeypatch.setattr(pe_model, "read_mapped", counting)
+    res = apply_action(img, ActionId.REMOVE_DEBUG, pool, seed=0)
+    assert res.outcome is Outcome.APPLIED
+    assert res.image.directory(DIR_DEBUG).size == 0
+    # at most one entry per 28 mapped bytes, plus the one that does not map
+    mapped = sum(span for _, span, _ in pe_model.section_map(img))
+    assert len(calls) <= mapped // entry_size + 1
+    assert res.detail.count("not mappable") == 1
+
+
 def test_remove_certificate_excises_overlay_resident_table(corpus_files, pool):
     raw = _first_with(corpus_files, "certificate", True)
     img = pe_model.parse(raw)

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
 CEILING = 47
 
 #: The total of ``wc -l src/amg/*.py src/amg/*/*.py``.
-LINE_CEILING = 4948
+LINE_CEILING = 4920
 
 
 def test_settable_values_stay_under_the_ceiling():

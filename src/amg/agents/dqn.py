@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import HIDDEN, AgentHyper
-from .net import Adam, QNet, td_loss_and_grads
+from .net import Adam, TanhNet, td_loss_and_grads
 
 #: Exploration rate in training and evaluation alike: a little stochasticity
 #: keeps a policy from pinning itself to one useless action.
@@ -37,8 +37,8 @@ class DqnAgent:
         self.n_actions = n_actions
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
-        self.net = QNet(obs_dim, n_actions, HIDDEN, seed=seed)
-        self.target = QNet(obs_dim, n_actions, HIDDEN, seed=seed)
+        self.net = TanhNet(obs_dim, (n_actions,), HIDDEN, seed=seed)
+        self.target = TanhNet(obs_dim, (n_actions,), HIDDEN, seed=seed)
         self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self.total_steps = 0
         self.transitions = 0  # recorded into replay; the newest REPLAY_CAPACITY are held
@@ -48,8 +48,8 @@ class DqnAgent:
     def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < EPSILON:
             return int(self.rng.integers(self.n_actions))
-        q = self.net.q_values(obs)[0]
-        return int(np.argmax(q))
+        (q,), _ = self.net.forward(obs)
+        return int(np.argmax(q[0]))
 
     def record(self, transition) -> None:
         cap = REPLAY_CAPACITY
@@ -97,7 +97,8 @@ class DqnAgent:
         slots = (self.transitions - held + picks) % REPLAY_CAPACITY
         obs = self._states[self._obs_row[slots]]
         next_obs = self._states[self._next_row[slots]]
-        next_q = self.target.q_values(next_obs).max(axis=1)
+        (q_next,), _ = self.target.forward(next_obs)
+        next_q = q_next.max(axis=1)
         targets = self._rewards[slots] + self.hyper.gamma * (1.0 - self._done[slots]) * next_q
         _, grads = td_loss_and_grads(self.net, obs, self._actions[slots], targets)
         self.optim.step(grads)
@@ -109,7 +110,7 @@ class DqnAgent:
 
     @staticmethod
     def state_sizes(obs_dim: int, n_actions: int) -> dict[str, int]:
-        n = QNet.size(obs_dim, n_actions, HIDDEN)
+        n = TanhNet.size(obs_dim, (n_actions,), HIDDEN)
         return {"net": n, "target": n, "counters": 1}
 
     def state_arrays(self) -> dict[str, np.ndarray]:

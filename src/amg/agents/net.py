@@ -1,13 +1,15 @@
-"""Small tanh multilayer perceptrons with hand-written backpropagation.
+"""One tanh multilayer perceptron with linear heads and hand-written
+backpropagation.
 
-Two shapes are used: an action-value net (state -> one value per action) and
-a shared-trunk policy/value net (state -> action logits and a scalar state
+``TanhNet`` maps a state through a tanh trunk to one linear head per width
+it is given: the action-value learner uses one head (a value per action),
+the policy learners two on a shared trunk (action logits and a scalar state
 value).  Gradients are derived analytically and verified against central
 finite differences in the test suite, so the math here is written for
-auditability: forward passes return their caches and every backward pass
-consumes exactly one.  Each net keeps its parameters in one flat vector
-whose layers are views, so the optimizer, target syncs and checkpoints act on
-one array.
+auditability: the forward pass returns its cache and every backward pass
+consumes exactly one.  The net keeps its parameters in one flat vector whose
+layers are views, so the optimizer, target syncs and checkpoints act on one
+array.
 
 Tanh is used throughout because its gradient is smooth everywhere, which
 makes finite-difference verification exact to first order (piecewise-linear
@@ -17,6 +19,7 @@ activations fail such checks at their kinks).
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -26,36 +29,34 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _dense_shapes(sizes: list[int]) -> list[tuple[int, ...]]:
-    """Weight and bias shapes of dense layers ``sizes[0] -> sizes[1] -> ...``."""
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        shapes += [(fan_in, fan_out), (fan_out,)]
-    return shapes
-
-
-class _TanhNet:
-    """A tanh trunk ``obs -> *hidden`` under linear heads, all of whose
-    parameters live in one contiguous vector ``flat``.
+class TanhNet:
+    """obs -> tanh trunk of widths ``hidden`` -> one linear head per width in
+    ``heads``, all of whose parameters live in one contiguous vector ``flat``.
 
     ``params`` holds views into ``flat`` in ``layer_shapes`` order (w0, b0,
-    w1, b1, ..., then the heads' weights and biases), so writing ``flat``
-    moves every layer and a gradient in the same layout updates them all.
-    Subclasses give ``layer_shapes`` and the heads' forward/backward.
+    w1, b1, ..., then each head's weight and bias in ``heads`` order), so
+    writing ``flat`` moves every layer and a gradient in the same layout
+    updates them all.
     """
 
-    @classmethod
-    def size(cls, obs_dim: int, n_actions: int, hidden) -> int:
-        """Parameter count of a net with these dimensions, without building it."""
-        return sum(math.prod(s) for s in cls.layer_shapes(obs_dim, n_actions, hidden))
+    @staticmethod
+    def layer_shapes(obs_dim: int, heads, hidden) -> list[tuple[int, ...]]:
+        sizes = [obs_dim, *hidden]
+        layers = [*zip(sizes, sizes[1:]), *((sizes[-1], width) for width in heads)]
+        return [shape for fan_in, fan_out in layers for shape in ((fan_in, fan_out), (fan_out,))]
 
-    def __init__(self, obs_dim: int, n_actions: int, hidden, seed: int):
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
+    @classmethod
+    def size(cls, obs_dim: int, heads, hidden) -> int:
+        """Parameter count of a net with these dimensions, without building it."""
+        return sum(math.prod(s) for s in cls.layer_shapes(obs_dim, heads, hidden))
+
+    def __init__(self, obs_dim: int, heads, hidden, seed: int):
         self.hidden = tuple(hidden)
-        self._shapes = self.layer_shapes(obs_dim, n_actions, self.hidden)
-        self.flat = np.empty(self.size(obs_dim, n_actions, self.hidden))
+        self._shapes = self.layer_shapes(obs_dim, heads, self.hidden)
+        self.flat = np.empty(self.size(obs_dim, heads, self.hidden))
         self.params = self._views(self.flat)
+        top = 2 * len(self.hidden)
+        self._heads = list(zip(self.params[top::2], self.params[top + 1 :: 2]))  # (weight, bias)
         rng = np.random.default_rng(seed)
         for w, b in zip(self.params[::2], self.params[1::2]):
             w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
@@ -70,87 +71,32 @@ class _TanhNet:
             offset += n
         return out
 
-    def _trunk_forward(self, X: np.ndarray) -> list[np.ndarray]:
+    def forward(self, X: np.ndarray):
+        """``([one output per head], activations)`` for the batch ``X``."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         activations = [X]
         h = X
         for i in range(len(self.hidden)):
             h = np.tanh(h @ self.params[2 * i] + self.params[2 * i + 1])
             activations.append(h)
-        return activations
+        return [h @ w + b for w, b in self._heads], activations
 
-    def _trunk_backward(
-        self, activations: list[np.ndarray], delta: np.ndarray, grads: list[np.ndarray]
-    ) -> None:
-        """Write the trunk's gradients into ``grads`` given ``delta``, the
-        loss gradient with respect to the trunk's output."""
+    def backward(self, activations: list[np.ndarray], d_heads: list[np.ndarray]) -> np.ndarray:
+        """Loss gradient over ``flat``, in its layout, for the cached batch,
+        given the loss gradient with respect to each head's output."""
+        flat_grads = np.empty_like(self.flat)
+        grads = self._views(flat_grads)
+        top = 2 * len(self.hidden)
+        for d, g_w, g_b in zip(d_heads, grads[top::2], grads[top + 1 :: 2]):
+            np.matmul(activations[-1].T, d, out=g_w)
+            d.sum(axis=0, out=g_b)
+        delta = reduce(np.add, [d @ w.T for d, (w, _) in zip(d_heads, self._heads)])
         for i in reversed(range(len(self.hidden))):
             delta = delta * (1.0 - activations[i + 1] ** 2)
             np.matmul(activations[i].T, delta, out=grads[2 * i])
             delta.sum(axis=0, out=grads[2 * i + 1])
             if i:
                 delta = delta @ self.params[2 * i].T
-
-
-class QNet(_TanhNet):
-    """obs -> hidden tanh stack -> one value per action."""
-
-    @staticmethod
-    def layer_shapes(obs_dim: int, n_actions: int, hidden) -> list[tuple[int, ...]]:
-        return _dense_shapes([obs_dim, *hidden, n_actions])
-
-    def forward(self, X: np.ndarray):
-        activations = self._trunk_forward(X)
-        w, b = self.params[-2:]
-        return activations[-1] @ w + b, activations
-
-    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> np.ndarray:
-        """Loss gradient over ``flat``, in its layout, for the cached batch."""
-        flat_grads = np.empty_like(self.flat)
-        grads = self._views(flat_grads)
-        np.matmul(activations[-1].T, d_out, out=grads[-2])
-        d_out.sum(axis=0, out=grads[-1])
-        self._trunk_backward(activations, d_out @ self.params[-2].T, grads)
-        return flat_grads
-
-    def q_values(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)[0]
-
-
-class PolicyValueNet(_TanhNet):
-    """obs -> shared tanh trunk -> (action logits, state value)."""
-
-    @staticmethod
-    def layer_shapes(obs_dim: int, n_actions: int, hidden) -> list[tuple[int, ...]]:
-        top = [obs_dim, *hidden][-1]
-        return (_dense_shapes([obs_dim, *hidden]) + _dense_shapes([top, n_actions])
-                + _dense_shapes([top, 1]))
-
-    def forward(self, X: np.ndarray):
-        activations = self._trunk_forward(X)
-        h = activations[-1]
-        wp, bp, wv, bv = self.params[-4:]
-        logits = h @ wp + bp
-        values = (h @ wv + bv).ravel()
-        return logits, values, activations
-
-    def backward(
-        self,
-        activations: list[np.ndarray],
-        d_logits: np.ndarray,
-        d_values: np.ndarray,
-    ) -> np.ndarray:
-        """Loss gradient over ``flat``, in its layout, for the cached batch."""
-        flat_grads = np.empty_like(self.flat)
-        grads = self._views(flat_grads)
-        wp, wv = self.params[-4], self.params[-2]
-        h_last = activations[-1]
-        d_values = d_values.reshape(-1, 1)
-        np.matmul(h_last.T, d_logits, out=grads[-4])
-        d_logits.sum(axis=0, out=grads[-3])
-        np.matmul(h_last.T, d_values, out=grads[-2])
-        d_values.sum(axis=0, out=grads[-1])
-        self._trunk_backward(activations, d_logits @ wp.T + d_values @ wv.T, grads)
         return flat_grads
 
 
@@ -199,24 +145,24 @@ class Adam:
 
 
 def td_loss_and_grads(
-    qnet: QNet, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray
+    qnet: TanhNet, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray
 ):
     """Mean squared temporal-difference error on the taken actions."""
-    q, cache = qnet.forward(obs)
+    (q,), cache = qnet.forward(obs)
     n = q.shape[0]
     idx = np.arange(n)
     err = q[idx, actions] - targets
     loss = float((err**2).mean())
     d_q = np.zeros_like(q)
     d_q[idx, actions] = 2.0 * err / n
-    return loss, qnet.backward(cache, d_q)
+    return loss, qnet.backward(cache, [d_q])
 
 
 def reinforce_loss_and_grads(
-    net: PolicyValueNet, obs: np.ndarray, actions: np.ndarray, weights: np.ndarray
+    net: TanhNet, obs: np.ndarray, actions: np.ndarray, weights: np.ndarray
 ):
     """Negative weighted log-likelihood of the taken actions (policy head only)."""
-    logits, values, cache = net.forward(obs)
+    (logits, values), cache = net.forward(obs)
     n = logits.shape[0]
     idx = np.arange(n)
     logp = log_softmax(logits)
@@ -224,12 +170,11 @@ def reinforce_loss_and_grads(
     p = np.exp(logp)
     d_logits = p * (weights / n)[:, None]
     d_logits[idx, actions] -= weights / n
-    d_values = np.zeros_like(values)
-    return loss, net.backward(cache, d_logits, d_values)
+    return loss, net.backward(cache, [d_logits, np.zeros_like(values)])
 
 
 def ppo_loss_and_grads(
-    net: PolicyValueNet,
+    net: TanhNet,
     obs: np.ndarray,
     actions: np.ndarray,
     old_logp: np.ndarray,
@@ -245,7 +190,7 @@ def ppo_loss_and_grads(
     clipped branch (whose ratio gradient is zero) only wins when it is
     strictly smaller.
     """
-    logits, values, cache = net.forward(obs)
+    (logits, values), cache = net.forward(obs)
     n = logits.shape[0]
     idx = np.arange(n)
     logp_all = log_softmax(logits)
@@ -256,7 +201,7 @@ def ppo_loss_and_grads(
     use_clipped = clipped < unclipped
     policy_loss = float(-np.where(use_clipped, clipped, unclipped).mean())
 
-    value_err = values - returns
+    value_err = values[:, 0] - returns
     value_loss = float((value_err**2).mean())
 
     p = np.exp(logp_all)
@@ -277,4 +222,4 @@ def ppo_loss_and_grads(
     d_logits += entropy_coef / n * (p * (logp_all + entropy_rows[:, None]))
 
     d_values = value_coef * 2.0 * value_err / n
-    return loss, net.backward(cache, d_logits, d_values)
+    return loss, net.backward(cache, [d_logits, d_values[:, None]])

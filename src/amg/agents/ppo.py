@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import HIDDEN, AgentHyper, discounted_returns, normalize
-from .net import Adam, PolicyValueNet, log_softmax, ppo_loss_and_grads
+from .net import Adam, TanhNet, log_softmax, ppo_loss_and_grads
 
 #: Episodes buffered per update.
 EPISODES_PER_UPDATE = 8
@@ -34,7 +34,7 @@ class PpoAgent:
         self.n_actions = n_actions
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
-        self.net = PolicyValueNet(obs_dim, n_actions, HIDDEN, seed=seed)
+        self.net = TanhNet(obs_dim, (n_actions, 1), HIDDEN, seed=seed)
         self.optim = Adam(self.net.flat, lr=hyper.alpha)
         self._last_logp = 0.0
         self._episode: list[tuple[np.ndarray, int, float, float]] = []
@@ -42,7 +42,7 @@ class PpoAgent:
         self._episodes_buffered = 0
 
     def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
-        logits, _, _ = self.net.forward(obs)
+        (logits, _), _ = self.net.forward(obs)
         logp = log_softmax(logits)[0]
         if greedy:
             action = int(np.argmax(logp))
@@ -82,8 +82,8 @@ class PpoAgent:
         actions = np.array([b[1] for b in self._batch])
         returns = np.array([b[2] for b in self._batch])
         old_logp = np.array([b[3] for b in self._batch])
-        _, values, _ = self.net.forward(obs)
-        advantages = normalize(returns - values)
+        (_, values), _ = self.net.forward(obs)
+        advantages = normalize(returns - values[:, 0])
         n = len(self._batch)
         for _ in range(EPOCHS):
             order = self.rng.permutation(n)
@@ -106,7 +106,7 @@ class PpoAgent:
 
     @staticmethod
     def state_sizes(obs_dim: int, n_actions: int) -> dict[str, int]:
-        return {"net": PolicyValueNet.size(obs_dim, n_actions, HIDDEN)}
+        return {"net": TanhNet.size(obs_dim, (n_actions, 1), HIDDEN)}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"net": self.net.flat.copy()}

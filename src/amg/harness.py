@@ -22,7 +22,7 @@ from .agents import AgentHyper, make_agent
 from .detector import Detector, DetectorKind, Verdict, train_detector
 from .memo import ContentMemo
 from .pe_mods import ACTION_COUNT, BenignContentPool, build_pool
-from .rl import AlreadyBenign, EnvConfig, N_OBSERVATION, RewriteEnv
+from .rl import AlreadyBenign, N_OBSERVATION, RewriteEnv
 
 #: Observations the memo a workflow shares among its envs keeps, least
 #: recently used out first, like the detectors' margin memos.
@@ -138,11 +138,10 @@ def train_agent(
     the bytes each step changed."""
     agent = make_agent(kind, N_OBSERVATION, ACTION_COUNT, hyper, seed=seed)
     rng = np.random.default_rng(seed)
-    config = EnvConfig(max_steps=max_steps, seed=seed)
     for _ in range(episodes):
         raw = files[int(rng.integers(len(files)))]
         try:
-            for transition in _play(agent, RewriteEnv(raw, classify, pool, config, observations)):
+            for transition in _play(agent, RewriteEnv(raw, classify, pool, max_steps, seed, observations)):
                 agent.record(transition)
         except AlreadyBenign:
             continue
@@ -203,10 +202,9 @@ def evaluate_policy(
     ``observations``; with none given, it observes its start and every
     applied step, counting only the bytes each step changed.
     """
-    config = EnvConfig(max_steps=max_steps, seed=seed)
     result = EvalResult()
     for raw in files:
-        env = RewriteEnv(raw, classify, pool, config, observations)
+        env = RewriteEnv(raw, classify, pool, max_steps, seed, observations)
         try:
             # an evading step is the episode's last, so stopping at it plays no less
             hit = any(transition.info["evaded"] for transition in _play(agent, env))

@@ -235,22 +235,24 @@ def remove_debug(img: PeImage, pool: BenignContentPool, seed: int) -> ModResult:
     if d.rva == 0 and d.size == 0:
         return ModResult(Outcome.NOOP, img, "no debug directory")
     out = img.copy()
-    detail = ""
     entry = pe_model.DEBUG_DIRECTORY
-    smap = pe_model.section_map(out)
-    for i in range(d.size // entry.size):
-        blob = pe_model.read_mapped(smap, d.rva + i * entry.size, entry.size)
-        if blob is None:
-            # The size is a header field: walk what the sections map, not what it claims.
-            detail = f"entry {i} not mappable; the rest not read"
+    # The size is a header field: walk what the sections map, not what it claims.
+    entries, stop = pe_model.read_table(pe_model.section_map(img), d.rva, entry.size, d.size // entry.size)
+    table_end = d.rva + len(entries) * entry.size
+    for i, blob in enumerate(entries):
+        at = d.rva + i * entry.size
+        if at >= table_end:
+            entries, stop = entries[:i], "data"  # the rest is an earlier entry's data
             break
-        *_, size_of_data, _, pointer = entry.unpack(blob)
-        if pointer and size_of_data and pe_model.zero_file_range(out, pointer, size_of_data):
-            # The zeroed range may hold later entries; read them as they now are.
-            smap = pe_model.section_map(out)
+        *_, size_of_data, address, pointer = entry.unpack(blob)
+        if size_of_data and at < address < table_end:
+            table_end = address
+        if pointer and size_of_data:
+            pe_model.zero_file_range(out, pointer, size_of_data)
     table_off = pe_model.rva_to_offset(out, d.rva)
     if table_off is not None:
-        pe_model.zero_file_range(out, table_off, d.size)
+        pe_model.zero_file_range(out, table_off, len(entries) * entry.size)
+    detail = f"entry {len(entries)} not mappable; the rest not read" if stop == "unmapped" else ""
     out.directory(DIR_DEBUG).rva = 0
     out.directory(DIR_DEBUG).size = 0
     return ModResult(Outcome.APPLIED, out, detail)

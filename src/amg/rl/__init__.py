@@ -2,7 +2,6 @@
 
 from .env import (
     AlreadyBenign,
-    EnvConfig,
     EpisodeFinished,
     RewriteEnv,
     Transition,
@@ -13,7 +12,6 @@ from .observation import N_OBSERVATION, observe
 
 __all__ = [
     "AlreadyBenign",
-    "EnvConfig",
     "EpisodeFinished",
     "RewriteEnv",
     "Transition",

@@ -43,16 +43,6 @@ class EpisodeFinished(Exception):
 
 
 @dataclass
-class EnvConfig:
-    max_steps: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be 1 or more, got {self.max_steps}")
-
-
-@dataclass
 class Transition:
     observation: np.ndarray
     action: int
@@ -63,7 +53,9 @@ class Transition:
 
 
 class RewriteEnv:
-    """One-file episode loop; ``classify`` is any bytes -> Verdict callable.
+    """One-file episode loop; ``classify`` is any bytes -> Verdict callable,
+    ``max_steps`` (1 or more) the step budget and ``seed`` the root of every
+    step's action seed.
 
     Each state is observed from the byte counts carried from the last state
     observed, so a step counts only the bytes its rewrite changed; a reset
@@ -78,13 +70,17 @@ class RewriteEnv:
         raw: bytes,
         classify: Callable[[bytes], Verdict],
         pool: BenignContentPool,
-        config: EnvConfig,
+        max_steps: int,
+        seed: int,
         observations: ContentMemo | None = None,
     ):
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be 1 or more, got {max_steps}")
         self._raw = raw
         self._classify = classify
         self._pool = pool
-        self.config = config
+        self._max_steps = max_steps
+        self._seed = seed
         self._observations = observations
         self._counts = None
         self.queries = 0
@@ -115,7 +111,7 @@ class RewriteEnv:
             raise EpisodeFinished("episode is over; call reset()")
         if not 0 <= action < ACTION_COUNT:
             raise ValueError(f"action must be in [0, {ACTION_COUNT}), got {action}")
-        seed = fanout(self.config.seed, "env", self.episode, self._steps, action)
+        seed = fanout(self._seed, "env", self.episode, self._steps, action)
         result = apply_action(self._img, ActionId(action), self._pool, seed=seed)
         if result.outcome is Outcome.APPLIED:
             self._img = result.image
@@ -124,7 +120,7 @@ class RewriteEnv:
         self.queries += 1
         evaded = self._classify(self._bytes) is not Verdict.MALICIOUS
         reward = REWARD_EVASION if evaded else REWARD_STEP
-        self._done = evaded or self._steps >= self.config.max_steps
+        self._done = evaded or self._steps >= self._max_steps
         if result.outcome is Outcome.APPLIED:
             next_obs = self._observe()
         else:

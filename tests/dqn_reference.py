@@ -48,7 +48,7 @@ class DequeDqnAgent(DqnAgent):
         rewards = np.array([b[2] for b in batch])
         next_obs = np.stack([b[3] for b in batch])
         done = np.array([b[4] for b in batch], dtype=np.float64)
-        next_q = self.target.q_values(next_obs).max(axis=1)
+        next_q = self.target.forward(next_obs)[0][0].max(axis=1)
         targets = rewards + self.hyper.gamma * (1.0 - done) * next_q
         _, grads = td_loss_and_grads(self.net, obs, actions, targets)
         self.optim.step(grads)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from amg.agents.net import (
-    PolicyValueNet,
-    QNet,
+    TanhNet,
     ppo_loss_and_grads,
     reinforce_loss_and_grads,
     td_loss_and_grads,
@@ -40,7 +39,7 @@ def fd_relative_error(net, loss_fn, eps: float = 1e-5) -> float:
 
 def td_trial(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    net = QNet(3, 2, hidden=(3,), seed=seed)  # 3*3+3 + 3*2+2 = 20 parameters
+    net = TanhNet(3, (2,), hidden=(3,), seed=seed)  # 3*3+3 + 3*2+2 = 20 parameters
     obs = rng.standard_normal((BATCH, 3))
     actions = rng.integers(0, 2, size=BATCH)
     targets = rng.standard_normal(BATCH)
@@ -49,7 +48,7 @@ def td_trial(seed: int) -> float:
 
 def reinforce_trial(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    net = PolicyValueNet(2, 2, hidden=(3,), seed=seed)  # 2*3+3 + 3*2+2 + 3*1+1 = 21
+    net = TanhNet(2, (2, 1), hidden=(3,), seed=seed)  # 2*3+3 + 3*2+2 + 3*1+1 = 21
     obs = rng.standard_normal((BATCH, 2))
     actions = rng.integers(0, 2, size=BATCH)
     weights = rng.standard_normal(BATCH)
@@ -60,11 +59,11 @@ def reinforce_trial(seed: int) -> float:
 
 def ppo_trial(seed: int) -> float:
     rng = np.random.default_rng(seed)
-    net = PolicyValueNet(2, 2, hidden=(3,), seed=seed)
+    net = TanhNet(2, (2, 1), hidden=(3,), seed=seed)
     obs = rng.standard_normal((BATCH, 2))
     actions = rng.integers(0, 2, size=BATCH)
     # Spread old log-probs so the batch mixes clipped and unclipped ratios.
-    logits, _, _ = net.forward(obs)
+    (logits, _), _ = net.forward(obs)
     logits = logits - logits.max(axis=1, keepdims=True)
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     old_logp = logp[np.arange(BATCH), actions] + rng.normal(0.0, 0.5, size=BATCH)

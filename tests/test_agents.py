@@ -27,7 +27,7 @@ from amg.agents import (
 )
 from amg.agents import dqn, ppo
 from amg.agents.checkpoint import MAGIC
-from amg.agents.net import Adam, PolicyValueNet, QNet, log_softmax
+from amg.agents.net import Adam, TanhNet, log_softmax
 from amg.rl import Transition
 from dqn_reference import DequeDqnAgent
 from fuzzing import damaged
@@ -111,11 +111,14 @@ def test_adam_first_step_matches_closed_form():
     assert np.allclose(flat, before - 0.01 * grads / (np.abs(grads) + 1e-8), atol=1e-12)
 
 
-@pytest.mark.parametrize("net_class", [QNet, PolicyValueNet])
-def test_layers_are_views_into_the_flat_vector(net_class):
-    net = net_class(5, 3, hidden=(4, 6), seed=2)
+@pytest.mark.parametrize("heads", [(3,), (3, 1)], ids=["one_head", "two_heads"])
+def test_layers_are_views_into_the_flat_vector(heads):
+    net = TanhNet(5, heads, hidden=(4, 6), seed=2)
+    # the trunk's layers, then each head's weight and bias in ``heads`` order
+    assert [p.shape for p in net.params] == [(5, 4), (4,), (4, 6), (6,),
+                                             *[s for w in heads for s in ((6, w), (w,))]]
     assert all(np.shares_memory(p, net.flat) for p in net.params)
-    assert sum(p.size for p in net.params) == net.flat.size == net_class.size(5, 3, (4, 6))
+    assert sum(p.size for p in net.params) == net.flat.size == TanhNet.size(5, heads, (4, 6))
     before = [p.copy() for p in net.params]
     Adam(net.flat, lr=0.1).step(np.ones_like(net.flat))
     # One step moves every element by lr, and every layer sees it.
@@ -152,7 +155,7 @@ def test_adam_in_place_step_equals_the_expression_bit_for_bit():
 
 
 def test_adam_step_allocates_less_than_one_parameter_vector():
-    net = QNet(272, 10, (64, 64), seed=0)
+    net = TanhNet(272, (10,), (64, 64), seed=0)
     opt = Adam(net.flat, lr=1e-3)
     grads = np.random.default_rng(0).standard_normal(net.flat.size)
     opt.step(grads)
@@ -260,14 +263,19 @@ def test_replay_shares_a_row_by_its_bits(small_replay):
 # acting
 
 
+def _q_row(net, obs: np.ndarray) -> np.ndarray:
+    """The action values of one state: the DQN net's only head."""
+    (q,), _ = net.forward(obs)
+    return q[0]
+
+
 class _EpsilonDqn(DqnAgent):
     """``DqnAgent`` with its acting call as it was when the caller passed epsilon."""
 
     def select_action(self, obs: np.ndarray, epsilon: float) -> int:
         if self.rng.random() < epsilon:
             return int(self.rng.integers(self.n_actions))
-        q = self.net.q_values(obs)[0]
-        return int(np.argmax(q))
+        return int(np.argmax(_q_row(self.net, obs)))
 
 
 def test_dqn_acts_as_epsilon_greedy_at_five_percent():
@@ -280,7 +288,7 @@ def test_dqn_acts_as_epsilon_greedy_at_five_percent():
         action = agent.select_action(obs)
         assert action == reference.select_action(obs, 0.05)
         assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
-        off_greedy += action != int(np.argmax(agent.net.q_values(obs)[0]))
+        off_greedy += action != int(np.argmax(_q_row(agent.net, obs)))
     assert 0 < off_greedy < 20
 
 
@@ -292,7 +300,7 @@ def test_greedy_acting_takes_the_best_action_and_draws_nothing():
     for _ in range(50):
         obs = rng.standard_normal(6)
         action = agent.select_action(obs, greedy=True)
-        assert action == int(np.argmax(agent.net.q_values(obs)[0]))
+        assert action == int(np.argmax(_q_row(agent.net, obs)))
         actions.add(action)
     assert agent.rng.bit_generator.state == state
     assert len(actions) > 1

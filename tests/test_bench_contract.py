@@ -20,7 +20,7 @@ from amg.agents import DqnAgent, PpoAgent, RandomAgent, make_agent
 from amg.detector import Verdict, boost, features
 from amg.pe_mods import ACTION_COUNT, ActionId
 from amg.memo import ContentMemo
-from amg.rl import EnvConfig, N_OBSERVATION, RewriteEnv, observation
+from amg.rl import N_OBSERVATION, RewriteEnv, observation
 
 WRAPPED_METHODS = [
     (PpoAgent, ("select_action", "record", "end_episode")),
@@ -131,7 +131,7 @@ def test_observation_memo_misses_reach_the_patched_observe(mal_bytes, pool, monk
     contents = []
     for _ in range(2):  # the second env replays the first env's episode
         env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.MALICIOUS, pool,
-                         EnvConfig(max_steps=4, seed=1), observations=memo)
+                         max_steps=4, seed=1, observations=memo)
         env.reset()
         contents.append(env.current_bytes)
         while not env.done:

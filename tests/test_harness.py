@@ -185,9 +185,9 @@ def test_train_and_evaluate_pass_their_memo_to_every_env(world, monkeypatch, mem
     given = []
 
     class Recording(harness.RewriteEnv):
-        def __init__(self, raw, classify, pool, config, observations=None):
+        def __init__(self, raw, classify, pool, max_steps, seed, observations=None):
             given.append(observations)
-            super().__init__(raw, classify, pool, config, observations)
+            super().__init__(raw, classify, pool, max_steps, seed, observations)
 
     monkeypatch.setattr(harness, "RewriteEnv", Recording)
     classify = lambda raw: Verdict.MALICIOUS

@@ -85,29 +85,71 @@ def test_remove_debug_clears_directory(corpus_files, pool):
     assert res.outcome is Outcome.NOOP
 
 
+def _debug_image_claiming_a_million_entries(corpus_files):
+    img = pe_model.parse(_first_with(corpus_files, "debug", True))
+    img.directory(DIR_DEBUG).size = 10**6 * pe_model.DEBUG_DIRECTORY.size
+    return img
+
+
 def test_remove_debug_walks_no_further_than_the_sections_map(corpus_files, pool, monkeypatch):
     """The debug directory's size is an untrusted header field: a size of
-    28 million bytes claims a million entries, but the walk stops at the
-    first entry the sections do not map and says so once."""
-    img = pe_model.parse(_first_with(corpus_files, "debug", True))
-    d = img.directory(DIR_DEBUG)
-    entry_size = 28  # IMAGE_DEBUG_DIRECTORY, by the PE specification
-    d.size = 10**6 * entry_size
+    28 million bytes claims a million entries, and a section's virtual size
+    of as much maps them all as zeros.  The walk stops where the entries
+    end either way, so it looks up a section only a few times."""
     calls = []
-    read_mapped = pe_model.read_mapped
+    owner = pe_model._owner
 
-    def counting(smap, rva, n):
+    def counting(smap, rva):
         calls.append(rva)
-        return read_mapped(smap, rva, n)
+        return owner(smap, rva)
 
-    monkeypatch.setattr(pe_model, "read_mapped", counting)
+    for stretch_section in (False, True):
+        img = _debug_image_claiming_a_million_entries(corpus_files)
+        d = img.directory(DIR_DEBUG)
+        if stretch_section:
+            img.sections[owner(pe_model.section_map(img), d.rva)].virtual_size = d.size
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(pe_model, "_owner", counting)
+            res = apply_action(img, ActionId.REMOVE_DEBUG, pool, seed=0)
+        assert res.outcome is Outcome.APPLIED
+        assert res.image.directory(DIR_DEBUG).size == 0
+        assert len(calls) <= 4, stretch_section
+
+
+def test_remove_debug_zeroes_only_the_walked_entries_and_their_data(corpus_files, pool):
+    img = _debug_image_claiming_a_million_entries(corpus_files)
+    before = pe_model.serialize(img)
     res = apply_action(img, ActionId.REMOVE_DEBUG, pool, seed=0)
-    assert res.outcome is Outcome.APPLIED
-    assert res.image.directory(DIR_DEBUG).size == 0
-    # at most one entry per 28 mapped bytes, plus the one that does not map
-    mapped = sum(span for _, span, _ in pe_model.section_map(img))
-    assert len(calls) <= mapped // entry_size + 1
-    assert res.detail.count("not mappable") == 1
+    after = pe_model.serialize(res.image)
+    entry = pe_model.DEBUG_DIRECTORY
+    table = pe_model.rva_to_offset(img, img.directory(DIR_DEBUG).rva)
+    *_, size_of_data, _, pointer = entry.unpack(before[table : table + entry.size])
+    assert pointer == table + entry.size  # the data follows the entry, which ends the walk
+    walked = {*range(table, table + entry.size), *range(pointer, pointer + size_of_data)}
+    changed = {i for i in range(img.headers_end, len(before)) if before[i] != after[i]}
+    assert len(after) == len(before)
+    assert changed and changed <= walked
+    assert all(after[i] == 0 for i in walked)
+
+
+def test_remove_debug_reads_no_entry_from_an_earlier_entrys_data(corpus_files, pool):
+    """The first entry's data follows it, so a size claiming more entries
+    would read that data as entries; one whose pointer leads into the import
+    section must not zero it."""
+    raw = bytearray(_first_with(corpus_files, "debug", True))
+    img = pe_model.parse(bytes(raw))
+    entry = pe_model.DEBUG_DIRECTORY
+    table = pe_model.rva_to_offset(img, img.directory(DIR_DEBUG).rva)
+    *_, size_of_data, _, pointer = entry.unpack(raw[table : table + entry.size])
+    victim = img.sections[-1].pointer_to_raw_data
+    assert pointer == table + entry.size and size_of_data >= entry.size
+    assert raw[victim : victim + 16] != bytes(16)
+    raw[pointer : pointer + entry.size] = entry.pack(0, 0, 0, 0, 2, 16, 0, victim)
+    img = pe_model.parse(bytes(raw))
+    img.directory(DIR_DEBUG).size = 10**6 * entry.size
+    out = pe_model.serialize(apply_action(img, ActionId.REMOVE_DEBUG, pool, seed=0).image)
+    assert out[victim : victim + 16] == raw[victim : victim + 16]
 
 
 def test_remove_certificate_excises_overlay_resident_table(corpus_files, pool):

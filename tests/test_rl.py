@@ -19,7 +19,6 @@ from amg.memo import ContentMemo
 from amg.pe_mods import ACTION_COUNT, ActionId, Outcome, apply_action
 from amg.rl import (
     AlreadyBenign,
-    EnvConfig,
     EpisodeFinished,
     N_OBSERVATION,
     RewriteEnv,
@@ -107,7 +106,7 @@ def test_observation_memo_hit_is_an_equal_fresh_copy(mal_bytes, pool):
     expected = observe(pe_model.parse(raw), raw, ByteCounts())
 
     def start() -> np.ndarray:
-        return RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=1), memo).reset()
+        return RewriteEnv(raw, always_malicious, pool, 1, 0, observations=memo).reset()
 
     miss, hit = start(), start()
     assert (memo.misses, memo.hits, len(memo)) == (1, 1, 1)
@@ -135,7 +134,7 @@ def test_env_without_a_memo_keeps_none_and_hashes_nothing(mal_bytes, pool, monke
         return original(img, raw, counts)
 
     monkeypatch.setattr(env_module, "observe", recording)
-    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=4, seed=2))
+    env = RewriteEnv(mal_bytes[0], always_malicious, pool, max_steps=4, seed=2)
     contents = [env.current_bytes]
     env.reset()
     for action in (ActionId.BREAK_CHECKSUM, ActionId.BREAK_CHECKSUM, ActionId.APPEND_OVERLAY):
@@ -164,7 +163,7 @@ def test_envs_sharing_a_memo_make_the_same_episodes(mal_bytes, pool):
     def episodes(observations):
         out = []
         for raw in mal_bytes[:3] * 2:
-            env = RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=6, seed=4), observations)
+            env = RewriteEnv(raw, always_malicious, pool, 6, 4, observations=observations)
             out.append(env.reset())
             action = 0
             while not env.done:
@@ -206,7 +205,7 @@ def test_property_carried_counts_observe_as_a_full_count(mal_bytes, pool, monkey
     shared = ContentMemo(OBSERVATION_MEMO_ENTRIES)
     for memo in (None, shared):
         for raw in mal_bytes[:12]:
-            env = RewriteEnv(raw, always_malicious, pool, EnvConfig(max_steps=40, seed=7), memo)
+            env = RewriteEnv(raw, always_malicious, pool, max_steps=40, seed=7, observations=memo)
             for _ in range(2):
                 episode["counted"] = None  # a reset starts from no counts
                 states = [env.reset()]
@@ -284,14 +283,14 @@ def always_malicious(_: bytes) -> Verdict:
 
 
 def test_reset_raises_on_undetected_start(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.BENIGN, pool, EnvConfig(max_steps=5))
+    env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.BENIGN, pool, max_steps=5, seed=0)
     with pytest.raises(AlreadyBenign):
         env.reset()
     assert env.queries == 1
 
 
 def test_episode_runs_to_step_budget(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=4, seed=3))
+    env = RewriteEnv(mal_bytes[0], always_malicious, pool, max_steps=4, seed=3)
     obs = env.reset()
     assert obs.shape == (N_OBSERVATION,)
     rewards = []
@@ -316,7 +315,7 @@ def test_a_step_budget_below_one_is_refused(mal_bytes, pool, max_steps):
         return Verdict.MALICIOUS
 
     with pytest.raises(ValueError, match="max_steps"):
-        EnvConfig(max_steps=max_steps)
+        RewriteEnv(mal_bytes[0], classify, pool, max_steps=max_steps, seed=0)
     agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, AgentHyper(), seed=0)
     with pytest.raises(ValueError, match="max_steps"):
         evaluate_policy(agent, mal_bytes[:3], classify, pool, max_steps=max_steps)
@@ -328,7 +327,7 @@ def test_size_cap_classifier_rewards_evasion(mal_bytes, pool):
     file past the cap, ending the episode with the evasion reward."""
     cap = len(mal_bytes[0]) + 1
     classify = lambda raw: Verdict.MALICIOUS if len(raw) < cap else Verdict.BENIGN
-    env = RewriteEnv(mal_bytes[0], classify, pool, EnvConfig(max_steps=10, seed=1))
+    env = RewriteEnv(mal_bytes[0], classify, pool, max_steps=10, seed=1)
     env.reset()
     t = env.step(ActionId.APPEND_OVERLAY)
     assert t.reward == 10.0
@@ -338,7 +337,7 @@ def test_size_cap_classifier_rewards_evasion(mal_bytes, pool):
 
 
 def test_invalid_action_rejected(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[0], always_malicious, pool, EnvConfig(max_steps=3))
+    env = RewriteEnv(mal_bytes[0], always_malicious, pool, max_steps=3, seed=0)
     env.reset()
     with pytest.raises(ValueError):
         env.step(ACTION_COUNT)
@@ -346,7 +345,7 @@ def test_invalid_action_rejected(mal_bytes, pool):
 
 def test_noop_and_failed_actions_still_cost_a_step(corpus_files, pool):
     tight = next(f.data for f in corpus_files if f.planted["slack"] < 40)
-    env = RewriteEnv(tight, always_malicious, pool, EnvConfig(max_steps=3, seed=0))
+    env = RewriteEnv(tight, always_malicious, pool, max_steps=3, seed=0)
     env.reset()
     t = env.step(ActionId.ADD_NEW_SECTION)
     assert t.info["outcome"] == "failed"
@@ -359,7 +358,7 @@ def test_noop_and_failed_actions_still_cost_a_step(corpus_files, pool):
 
 def test_episode_bytes_are_seed_deterministic(mal_bytes, pool):
     def run(seed):
-        env = RewriteEnv(mal_bytes[2], always_malicious, pool, EnvConfig(max_steps=5, seed=seed))
+        env = RewriteEnv(mal_bytes[2], always_malicious, pool, max_steps=5, seed=seed)
         env.reset()
         while not env.done:
             env.step(ActionId.APPEND_OVERLAY)
@@ -370,7 +369,7 @@ def test_episode_bytes_are_seed_deterministic(mal_bytes, pool):
 
 
 def test_reset_starts_a_fresh_episode_with_new_randomness(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[2], always_malicious, pool, EnvConfig(max_steps=2, seed=5))
+    env = RewriteEnv(mal_bytes[2], always_malicious, pool, max_steps=2, seed=5)
     env.reset()
     env.step(ActionId.APPEND_OVERLAY)
     first = env.current_bytes

@@ -286,12 +286,7 @@ def cmd_transfer(args) -> int:
 def cmd_report(args) -> int:
     mal, ben = _load_labeled(args.corpus)
     world = prepare_world([raw for _, raw in mal], [raw for _, raw in ben], seed=args.seed)
-    plans = {
-        "full": lambda: ExperimentPlan(seed=args.seed),
-        "quick": lambda: quick_plan(args.seed),
-        "micro": lambda: micro_plan(args.seed),
-    }
-    plan = plans[args.plan]()
+    plan = {"full": ExperimentPlan, "quick": quick_plan, "micro": micro_plan}[args.plan](seed=args.seed)
     out_dir = Path(args.out) if args.out else _workspace() / "reports"
     try:
         report = run_workflow(world, plan, out_dir=out_dir)

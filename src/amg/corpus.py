@@ -517,15 +517,12 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
             path = (root / row["path"]).resolve()  # ValueError on a NUL
             if inside not in path.parents:
                 raise ValueError(f"path {row['path']!r} leaves the corpus directory")
-            entries.append(
-                CorpusEntry(
-                    name=row["name"],
-                    label=row["label"],
-                    path=path,
-                    seed=row["seed"],
-                    planted=row.get("planted", {}),
-                )
-            )
+            name, label, seed, planted = row["name"], row["label"], row["seed"], row.get("planted", {})
+            if not (isinstance(name, str) and isinstance(label, str)
+                    and isinstance(seed, int) and isinstance(planted, dict)):
+                raise TypeError("name and label must be strings, seed an integer, planted an object")
+            name.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+            entries.append(CorpusEntry(name=name, label=label, path=path, seed=seed, planted=planted))
         except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
             raise CorpusError(f"{manifest}:{lineno}: bad manifest row: {exc!r}") from None
     return entries

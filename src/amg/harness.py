@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +149,16 @@ def train_agent(
     return agent
 
 
-@dataclass
 class Tally:
-    """Evasions over the files (or pairs) a classifier detected at the start;
-    ``excluded`` counts the ones it did not, which never enter the rate."""
+    """Evasions over the files (or pairs) a classifier detected at the start,
+    counted from one verdict each: ``None`` for one it did not detect, which
+    is ``excluded`` and never enters the rate, else whether it evaded."""
 
-    evaded: int = 0
-    eligible: int = 0
-    excluded: int = 0
+    def __init__(self, verdicts):
+        verdicts = list(verdicts)
+        self.excluded = verdicts.count(None)
+        self.eligible = len(verdicts) - self.excluded
+        self.evaded = verdicts.count(True)
 
     @property
     def rate(self) -> float:
@@ -175,13 +177,35 @@ class Tally:
         }
 
 
-@dataclass
-class EvalResult(Tally):
-    """One evaluation: the tally, the evaded (original, rewrite) pairs when
-    collected, and the queries of the eligible files' episodes."""
+@dataclass(frozen=True)
+class Episode:
+    """One eligible file's evaluation: its original bytes, one ``(action,
+    seed, outcome value)`` per step, whether it evaded (only the last step
+    can) and, when pairs are collected, the evading bytes."""
 
-    pairs: list[tuple[bytes, bytes]] = field(default_factory=list)
-    queries: int = 0
+    original: bytes
+    steps: tuple[tuple[int, int, str], ...]
+    evaded: bool
+    rewrite: bytes | None
+
+
+class EvalResult(Tally):
+    """One evaluation: one record per file in file order, ``None`` for an
+    excluded one; the tally, ``pairs`` and ``queries`` are read from them."""
+
+    def __init__(self, episodes: list[Episode | None]):
+        super().__init__(None if e is None else e.evaded for e in episodes)
+        self.episodes = episodes
+
+    @property
+    def pairs(self) -> list[tuple[bytes, bytes]]:
+        """The evaded (original, rewrite) pairs, when collected."""
+        return [(e.original, e.rewrite) for e in self.episodes if e and e.rewrite is not None]
+
+    @property
+    def queries(self) -> int:
+        """The eligible files' queries: one at reset and one per step."""
+        return sum(1 + len(e.steps) for e in self.episodes if e)
 
 
 def evaluate_policy(
@@ -202,22 +226,20 @@ def evaluate_policy(
     ``observations``; with none given, it observes its start and every
     applied step, counting only the bytes each step changed.
     """
-    result = EvalResult()
+    episodes: list[Episode | None] = []
     for raw in files:
         env = RewriteEnv(raw, classify, pool, max_steps, seed, observations)
+        steps, evaded = [], False
         try:
-            # an evading step is the episode's last, so stopping at it plays no less
-            hit = any(transition.info["evaded"] for transition in _play(agent, env))
+            for transition in _play(agent, env):
+                steps.append((transition.action, transition.info["seed"], transition.info["outcome"]))
+                evaded = transition.info["evaded"]
         except AlreadyBenign:
-            result.excluded += 1
+            episodes.append(None)
             continue
-        result.eligible += 1
-        result.queries += env.queries
-        if hit:
-            result.evaded += 1
-            if collect_pairs:
-                result.pairs.append((raw, env.current_bytes))
-    return result
+        rewrite = env.current_bytes if evaded and collect_pairs else None
+        episodes.append(Episode(raw, tuple(steps), evaded, rewrite))
+    return EvalResult(episodes)
 
 
 def transferability(pairs: list[tuple[bytes, bytes]], classify_b) -> Tally:
@@ -226,15 +248,11 @@ def transferability(pairs: list[tuple[bytes, bytes]], classify_b) -> Tally:
     Only pairs whose original the second classifier detects count toward the
     denominator; the rewrite succeeds if it comes back non-malicious.
     """
-    tally = Tally()
-    for original, rewrite in pairs:
-        if classify_b(original) is not Verdict.MALICIOUS:
-            tally.excluded += 1
-            continue
-        tally.eligible += 1
-        if classify_b(rewrite) is not Verdict.MALICIOUS:
-            tally.evaded += 1
-    return tally
+    return Tally(
+        None if classify_b(original) is not Verdict.MALICIOUS
+        else classify_b(rewrite) is not Verdict.MALICIOUS
+        for original, rewrite in pairs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +469,8 @@ def run_workflow(world: World, plan: ExperimentPlan, out_dir: str | Path | None 
         "winner": test_result.to_dict(),
         "random_baseline": baseline_result.to_dict(),
         # nothing eligible is a result here, not an error
-        "transfer": transfer.to_dict() if transfer.eligible else {**asdict(transfer), "percent": None},
+        "transfer": transfer.to_dict() if transfer.eligible else {
+            "evaded": 0, "eligible": 0, "excluded": transfer.excluded, "percent": None},
     }
     report["elapsed_seconds"] = round(time.time() - t0, 1)
 

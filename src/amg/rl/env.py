@@ -83,7 +83,6 @@ class RewriteEnv:
         self._seed = seed
         self._observations = observations
         self._counts = None
-        self.queries = 0
         self.episode = -1
         self._img = None
         self._bytes = raw
@@ -97,7 +96,6 @@ class RewriteEnv:
         self.episode += 1
         self._img = pe_model.parse(self._raw)
         self._bytes = self._raw
-        self.queries += 1
         if self._classify(self._raw) is not Verdict.MALICIOUS:
             raise AlreadyBenign("starting file is not detected")
         self._steps = 0
@@ -117,7 +115,6 @@ class RewriteEnv:
             self._img = result.image
             self._bytes = pe_model.serialize(self._img)
         self._steps += 1
-        self.queries += 1
         evaded = self._classify(self._bytes) is not Verdict.MALICIOUS
         reward = REWARD_EVASION if evaded else REWARD_STEP
         self._done = evaded or self._steps >= self._max_steps
@@ -131,7 +128,7 @@ class RewriteEnv:
             reward=reward,
             next_observation=next_obs,
             done=self._done,
-            info={"outcome": result.outcome.value, "evaded": evaded},
+            info={"outcome": result.outcome.value, "evaded": evaded, "seed": seed},
         )
         self._obs = next_obs
         return transition
@@ -150,10 +147,6 @@ class RewriteEnv:
     @property
     def done(self) -> bool:
         return self._done
-
-    @property
-    def steps(self) -> int:
-        return self._steps
 
     @property
     def current_bytes(self) -> bytes:

@@ -68,7 +68,7 @@ def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, mo
     def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
                       observations=None):
         evaluated.append(files)
-        return harness.EvalResult(evaded=0, eligible=1, excluded=0)
+        return harness.EvalResult([harness.Episode(files[0], (), False, None)])
 
     monkeypatch.setattr(harness, "train_agent", fake_train)
     monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)

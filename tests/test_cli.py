@@ -313,11 +313,19 @@ def test_missing_file_exits_two(ws, tmp_path, capsys):
         b'{"name": "mal_0000", "label": "malicious", "path": "/etc/hostname", "seed": 1}\n',
         b'{"name": "mal_0000", "label": "malicious", "path": "../manifest.jsonl", "seed": 1}\n',
         b"[" * 100_000 + b"\n",
+        b'{"name": ["x"], "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
+        b'{"name": "mal\\ud800", "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
     ],
     ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path",
-         "absolute-path", "dotdot-path", "deeply-nested-row"],
+         "absolute-path", "dotdot-path", "deeply-nested-row", "name-not-a-string",
+         "name-with-a-lone-surrogate"],
 )
-def test_unreadable_manifest_exits_two(tmp_path, capsys, manifest):
+def test_unreadable_manifest_exits_two(ws, tmp_path, capsys, manifest):
+    """A row naming a real corpus file, but with a bad field, is refused
+    as the loader reads it, not by a traceback where the field is used."""
+    (tmp_path / "files").mkdir()
+    src = next((ws["corpus"] / "files").glob("mal_*"))
+    (tmp_path / "files" / "mal_0000.exe").write_bytes(src.read_bytes())
     (tmp_path / "manifest.jsonl").write_bytes(manifest)
     assert main(["validate", "--corpus", str(tmp_path)]) == 2
     err = capsys.readouterr().err

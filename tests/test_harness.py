@@ -14,6 +14,7 @@ from amg.detector import Verdict
 from amg.harness import (
     OBSERVATION_MEMO_ENTRIES,
     EmptyDenominator,
+    Episode,
     EvalResult,
     evaluate_policy,
     evasion_rate,
@@ -30,7 +31,8 @@ from amg.harness import (
 from amg.agents import dqn, make_agent
 from amg.pe_mods import ACTION_COUNT, Outcome
 from amg.memo import ContentMemo
-from amg.rl import N_OBSERVATION, env as env_module
+from amg.rl import AlreadyBenign, N_OBSERVATION, env as env_module
+from replay_reference import replay
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -198,6 +200,34 @@ def test_train_and_evaluate_pass_their_memo_to_every_env(world, monkeypatch, mem
     assert len(given) == 7 and all(observations is memo for observations in given)
 
 
+def test_evaluation_queries_reconcile_with_the_classifier(world, monkeypatch):
+    """Over excluded and eligible files alike, ``queries`` is every query
+    that reached ``classify`` but the screening ones, and ``excluded`` the
+    files screened out at reset, as the benchmark's accounting check has it."""
+    queries, screened = [], []
+    detector = world.detector_a.fresh()
+
+    def classify(raw):
+        queries.append(raw)
+        return detector.classify(raw)
+
+    def resetting(env):
+        try:
+            return original_reset(env)
+        except AlreadyBenign:
+            screened.append(env)
+            raise
+
+    original_reset = env_module.RewriteEnv.reset
+    monkeypatch.setattr(env_module.RewriteEnv, "reset", resetting)
+    agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, seed=0)
+    result = evaluate_policy(agent, world.mal_test[:6] + world.ben_test[:4], classify,
+                             world.pool, max_steps=4, seed=3)
+    assert result.excluded == len(screened) > 0
+    assert result.eligible > 0
+    assert result.queries == len(queries) - len(screened)
+
+
 def test_transferability_exclusion_and_counting():
     pairs = [(b"o1", b"r1"), (b"o2", b"r2"), (b"o3", b"r3")]
     table = {b"o1": Verdict.MALICIOUS, b"o2": Verdict.MALICIOUS, b"o3": Verdict.BENIGN,
@@ -261,11 +291,11 @@ def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch
     def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
                       observations=None):
         used.append((classify.__self__, len(classify.__self__._memo)))
-        return EvalResult(evaded=0, eligible=1, excluded=0)
+        return EvalResult([Episode(files[0], (), False, None)])
 
     def fake_transferability(pairs, classify_b):
         used.append((classify_b.__self__, len(classify_b.__self__._memo)))
-        return harness.Tally(0, 0, 0)
+        return harness.Tally([])
 
     monkeypatch.setattr(harness, "train_agent", fake_train)
     monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
@@ -294,7 +324,7 @@ def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
     def fake_evaluate(agent, files, classify, pool, max_steps, seed=0, collect_pairs=False,
                       observations=None):
         memos.append((observations, len(observations)))
-        return EvalResult(evaded=0, eligible=1, excluded=0)
+        return EvalResult([Episode(files[0], (), False, None)])
 
     monkeypatch.setattr(harness, "train_agent", fake_train)
     monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
@@ -370,10 +400,10 @@ def _state_sha256(agent) -> str:
     return state.hexdigest()
 
 
-def _agent_rollouts(world) -> dict:
+@pytest.fixture(scope="module")
+def rollouts(world) -> dict:
     """Per agent kind: train as in ``test_train_agent_is_seed_deterministic``,
-    then evaluate on the validation split with pairs collected. Weights and
-    rewrites enter by their SHA-256."""
+    then evaluate on the validation split with pairs collected."""
     out = {}
     for kind in ("dqn", "pg", "ppo", "random"):
         agent = train_agent(
@@ -385,17 +415,34 @@ def _agent_rollouts(world) -> dict:
             episodes=16,
             seed=7,
         )
-        result = evaluate_policy(
+        out[kind] = agent, evaluate_policy(
             agent, world.mal_val, world.detector_a.classify, world.pool,
             max_steps=3, seed=7, collect_pairs=True,
         )
-        out[kind] = {
+    return out
+
+
+def _agent_rollouts(rollouts) -> dict:
+    """Each rollout's weights, counts and rewrites, weights and rewrites by
+    their SHA-256."""
+    return {
+        kind: {
             "state_sha256": _state_sha256(agent),
             "counts": [result.evaded, result.eligible, result.excluded, result.queries],
             "rewrites_sha256": hashlib.sha256(
                 b"".join(rewrite for _, rewrite in result.pairs)).hexdigest(),
         }
-    return out
+        for kind, (agent, result) in rollouts.items()
+    }
+
+
+def test_every_evaded_record_replays_to_its_rewrite(world, rollouts):
+    """Each evaded record's applied steps, re-applied to its original with
+    their recorded seeds, give its rewrite bit for bit."""
+    evaded = [e for _, result in rollouts.values() for e in result.episodes if e and e.evaded]
+    assert len(evaded) == sum(len(result.pairs) for _, result in rollouts.values()) > 0
+    for episode in evaded:
+        assert replay(episode.original, episode.steps, world.pool) == episode.rewrite
 
 
 def _scrubbed(report: dict) -> dict:
@@ -426,11 +473,11 @@ def test_dqn_td_updates_and_target_syncs_match_golden(world, monkeypatch):
     assert _state_sha256(agent) == DQN_UPDATES_SHA256
 
 
-def test_agent_rollouts_and_micro_workflow_match_goldens(world, micro_report):
+def test_agent_rollouts_and_micro_workflow_match_goldens(rollouts, micro_report):
     """Pin what every agent kind learns and does, and the whole micro-plan
     report, against JSON captured from the code before the rollout loop was
     shared. A change that moves them re-captures the files and says why."""
-    assert _agent_rollouts(world) == json.loads((GOLDEN_DIR / "agents.json").read_text())
+    assert _agent_rollouts(rollouts) == json.loads((GOLDEN_DIR / "agents.json").read_text())
     report, _ = micro_report
     golden = json.loads((GOLDEN_DIR / "workflow_micro.json").read_text())
     assert _scrubbed(report) == golden

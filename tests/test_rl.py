@@ -282,24 +282,30 @@ def always_malicious(_: bytes) -> Verdict:
     return Verdict.MALICIOUS
 
 
+def counting(verdict: Verdict, queries: list):
+    """A classifier that gives ``verdict`` and appends each query to ``queries``."""
+    return lambda raw: queries.append(raw) or verdict
+
+
 def test_reset_raises_on_undetected_start(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[0], lambda raw: Verdict.BENIGN, pool, max_steps=5, seed=0)
+    queries = []
+    env = RewriteEnv(mal_bytes[0], counting(Verdict.BENIGN, queries), pool, max_steps=5, seed=0)
     with pytest.raises(AlreadyBenign):
         env.reset()
-    assert env.queries == 1
+    assert queries == [mal_bytes[0]]
 
 
 def test_episode_runs_to_step_budget(mal_bytes, pool):
-    env = RewriteEnv(mal_bytes[0], always_malicious, pool, max_steps=4, seed=3)
+    queries = []
+    env = RewriteEnv(mal_bytes[0], counting(Verdict.MALICIOUS, queries), pool, max_steps=4, seed=3)
     obs = env.reset()
     assert obs.shape == (N_OBSERVATION,)
     rewards = []
     while not env.done:
         t = env.step(ActionId.APPEND_OVERLAY)
         rewards.append(t.reward)
-    assert env.steps == 4
-    assert rewards == [-0.1] * 4
-    assert env.queries == 5  # one at reset, one per step
+    assert rewards == [-0.1] * 4  # one transition per step of the budget
+    assert len(queries) == 5  # one at reset, one per step
     with pytest.raises(EpisodeFinished):
         env.step(0)
 
@@ -345,12 +351,16 @@ def test_invalid_action_rejected(mal_bytes, pool):
 
 def test_noop_and_failed_actions_still_cost_a_step(corpus_files, pool):
     tight = next(f.data for f in corpus_files if f.planted["slack"] < 40)
-    env = RewriteEnv(tight, always_malicious, pool, max_steps=3, seed=0)
+    queries = []
+    env = RewriteEnv(tight, counting(Verdict.MALICIOUS, queries), pool, max_steps=3, seed=0)
     env.reset()
-    t = env.step(ActionId.ADD_NEW_SECTION)
-    assert t.info["outcome"] == "failed"
-    assert env.steps == 1
+    stepped = []
+    while not env.done:
+        stepped.append(env.step(ActionId.ADD_NEW_SECTION))
+    assert [t.info["outcome"] for t in stepped] == ["failed"] * 3  # each spends one of 3
+    assert len(queries) == 1 + 3
     assert env.current_bytes == tight
+    t = stepped[0]
     expected = observe(pe_model.parse(env.current_bytes), env.current_bytes, ByteCounts())
     assert np.array_equal(t.next_observation, expected)
     assert t.next_observation is not t.observation

@@ -15,10 +15,10 @@ from settable_values import settable_values
 SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
 
 #: The count of ``python3 tests/settable_values.py``.
-CEILING = 46
+CEILING = 41
 
 #: The total of ``wc -l src/amg/*.py src/amg/*/*.py``.
-LINE_CEILING = 4860
+LINE_CEILING = 4864
 
 
 def test_settable_values_stay_under_the_ceiling():

@@ -519,7 +519,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
                 raise ValueError(f"path {row['path']!r} leaves the corpus directory")
             name, label, seed, planted = row["name"], row["label"], row["seed"], row.get("planted", {})
             if not (isinstance(name, str) and isinstance(label, str)
-                    and isinstance(seed, int) and isinstance(planted, dict)):
+                    and type(seed) is int and isinstance(planted, dict)):
                 raise TypeError("name and label must be strings, seed an integer, planted an object")
             name.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
             entries.append(CorpusEntry(name=name, label=label, path=path, seed=seed, planted=planted))

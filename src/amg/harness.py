@@ -189,18 +189,20 @@ class Episode:
     rewrite: bytes | None
 
 
+@dataclass
 class EvalResult(Tally):
     """One evaluation: one record per file in file order, ``None`` for an
-    excluded one; the tally, ``pairs`` and ``queries`` are read from them."""
+    excluded one; the tally and ``queries`` are read from them, and so are
+    ``pairs``, the evaded (original, rewrite) pairs when collected, unless
+    given (``dataclasses.replace`` swaps them to tamper with a result)."""
 
-    def __init__(self, episodes: list[Episode | None]):
-        super().__init__(None if e is None else e.evaded for e in episodes)
-        self.episodes = episodes
+    episodes: list[Episode | None]
+    pairs: list[tuple[bytes, bytes]] | None = None
 
-    @property
-    def pairs(self) -> list[tuple[bytes, bytes]]:
-        """The evaded (original, rewrite) pairs, when collected."""
-        return [(e.original, e.rewrite) for e in self.episodes if e and e.rewrite is not None]
+    def __post_init__(self):
+        super().__init__(None if e is None else e.evaded for e in self.episodes)
+        if self.pairs is None:
+            self.pairs = [(e.original, e.rewrite) for e in self.episodes if e and e.rewrite is not None]
 
     @property
     def queries(self) -> int:
@@ -282,7 +284,7 @@ class ExperimentPlan:
         return d
 
 
-def quick_plan(seed: int = 0) -> ExperimentPlan:
+def quick_plan(seed: int) -> ExperimentPlan:
     """A plan sized for minutes, not hours: trimmed grids, short stages.
 
     The full default plan is a long-haul configuration; this one keeps every

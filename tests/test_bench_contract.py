@@ -11,6 +11,7 @@ No real training runs here.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -85,6 +86,18 @@ def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, mo
     assert len(tests) == 2  # the winner and the random baseline
     assert len(evaluated) == len(validations) + len(tests)
     assert report["test"]["transfer"]["percent"] is None  # no pairs, nothing eligible
+
+
+def test_swapped_pairs_leave_the_tally_and_queries_to_the_records():
+    """The benchmark's tamper tests hand a result other pairs through
+    ``dataclasses.replace``; its tally and queries still come from its records."""
+    episodes = [None, harness.Episode(b"a", ((0, 1, "applied"),), True, b"b"),
+                harness.Episode(b"c", (), False, None)]
+    result = harness.EvalResult(episodes)
+    assert result.pairs == [(b"a", b"b")]
+    swapped = dataclasses.replace(result, pairs=[(b"x", b"x")])
+    assert swapped.pairs == [(b"x", b"x")]
+    assert (swapped.evaded, swapped.eligible, swapped.excluded, swapped.queries) == (1, 2, 1, 3)
 
 
 def test_validity_suite_asks_the_backend_twice_per_file(corpus_files, pool):

@@ -315,10 +315,11 @@ def test_missing_file_exits_two(ws, tmp_path, capsys):
         b"[" * 100_000 + b"\n",
         b'{"name": ["x"], "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
         b'{"name": "mal\\ud800", "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
+        b'{"name": "mal_0000", "label": "malicious", "path": "files/mal_0000.exe", "seed": true}\n',
     ],
     ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path",
          "absolute-path", "dotdot-path", "deeply-nested-row", "name-not-a-string",
-         "name-with-a-lone-surrogate"],
+         "name-with-a-lone-surrogate", "seed-is-a-bool"],
 )
 def test_unreadable_manifest_exits_two(ws, tmp_path, capsys, manifest):
     """A row naming a real corpus file, but with a bad field, is refused

@@ -42,10 +42,7 @@ def q_update(q: float, reward: float, max_next: float, alpha: float, gamma: floa
 
 def discounted_return(rewards: Sequence[float], gamma: float) -> float:
     """Discounted sum of a reward sequence from its first step."""
-    g = 0.0
-    for r in reversed(list(rewards)):
-        g = r + gamma * g
-    return g
+    return float(discounted_returns(rewards, gamma)[0]) if len(rewards) else 0.0
 
 
 def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:

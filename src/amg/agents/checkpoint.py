@@ -43,7 +43,7 @@ def _agent_class(kind: str):
 
 
 def make_agent(kind: str, obs_dim: int, n_actions: int,
-               hyper: AgentHyper | None = None, seed: int = 0):
+               hyper: AgentHyper | None = None, *, seed: int):
     return _agent_class(kind)(obs_dim, n_actions, hyper or AgentHyper(), seed=seed)
 
 
@@ -71,7 +71,7 @@ def save_agent(path: str | Path, agent) -> None:
     Path(path).write_bytes(bytes(out))
 
 
-def load_agent(path: str | Path, seed: int = 0):
+def load_agent(path: str | Path, seed: int):
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:8] != MAGIC:
         raise CheckpointError("bad magic; not an agent checkpoint")

@@ -45,8 +45,8 @@ class DqnAgent:
         self.state_rows = 0  # state rows written
         self._states = None
 
-    def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
-        if not greedy and self.rng.random() < EPSILON:
+    def select_action(self, obs: np.ndarray) -> int:
+        if self.rng.random() < EPSILON:
             return int(self.rng.integers(self.n_actions))
         (q,), _ = self.net.forward(obs)
         return int(np.argmax(q[0]))

@@ -41,13 +41,10 @@ class PpoAgent:
         self._batch: list[tuple[np.ndarray, int, float, float]] = []
         self._episodes_buffered = 0
 
-    def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
+    def select_action(self, obs: np.ndarray) -> int:
         (logits, _), _ = self.net.forward(obs)
         logp = log_softmax(logits)[0]
-        if greedy:
-            action = int(np.argmax(logp))
-        else:
-            action = int(self.rng.choice(self.n_actions, p=np.exp(logp)))
+        action = int(self.rng.choice(self.n_actions, p=np.exp(logp)))
         self._last_logp = float(logp[action])
         return action
 

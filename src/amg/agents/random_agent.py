@@ -16,7 +16,7 @@ class RandomAgent:
         self.hyper = hyper
         self.rng = np.random.default_rng(seed)
 
-    def select_action(self, obs: np.ndarray, greedy: bool = False) -> int:
+    def select_action(self, obs: np.ndarray) -> int:
         return int(self.rng.integers(self.n_actions))
 
     def record(self, transition) -> None:

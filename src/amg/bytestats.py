@@ -110,9 +110,10 @@ def segment_counts(raw: bytes, parts: list[tuple[int | None, bytes]]) -> tuple[n
     return total.astype(np.float64), each
 
 
-def recount(counts: np.ndarray, old, new, window: tuple[int, int], count, reach: int) -> np.ndarray:
+def recount(counts: np.ndarray, old, new, window: tuple[int, int] | None, count, reach: int) -> np.ndarray:
     """``count(new)``, given ``counts == count(old)`` and the ``(head, tail)``
-    window :func:`changed_window` found between them.
+    window :func:`changed_window` found between them, or None, for which
+    ``new`` is counted in full.
 
     ``count`` maps a slice of ``old`` or ``new`` to an array of counts that
     add up over the items found in it, where an item that touches a changed
@@ -120,6 +121,8 @@ def recount(counts: np.ndarray, old, new, window: tuple[int, int], count, reach:
     pairs.  Only the window widened by ``reach`` on each side is counted
     again, in ``old`` and in ``new``.
     """
+    if window is None:
+        return count(new)
     head, tail = window
     lo = max(head - reach, 0)
     return counts - count(old[lo : len(old) - tail + reach]) + count(new[lo : len(new) - tail + reach])

@@ -145,8 +145,6 @@ class CorpusEntry:
     name: str
     label: str
     path: Path
-    seed: int
-    planted: dict
 
     def read(self) -> bytes:
         return self.path.read_bytes()
@@ -517,12 +515,11 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusEntry]:
             path = (root / row["path"]).resolve()  # ValueError on a NUL
             if inside not in path.parents:
                 raise ValueError(f"path {row['path']!r} leaves the corpus directory")
-            name, label, seed, planted = row["name"], row["label"], row["seed"], row.get("planted", {})
-            if not (isinstance(name, str) and isinstance(label, str)
-                    and type(seed) is int and isinstance(planted, dict)):
-                raise TypeError("name and label must be strings, seed an integer, planted an object")
+            name, label = row["name"], row["label"]
+            if not (isinstance(name, str) and isinstance(label, str)):
+                raise TypeError("name and label must be strings")
             name.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
-            entries.append(CorpusEntry(name=name, label=label, path=path, seed=seed, planted=planted))
+            entries.append(CorpusEntry(name=name, label=label, path=path))
         except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
             raise CorpusError(f"{manifest}:{lineno}: bad manifest row: {exc!r}") from None
     return entries

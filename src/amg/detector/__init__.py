@@ -199,7 +199,7 @@ def _features(
 def train_detector(
     kind: DetectorKind,
     samples: Sequence[tuple[bytes, int]],
-    seed: int = 0,
+    seed: int,
 ) -> Detector:
     """Fit a detector on (bytes, label) pairs, each counted in full; label 1 marks malicious."""
     labels = {label for _, label in samples}

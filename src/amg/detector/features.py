@@ -63,10 +63,7 @@ class StructuralCounts(ByteCounts):
         """Update the counts, hits and imports to ``img`` and its bytes ``raw``."""
         old = self.raw
         window = self.update(raw, img.raw_parts())
-        self.hits = (
-            _motif_hits(raw) if window is None
-            else recount(self.hits, old, raw, window, _motif_hits, _MOTIF_REACH)
-        )
+        self.hits = recount(self.hits, old, raw, window, _motif_hits, _MOTIF_REACH)
         key = (img.optional.magic, img.directory(pe_model.DIR_IMPORT).rva, pe_model.section_map(img))
         if key != self._import_key:
             self.imports, self._import_key = pe_model.parse_imports(img), key
@@ -196,10 +193,7 @@ class BigramCounts:
     def update(self, window: np.ndarray) -> np.ndarray:
         """Bucket counts of the pairs of ``window``; they become the counts carried."""
         span = changed_window(self._window, window)
-        self._counts = (
-            _bucket_counts(window) if span is None
-            else recount(self._counts, self._window, window, span, _bucket_counts, 1)
-        )
+        self._counts = recount(self._counts, self._window, window, span, _bucket_counts, 1)
         self._window = window
         return self._counts
 

@@ -87,7 +87,7 @@ class World:
 def prepare_world(
     malicious: list[bytes],
     benign: list[bytes],
-    seed: int = 0,
+    seed: int,
 ) -> World:
     mal_train, mal_val, mal_test = split_indexed(malicious)
     ben_train, ben_val, ben_test = split_indexed(benign)
@@ -129,7 +129,8 @@ def train_agent(
     max_steps: int,
     episodes: int,
     hyper: AgentHyper | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
     observations: ContentMemo | None = None,
 ):
     """Train one agent by sampling episodes over the given files.  Every
@@ -216,7 +217,7 @@ def evaluate_policy(
     classify,
     pool: BenignContentPool,
     max_steps: int,
-    seed: int = 0,
+    seed: int,
     collect_pairs: bool = False,
     observations: ContentMemo | None = None,
 ) -> EvalResult:
@@ -304,7 +305,7 @@ def quick_plan(seed: int) -> ExperimentPlan:
     )
 
 
-def micro_plan(seed: int = 0) -> ExperimentPlan:
+def micro_plan(seed: int) -> ExperimentPlan:
     """Smallest plan that still walks every stage; sized for test suites."""
     return ExperimentPlan(
         max_steps_grid=(5, 10),

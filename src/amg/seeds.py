@@ -1,6 +1,7 @@
 """Splittable deterministic seeding.
 
-Every stochastic component in the package takes an explicit integer seed.
+Every stochastic component in the package takes an explicit integer seed;
+no public function or method defaults one, so a forgotten seed is an error.
 A single root seed fans out into independent per-task seeds by hashing the
 root together with a path of string/int tags, so runs are reproducible no
 matter whether stages execute sequentially or in parallel.

@@ -45,14 +45,6 @@ class BehaviorReport:
     def feature(self, name: str) -> set[str]:
         return getattr(self, name)
 
-    def to_dict(self) -> dict:
-        return {
-            "signatures": sorted(self.signatures),
-            "api_calls": sorted(self.api_calls),
-            "processes": sorted(self.processes),
-            "failed": self.failed,
-        }
-
 
 @dataclass
 class ValidityVerdict:
@@ -178,7 +170,7 @@ def run_validity_suite(
     action: ActionId,
     backend,
     pool: BenignContentPool,
-    seed: int = 0,
+    seed: int,
 ) -> ValidityRow:
     """Apply one action to every file and tally how many stay valid."""
     valid = 0

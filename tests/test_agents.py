@@ -292,20 +292,6 @@ def test_dqn_acts_as_epsilon_greedy_at_five_percent():
     assert 0 < off_greedy < 20
 
 
-def test_greedy_acting_takes_the_best_action_and_draws_nothing():
-    agent = make_agent("dqn", 6, 4, seed=2)
-    state = agent.rng.bit_generator.state
-    rng = np.random.default_rng(1)
-    actions = set()
-    for _ in range(50):
-        obs = rng.standard_normal(6)
-        action = agent.select_action(obs, greedy=True)
-        assert action == int(np.argmax(_q_row(agent.net, obs)))
-        actions.add(action)
-    assert agent.rng.bit_generator.state == state
-    assert len(actions) > 1
-
-
 # ---------------------------------------------------------------------------
 # learning sanity (single seed here; the acceptance gate sweeps three)
 
@@ -341,6 +327,14 @@ def test_random_agent_ignores_observations_but_honors_seed():
 # persistence
 
 
+def _assert_same_outputs(net, other, obs: np.ndarray) -> None:
+    heads, _ = net.forward(obs)
+    other_heads, _ = other.forward(obs)
+    assert len(heads) == len(other_heads)
+    for head, other_head in zip(heads, other_heads):
+        assert np.array_equal(head, other_head)
+
+
 @pytest.mark.parametrize("kind", ["dqn", "pg", "ppo", "random"])
 def test_checkpoint_round_trip_preserves_policy(tmp_path, kind):
     agent = make_agent(kind, 6, 3, AgentHyper(alpha=0.002, gamma=0.95), seed=4)
@@ -348,24 +342,22 @@ def test_checkpoint_round_trip_preserves_policy(tmp_path, kind):
         agent.net.flat += np.random.default_rng(0).standard_normal(agent.net.flat.size) * 0.01
     path = tmp_path / f"{kind}.agent"
     save_agent(path, agent)
-    clone = load_agent(path)
+    clone = load_agent(path, seed=0)
     assert clone.kind == kind
     assert clone.hyper == agent.hyper
     assert (clone.obs_dim, clone.n_actions) == (6, 3)
     for name, arr in agent.state_arrays().items():
         assert np.array_equal(clone.state_arrays()[name], arr)
     if kind != "random":
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            obs = rng.standard_normal(6)
-            assert clone.select_action(obs, greedy=True) == agent.select_action(obs, greedy=True)
+        obs = np.random.default_rng(1).standard_normal((10, 6))
+        _assert_same_outputs(clone.net, agent.net, obs)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.agent"
     path.write_bytes(b"NOTANAGT" + b"\x00" * 64)
     with pytest.raises(CheckpointError):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def test_checkpoint_rejects_deeply_nested_header(tmp_path):
@@ -373,7 +365,7 @@ def test_checkpoint_rejects_deeply_nested_header(tmp_path):
     head = b"[" * 100_000
     path.write_bytes(MAGIC + struct.pack("<I", len(head)) + head + struct.pack("<I", 0))
     with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def test_checkpoint_rejects_header_with_an_overlong_integer(tmp_path):
@@ -382,7 +374,7 @@ def test_checkpoint_rejects_header_with_an_overlong_integer(tmp_path):
     head = b'{"obs_dim": ' + b"9" * 5000 + b"}"
     path.write_bytes(MAGIC + struct.pack("<I", len(head)) + head + struct.pack("<I", 0))
     with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
@@ -392,7 +384,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def rewrite_header(path, edit) -> None:
@@ -425,7 +417,7 @@ def test_checkpoint_rejects_header_that_does_not_fit(tmp_path, edit):
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError):
-            load_agent(path)
+            load_agent(path, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,11 +437,10 @@ def test_checkpoint_ignores_unknown_hyper_keys(tmp_path):
     ):
         save_agent(path, agent)
         rewrite_header(path, lambda h: h["hyper"].update(extra))
-        clone = load_agent(path)
+        clone = load_agent(path, seed=0)
         assert clone.hyper == agent.hyper
         assert np.array_equal(clone.net.flat, agent.net.flat)
-        obs = np.ones(4)
-        assert clone.select_action(obs, greedy=True) == agent.select_action(obs, greedy=True)
+        _assert_same_outputs(clone.net, agent.net, np.ones(4))
 
 
 @pytest.mark.parametrize(
@@ -464,7 +455,7 @@ def test_checkpoint_rejects_hyper_that_is_not_a_finite_number(tmp_path, hyper):
     save_agent(path, make_agent("dqn", 4, 2, seed=0))
     rewrite_header(path, lambda h: h["hyper"].update(hyper))
     with pytest.raises(CheckpointError):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def test_checkpoint_sized_for_other_hidden_widths_is_rejected(tmp_path):
@@ -473,7 +464,7 @@ def test_checkpoint_sized_for_other_hidden_widths_is_rejected(tmp_path):
         small_nets(mp)
         save_agent(path, make_agent("ppo", 4, 2, seed=0))
     with pytest.raises(CheckpointError, match="do not fit the header"):
-        load_agent(path)
+        load_agent(path, seed=0)
 
 
 def small_nets(mp: pytest.MonkeyPatch) -> None:
@@ -505,7 +496,7 @@ def test_property_damaged_checkpoint_loads_or_raises(saved_checkpoints, data, ki
     try:
         with pytest.MonkeyPatch.context() as mp:
             small_nets(mp)
-            agent = load_agent(path)
+            agent = load_agent(path, seed=0)
     except CheckpointError:
         return
     assert agent.state_arrays()
@@ -513,4 +504,4 @@ def test_property_damaged_checkpoint_loads_or_raises(saved_checkpoints, data, ki
 
 def test_make_agent_rejects_unknown_kind():
     with pytest.raises(CheckpointError):
-        make_agent("sarsa", 4, 2)
+        make_agent("sarsa", 4, 2, seed=0)

@@ -73,7 +73,7 @@ def test_run_workflow_calls_train_and_evaluate_through_harness_globals(world, mo
 
     monkeypatch.setattr(harness, "train_agent", fake_train)
     monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
-    plan = harness.micro_plan()
+    plan = harness.micro_plan(0)
     report = harness.run_workflow(world, plan)
 
     sweep = len(plan.agents) * len(plan.max_steps_grid)
@@ -114,7 +114,7 @@ def test_validity_suite_asks_the_backend_twice_per_file(corpus_files, pool):
     backend = Recording()
     for action in ActionId:
         calls.clear()
-        validity.run_validity_suite(entries, action, backend, pool)
+        validity.run_validity_suite(entries, action, backend, pool, seed=0)
         assert [(file_id, role) for file_id, _, role in calls] == [
             (file_id, role) for file_id, _ in entries for role in ("control", "test")
         ]

@@ -196,7 +196,8 @@ def _edits(seed: int) -> tuple[bytes, list[bytes]]:
 def test_recount_equals_a_full_count_for_each_reach(seed):
     """Byte counts (reach 0), bigram buckets (reach 1) and motif hits (reach
     ``MOTIF_LEN - 1``, counted on ``bytes`` slices) counted again over the
-    changed window each equal a count of the new bytes."""
+    changed window each equal a count of the new bytes, and so do they with no
+    window (None), which counts the new bytes in full."""
     old, news = _edits(seed)
     recounted = 0
     for new in news:
@@ -210,7 +211,8 @@ def test_recount_equals_a_full_count_for_each_reach(seed):
             (_bucket_counts, a, b, 1),
             (_motif_hits, old, new, MOTIF_LEN - 1),
         ):
-            assert np.array_equal(recount(count(x), x, y, window, count, reach), count(y))
+            for given in (window, None):
+                assert np.array_equal(recount(count(x), x, y, given, count, reach), count(y))
     assert recounted == len(news)
 
 

@@ -315,11 +315,10 @@ def test_missing_file_exits_two(ws, tmp_path, capsys):
         b"[" * 100_000 + b"\n",
         b'{"name": ["x"], "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
         b'{"name": "mal\\ud800", "label": "malicious", "path": "files/mal_0000.exe", "seed": 1}\n',
-        b'{"name": "mal_0000", "label": "malicious", "path": "files/mal_0000.exe", "seed": true}\n',
     ],
     ids=["truncated-json", "row-without-path", "row-is-a-list", "not-utf8", "nul-in-path",
          "absolute-path", "dotdot-path", "deeply-nested-row", "name-not-a-string",
-         "name-with-a-lone-surrogate", "seed-is-a-bool"],
+         "name-with-a-lone-surrogate"],
 )
 def test_unreadable_manifest_exits_two(ws, tmp_path, capsys, manifest):
     """A row naming a real corpus file, but with a bad field, is refused
@@ -373,7 +372,7 @@ def test_unfit_checkpoint_exits_two(ws, tmp_path, capsys, command, unfit):
     observation size loads but cannot drive this environment."""
     bad = tmp_path / "unfit.ckpt"
     if unfit == "obs-dim-100":
-        save_agent(bad, make_agent("ppo", 100, ACTION_COUNT))
+        save_agent(bad, make_agent("ppo", 100, ACTION_COUNT, seed=0))
     else:
         bad.write_bytes(ws["agent"].read_bytes())
         rewrite_header(bad, lambda header: header.pop("obs_dim"))

@@ -345,7 +345,6 @@ def test_write_and_load_round_trip(tmp_path):
         src = by_name[e.name]
         assert e.label == src.label
         assert e.read() == src.data
-        assert e.planted == src.planted
     assert json.loads((tmp_path / "corpus" / "meta.json").read_text()) == SMALL.to_dict()
 
 

@@ -194,9 +194,9 @@ def test_train_and_evaluate_pass_their_memo_to_every_env(world, monkeypatch, mem
     monkeypatch.setattr(harness, "RewriteEnv", Recording)
     classify = lambda raw: Verdict.MALICIOUS
     agent = train_agent("random", world.mal_train[:3], classify, world.pool, max_steps=2,
-                        episodes=4, observations=memo)
+                        episodes=4, seed=0, observations=memo)
     evaluate_policy(agent, world.mal_test[:3], classify, world.pool, max_steps=2,
-                    observations=memo)
+                    seed=0, observations=memo)
     assert len(given) == 7 and all(observations is memo for observations in given)
 
 
@@ -263,7 +263,7 @@ def test_plan_serialization_round_trips():
     plan = quick_plan(seed=3)
     blob = json.dumps(plan.to_dict())
     assert json.loads(blob)["seed"] == 3
-    assert set(micro_plan().to_dict()) == set(plan.to_dict())
+    assert set(micro_plan(0).to_dict()) == set(plan.to_dict())
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +300,7 @@ def test_workflow_queries_fresh_copies_of_the_world_detectors(world, monkeypatch
     monkeypatch.setattr(harness, "train_agent", fake_train)
     monkeypatch.setattr(harness, "evaluate_policy", fake_evaluate)
     monkeypatch.setattr(harness, "transferability", fake_transferability)
-    run_workflow(world, micro_plan())
+    run_workflow(world, micro_plan(0))
 
     copy_a, size_a = used[0]
     copy_b, size_b = used[-1]
@@ -331,7 +331,7 @@ def test_each_workflow_shares_one_new_observation_memo(world, monkeypatch):
     runs = []
     for _ in range(2):
         memos.clear()
-        run_workflow(world, micro_plan())
+        run_workflow(world, micro_plan(0))
         runs.append(memos[0][0])
         assert isinstance(memos[0][0], ContentMemo)
         assert memos[0][0].entries == OBSERVATION_MEMO_ENTRIES

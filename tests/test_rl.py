@@ -324,7 +324,7 @@ def test_a_step_budget_below_one_is_refused(mal_bytes, pool, max_steps):
         RewriteEnv(mal_bytes[0], classify, pool, max_steps=max_steps, seed=0)
     agent = make_agent("random", N_OBSERVATION, ACTION_COUNT, AgentHyper(), seed=0)
     with pytest.raises(ValueError, match="max_steps"):
-        evaluate_policy(agent, mal_bytes[:3], classify, pool, max_steps=max_steps)
+        evaluate_policy(agent, mal_bytes[:3], classify, pool, max_steps=max_steps, seed=0)
     assert queries == []
 
 

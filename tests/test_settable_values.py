@@ -15,15 +15,21 @@ from settable_values import settable_values
 SRC = Path(__file__).resolve().parent.parent / "src" / "amg"
 
 #: The count of ``python3 tests/settable_values.py``.
-CEILING = 41
+CEILING = 30
 
 #: The total of ``wc -l src/amg/*.py src/amg/*/*.py``.
-LINE_CEILING = 4866
+LINE_CEILING = 4848
 
 
 def test_settable_values_stay_under_the_ceiling():
     found = settable_values(SRC)
     assert len(found) <= CEILING, "\n".join(found)
+
+
+def test_no_public_seed_parameter_has_a_default():
+    """A defaulted seed hides a caller that forgot one; dataclass fields
+    such as ``CorpusSpec.seed`` are records, not calls, and may keep theirs."""
+    assert [value for value in settable_values(SRC) if value.endswith("(seed)")] == []
 
 
 def test_source_lines_stay_under_the_ceiling():

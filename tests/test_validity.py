@@ -10,6 +10,7 @@ ten actions against a golden.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -228,7 +229,7 @@ def test_structural_backend_reports_are_stable(mal_bytes):
     assert len(a) == 3
     assert a[0].api_calls and a[0].processes
     assert not a[0].failed
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    assert a == b
 
 
 def test_structural_backend_fails_unparseable_bytes():
@@ -238,7 +239,7 @@ def test_structural_backend_fails_unparseable_bytes():
 
 def test_real_action_keeps_files_valid(corpus_files, pool):
     entries = [(f.name, f.data) for f in corpus_files[:30] if f.label == "malicious"]
-    row = run_validity_suite(entries, ActionId.APPEND_OVERLAY, StructuralBackend(), pool)
+    row = run_validity_suite(entries, ActionId.APPEND_OVERLAY, StructuralBackend(), pool, seed=0)
     assert row.valid == row.total == len(entries)
     assert row.failures == []
     assert set(row.outcomes) == {"applied"}
@@ -247,7 +248,7 @@ def test_real_action_keeps_files_valid(corpus_files, pool):
 def test_corrupting_rewrite_fails_every_file(corpus_files, pool, monkeypatch):
     monkeypatch.setattr(validity, "apply_action", corrupting_mutate)
     entries = [(f.name, f.data) for f in corpus_files[:30] if f.label == "malicious"]
-    row = run_validity_suite(entries, ActionId.BREAK_CHECKSUM, StructuralBackend(), pool)
+    row = run_validity_suite(entries, ActionId.BREAK_CHECKSUM, StructuralBackend(), pool, seed=0)
     assert row.valid == 0
     assert len(row.failures) == row.total == len(entries)
 
@@ -260,16 +261,12 @@ def test_import_extension_stays_valid_via_other_features(corpus_files, pool):
         for f in corpus_files
         if f.label == "malicious" and f.planted["slack"] >= 40
     ][:10]
-    row = run_validity_suite(roomy, ActionId.APPEND_NEW_IMPORT, StructuralBackend(), pool)
+    row = run_validity_suite(roomy, ActionId.APPEND_NEW_IMPORT, StructuralBackend(), pool, seed=0)
     assert row.valid == row.total == len(roomy)
 
 
 # ---------------------------------------------------------------------------
 # the control-report memo
-
-
-def _dicts(reports: list[BehaviorReport]) -> list[dict]:
-    return [r.to_dict() for r in reports]
 
 
 def test_memoized_reports_equal_fresh_ones(mal_bytes, pool):
@@ -292,23 +289,23 @@ def test_memoized_reports_equal_fresh_ones(mal_bytes, pool):
     )
     memoized = StructuralBackend()
     for raw, role in inputs:
-        expected = _dicts(StructuralBackend().reports_for("f", raw, role))
-        assert _dicts(memoized.reports_for("f", raw, role)) == expected
-    assert expected[0]["failed"] is False
-    assert _dicts(memoized.reports_for("f", b"garbage", "test"))[0]["failed"] is True
+        expected = StructuralBackend().reports_for("f", raw, role)
+        assert memoized.reports_for("f", raw, role) == expected
+    assert expected[0].failed is False
+    assert memoized.reports_for("f", b"garbage", "test")[0].failed is True
 
 
 def test_memoized_report_cannot_be_changed_through_a_copy(mal_bytes):
     backend = StructuralBackend()
     first = backend.reports_for("f", mal_bytes[0], "control")
-    expected = _dicts(first)
+    expected = copy.deepcopy(first)
     for report in first:
         report.signatures.add("tampered")
         report.api_calls.clear()
         report.processes.discard(next(iter(report.processes)))
         report.failed = True
     again = backend.reports_for("f", mal_bytes[0], "control")
-    assert _dicts(again) == expected
+    assert again == expected
     assert len({id(r.signatures) for r in again}) == len(again)
 
 
@@ -360,7 +357,7 @@ def test_each_original_is_profiled_once_across_actions(corpus_files, pool, monke
     monkeypatch.setattr(StructuralBackend, "_report", counting)
     backend = RecordingBackend()
     for action in ActionId:
-        run_validity_suite(entries, action, backend, pool)
+        run_validity_suite(entries, action, backend, pool, seed=0)
     assert len(backend.calls) == 2 * len(entries) * len(ActionId)
     assert sorted(profiled.count(raw) for raw in originals) == [1] * len(entries)
     # a test whose bytes are the original's (noop, failed, or an applied

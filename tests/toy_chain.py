@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from amg.agents import AgentHyper, make_agent
+from amg.agents.net import log_softmax
 from amg.rl import Transition
 
 N_STATES = 5
@@ -81,4 +82,10 @@ def train_chain_agent(kind: str, seed: int, episodes: int = 2000,
 
 
 def greedy_chain_policy(agent) -> list[int]:
-    return [agent.select_action(one_hot(s), greedy=True) for s in range(GOAL)]
+    """The best action in each non-terminal state, read from the agent's net:
+    the argmax of DQN's action values, of the policy learners' log-probabilities."""
+    policy = []
+    for s in range(GOAL):
+        (scores, *_), _ = agent.net.forward(one_hot(s))
+        policy.append(int(np.argmax(scores[0] if agent.kind == "dqn" else log_softmax(scores)[0])))
+    return policy
